@@ -69,12 +69,16 @@ def build_graph(idx: NeighborIndex, k1: int) -> ReciprocalGraph:
     """Directed rank graph: s -> t for each t in top_k(k1, s), weight e(s, t)."""
     if k1 < 1:
         raise ValueError("k1 must be a positive integer")
-    edges = []
-    for i, tid in enumerate(idx.ids):
-        for j in idx.lists[i][:k1]:
-            # e(s, t) is the rank of s in t's list, not t's rank in s's list.
-            edges.append(Edge(tid, idx.ids[j], int(idx.ranks[j, i])))
-    return ReciprocalGraph(vertices=tuple(idx.ids), edges=tuple(edges))
+    heads = idx.heads(k1)
+    src, col = np.nonzero(heads >= 0)
+    dst = heads[src, col]
+    # e(s, t) is the rank of s in t's list, not t's rank in s's list.
+    weights = idx.ranks(dst, src)
+    ids = idx.ids
+    edges = tuple(
+        Edge(ids[s], ids[t], w) for s, t, w in zip(src.tolist(), dst.tolist(), weights.tolist())
+    )
+    return ReciprocalGraph(vertices=tuple(ids), edges=edges)
 
 
 def threshold_graph(g: ReciprocalGraph, K: int) -> ReciprocalGraph:

@@ -353,8 +353,9 @@ class AdaptConfig:
             raise ValueError("k1 must be a positive integer")
         if self.k1 < self.K:
             warnings.warn(
-                f"k1={self.k1} is smaller than K={self.K}; rank weights above k1 "
-                "can never be generated, so K is effectively capped at k1",
+                f"k1={self.k1} is smaller than K={self.K}; an edge s->t is kept iff t is "
+                "within s's first k1 cross-camera neighbors and s within t's first K, "
+                "so each tracklet keeps at most k1 out-edges (weights up to K still survive)",
                 stacklevel=2,
             )
 

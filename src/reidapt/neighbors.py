@@ -1,11 +1,26 @@
-"""Exact cross-camera nearest-neighbor ranking.
+"""Exact cross-camera nearest-neighbor ranking in O(n·k) memory.
 
-For every tracklet s the index holds the complete list of tracklets from
-*other* cameras, sorted by ascending Euclidean distance to s's representation
-(ties broken by ascending tracklet_id).  Ranks are 1-based.  The rank-based
+For every tracklet s, its cross-camera list holds the tracklets from *other*
+cameras sorted by ascending Euclidean distance to s's representation (ties
+broken by ascending tracklet_id).  Ranks are 1-based.  The rank-based
 distance e(s, t) is the position of s inside t's list; it is deliberately
 asymmetric: if t is s's 1-nearest neighbour while s is only t's 5-nearest
 neighbour, then e(s, t) = 5.
+
+Storage.  The index keeps the ids, integer camera codes, the representations
+X, and for the GEMM a column-centred copy of X with its squared norms: O(n·d).
+No n×n matrix is ever stored; lists and ranks are computed on demand, 256
+rows at a time, so working memory is O(256·n) and results are O(n·k).
+
+Exactness.  Every distance that decides an order comes from one exact
+kernel, _exact_sq_dists: coordinate differences, squared and summed by a
+fixed einsum, so it does not depend on BLAS threading.  The GEMM form
+‖a‖² + ‖b‖² − 2a·b only preselects: heads() re-sorts a fixed candidate set
+with the exact kernel and accepts a row only when every non-candidate is
+provably farther than the k-th exact distance (else it redoes the row
+exactly); ranks() trusts the GEMM only for tracklets provably closer or
+farther than s and re-checks the band in between exactly.  Both orders are
+therefore the ones a full exact sort on (distance, id) gives.
 """
 
 from __future__ import annotations
@@ -18,16 +33,41 @@ from .errors import DomainError, ManifestError
 from .model import DomainManifest, manifest_embeddings, validate_manifest
 
 _BLOCK = 256
+# Elements of one coordinate-difference tensor in the exact kernel (32 MB).
+_DIFF_ELEMENTS = 1 << 22
+_EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).tiny
+
+
+def _exact_sq_dists(X: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Squared distances from X[rows[i]] to X[cols[i, j]], from differences.
+
+    The per-pair reduction order is fixed by the einsum, so each value is the
+    same whatever pairs it is computed with.
+    """
+    out = np.empty(cols.shape, dtype=np.float64)
+    step = max(1, _DIFF_ELEMENTS // max(1, cols.shape[1] * X.shape[1]))
+    for a in range(0, len(rows), step):
+        diff = X[rows[a : a + step], None, :] - X[cols[a : a + step]]
+        out[a : a + step] = np.einsum("ijk,ijk->ij", diff, diff)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
 class NeighborIndex:
-    """Frozen neighbor lists and rank lookups for one manifest."""
+    """Representations and camera codes of one manifest, ids ascending.
+
+    The GEMM side works in camera-major order: position p holds tracklet
+    order[p], so each camera's columns form one slice.
+    """
 
     ids: tuple[str, ...]
     cameras: tuple[str, ...]
-    lists: tuple[np.ndarray, ...]
-    ranks: np.ndarray  # ranks[i, j]: 1-based rank of j in i's list, 0 if undefined
+    codes: np.ndarray  # integer camera code per tracklet
+    X: np.ndarray  # exact representations
+    order: np.ndarray  # tracklets sorted by (camera code, id)
+    Xc: np.ndarray  # X[order] minus its column means, for the GEMM only
+    sq: np.ndarray  # squared row norms of Xc
     index_of: dict[str, int]
 
     def __len__(self):
@@ -38,27 +78,143 @@ class NeighborIndex:
 
     def neighbor_ids(self, tracklet_id: str) -> tuple[str, ...]:
         """Full cross-camera list for one tracklet, best match first."""
-        i = self._lookup(tracklet_id)
-        return tuple(self.ids[j] for j in self.lists[i])
+        other, d2 = self._exact_row(self._lookup(tracklet_id))
+        return tuple(self.ids[j] for j in other[np.argsort(d2, kind="stable")])
+
+    @np.errstate(over="ignore", invalid="ignore")  # overflow only widens the bound
+    def heads(self, k: int) -> np.ndarray:
+        """First min(k, L) entries of every row's list, padded with -1.
+
+        Returns an (n, min(k, max L)) array of row indices.
+        """
+        if k < 1:
+            raise ValueError("k must be a positive integer")
+        n = len(self.ids)
+        n_other = n - np.bincount(self.codes)[self.codes]
+        w = min(k, int(n_other.max()))
+        c = min(2 * k + 8, n)
+        out = np.empty((n, w), dtype=np.intp)
+        for a in range(0, n, _BLOCK):
+            pos = np.arange(a, min(a + _BLOCK, n))
+            rows = self.order[pos]
+            H = self._gemm(pos)
+            cand = np.argpartition(H, c - 1, axis=1)[:, :c]
+            head, d2 = self._sorted_exact(rows, self.order[cand], w)
+            kth = d2[np.arange(len(rows)), np.minimum(w, n_other[rows]) - 1]
+            # Every non-candidate j has exact distance >= H[i, j] + ‖c_i‖² - tol,
+            # so a row whose k-th exact distance lies below that for all of
+            # them has its whole head among the candidates.
+            np.put_along_axis(H, cand, np.inf, axis=1)
+            redo = ~(kth < H.min(axis=1) + self.sq[pos] - self._tol(pos))
+            if redo.any():
+                everything = np.broadcast_to(np.arange(n), (int(redo.sum()), n))
+                head[redo] = self._sorted_exact(rows[redo], everything, w)[0]
+            out[rows] = head
+        return out
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def ranks(self, t, s) -> np.ndarray:
+        """Exact 1-based rank of row s[p] in row t[p]'s list (cameras must differ)."""
+        t = np.asarray(t, dtype=np.intp)
+        s = np.asarray(s, dtype=np.intp)
+        out = np.ones(len(t), dtype=np.int64)
+        pos_of = np.empty_like(self.order)
+        pos_of[self.order] = np.arange(len(self.order))
+        by_pos = np.argsort(pos_of[t], kind="stable")
+        for a in range(0, len(t), _BLOCK):
+            p = by_pos[a : a + _BLOCK]
+            pos = pos_of[t[p]]
+            H = self._gemm(pos)
+            ds = _exact_sq_dists(self.X, t[p], s[p, None])[:, 0]
+            # Exact distance lies within tol of H + ‖c_t‖²: below lo is
+            # surely closer than s, above hi surely farther, and the band in
+            # between is re-checked exactly.  Same-camera columns are +inf.
+            tol = self._tol(pos)
+            lo = ds - self.sq[pos] - tol
+            hi = ds - self.sq[pos] + tol
+            loose = ~np.isfinite(hi)
+            hi[loose] = -np.inf  # the GEMM proves nothing there; see below
+            pi, v = np.divmod(np.flatnonzero(H <= hi[:, None]), H.shape[1])  # 2-D nonzero is slow
+            closer = H[pi, v] < lo[pi]
+            out[p] += np.bincount(pi[closer], minlength=len(p))
+            pi, u = pi[~closer], self.order[v[~closer]]
+            d2 = _exact_sq_dists(self.X, t[p[pi]], u[:, None])[:, 0]
+            before = (d2 < ds[pi]) | ((d2 == ds[pi]) & (u < s[p[pi]]))
+            out[p] += np.bincount(pi[before], minlength=len(p))
+            for q in p[loose]:
+                out[q] = self._rank_exact(t[q], s[q])
+        return out
+
+    def _gemm(self, pos: np.ndarray) -> np.ndarray:
+        """H = G - ‖c_i‖² from ascending positions pos to every position.
+
+        G is the GEMM form of the squared distance; same-camera entries are
+        +inf, set one camera slice at a time.
+        """
+        H = (-2.0 * self.Xc[pos]) @ self.Xc.T
+        H += self.sq
+        cams = self.codes[self.order[pos]]
+        starts = np.searchsorted(self.codes[self.order], np.arange(self.codes.max() + 2))
+        for cam in np.unique(cams):
+            r0, r1 = np.searchsorted(cams, [cam, cam + 1])
+            H[r0:r1, starts[cam] : starts[cam + 1]] = np.inf
+        return H
+
+    def _tol(self, pos: np.ndarray) -> np.ndarray:
+        """Bound on |G[i, j] - exact d2(i, j)| over all j, per position i.
+
+        With u = eps/2 and S = ‖c_i‖² + ‖c_j‖² on the centred rows c:
+        - the GEMM form errs by at most (2d + 3)·u·S: each squared norm and
+          the dot product by γ_d = d·u/(1 - d·u) of S (any summation order,
+          FMA or not, since |c_i·c_j| <= S/2), plus one rounding each for
+          the sum and the difference, whose magnitudes stay below 2S;
+        - centring rounds each coordinate once, moving ‖c_i − c_j‖² from
+          ‖x_i − x_j‖² by at most about 4·u·S;
+        - the exact kernel rounds each difference, square and sum, so it is
+          within (d + 2)·u of ‖x_i − x_j‖² <= 2S.
+        The total, about (4d + 11)·u·S = (2d + 5.5)·eps·S, is bounded by
+        8·(d + 4)·eps·S with ample margin, which also absorbs the few
+        roundings (of magnitude <= 3S) made when comparing against it;
+        S <= ‖c_i‖² + max ‖c‖².  Underflow adds at most half the smallest
+        subnormal per operation, which the added smallest normal number
+        covers (8·(d + 4)·2^-1074).  Nothing in the GEMM form exceeds 2S, so
+        while 4S is finite nothing overflowed; otherwise the bound is
+        infinite and the row is settled by the exact kernel alone.
+        """
+        scale = self.sq[pos] + self.sq.max() + _TINY
+        tol = 8.0 * (self.X.shape[1] + 4) * _EPS * scale
+        tol[~np.isfinite(4.0 * scale)] = np.inf
+        return tol
+
+    def _sorted_exact(self, rows: np.ndarray, cols: np.ndarray, w: int):
+        """First w of cols per row in (other camera first, distance, id) order.
+
+        Returns (head, d2): same-camera entries of head are -1, and d2 holds
+        the exact squared distances in head order.
+        """
+        d2 = _exact_sq_dists(self.X, rows, cols)
+        same = self.codes[cols] == self.codes[rows, None]
+        order = np.lexsort((cols, d2, same), axis=-1)[:, :w]
+        head = np.take_along_axis(cols, order, axis=-1)
+        head[np.take_along_axis(same, order, axis=-1)] = -1
+        return head, np.take_along_axis(d2, order, axis=-1)
+
+    def _exact_row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Other-camera indices of row i (ascending) and their exact squared distances."""
+        other = np.flatnonzero(self.codes != self.codes[i])
+        return other, _exact_sq_dists(self.X, np.array([i]), other[None, :])[0]
+
+    def _rank_exact(self, t: int, s: int) -> int:
+        """Rank of s in t's list by counting, from one exact row."""
+        other, d2 = self._exact_row(t)
+        ds = d2[np.searchsorted(other, s)]
+        return 1 + int(np.count_nonzero((d2 < ds) | ((d2 == ds) & (other < s))))
 
     def _lookup(self, tracklet_id: str) -> int:
         try:
             return self.index_of[tracklet_id]
         except KeyError:
             raise KeyError(f"unknown tracklet id {tracklet_id!r}") from None
-
-
-def _pairwise_sq_dists(X: np.ndarray) -> np.ndarray:
-    # Blocked difference-based computation: no large intermediate, and the
-    # per-pair reduction order is fixed, so results do not depend on BLAS
-    # threading.
-    n = X.shape[0]
-    d2 = np.empty((n, n), dtype=np.float64)
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        diff = X[start:stop, None, :] - X[None, :, :]
-        d2[start:stop] = np.einsum("ijk,ijk->ij", diff, diff)
-    return d2
 
 
 def build_neighbor_index(m: DomainManifest, embedder=None, normalize: bool = False) -> NeighborIndex:
@@ -81,27 +237,20 @@ def build_neighbor_index(m: DomainManifest, embedder=None, normalize: bool = Fal
         )
 
     ids, X = manifest_embeddings(m, embedder=embedder, normalize=normalize)
-    cams = np.array([m.by_id[tid].camera_id for tid in ids])
-    n = len(ids)
-    d2 = _pairwise_sq_dists(X)
-
-    lists: list[np.ndarray] = []
-    ranks = np.zeros((n, n), dtype=np.int32)
-    for i in range(n):
-        cand = np.flatnonzero(cams != cams[i])
-        # cand is ascending in tracklet_id (ids are sorted), so a stable sort
-        # on distance breaks ties by ascending id.
-        order = cand[np.argsort(d2[i, cand], kind="stable")].astype(np.int32)
-        order.setflags(write=False)
-        lists.append(order)
-        ranks[i, order] = np.arange(1, len(order) + 1, dtype=np.int32)
-    ranks.setflags(write=False)
-
+    cameras = tuple(m.by_id[tid].camera_id for tid in ids)
+    codes = np.unique(cameras, return_inverse=True)[1].astype(np.intp)
+    order = np.argsort(codes, kind="stable")
+    Xc = X[order] - X.mean(axis=0)
+    for a in (X, codes, order, Xc):
+        a.setflags(write=False)
     return NeighborIndex(
         ids=tuple(ids),
-        cameras=tuple(cams.tolist()),
-        lists=tuple(lists),
-        ranks=ranks,
+        cameras=cameras,
+        codes=codes,
+        X=X,
+        order=order,
+        Xc=Xc,
+        sq=np.einsum("ij,ij->i", Xc, Xc),
         index_of={tid: i for i, tid in enumerate(ids)},
     )
 
@@ -110,9 +259,7 @@ def top_k(idx: NeighborIndex, k: int, tracklet_id: str) -> tuple[str, ...]:
     """First min(k, L) entries of the tracklet's cross-camera list."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    i = idx._lookup(tracklet_id)
-    head = idx.lists[i][:k]
-    return tuple(idx.ids[j] for j in head)
+    return idx.neighbor_ids(tracklet_id)[:k]
 
 
 def k_reciprocal_distance(idx: NeighborIndex, s: str, t: str) -> int:
@@ -124,4 +271,4 @@ def k_reciprocal_distance(idx: NeighborIndex, s: str, t: str) -> int:
             f"rank distance undefined for same-camera pair ({s!r}, {t!r}) "
             f"on camera {idx.cameras[si]!r}"
         )
-    return int(idx.ranks[ti, si])
+    return idx._rank_exact(ti, si)

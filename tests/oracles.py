@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from reidapt import DomainManifest, Tracklet
+from reidapt import DomainManifest, Tracklet, manifest_embeddings
 
 
 def mean_vector(tracklet: Tracklet) -> list[float]:
@@ -51,7 +51,10 @@ def naive_cluster(m: DomainManifest, K: int, T: int, k1: int):
             weight = lists[t].index(s) + 1
             if weight <= K:
                 edges.append((s, t))
+    return _bfs_clusters(ids, edges, T)
 
+
+def _bfs_clusters(ids, edges, T: int):
     adj = {tid: set() for tid in ids}
     for s, t in edges:
         adj[s].add(t)
@@ -79,6 +82,53 @@ def naive_cluster(m: DomainManifest, K: int, T: int, k1: int):
         len(c) <= T for c in components
     ) else frozenset()
     return clusters, unclustered
+
+
+# --------------------------------------------------------------------------
+# Dense reference index: the n x n distance matrix and full stable sorts the
+# library used before it kept only the heads of the lists.
+
+
+def dense_sq_dists(X: np.ndarray, block: int = 256) -> np.ndarray:
+    """All squared distances from blocked coordinate differences."""
+    n = X.shape[0]
+    d2 = np.empty((n, n), dtype=np.float64)
+    for start in range(0, n, block):
+        diff = X[start : start + block, None, :] - X[None, :, :]
+        d2[start : start + block] = np.einsum("ijk,ijk->ij", diff, diff)
+    return d2
+
+
+def dense_index(m: DomainManifest, embedder=None, normalize: bool = False):
+    """(ids, lists, ranks): every full cross-camera list and an n x n rank matrix.
+
+    lists[i] holds row indices sorted by (distance, id); ranks[i, j] is the
+    1-based rank of j in i's list, 0 for same-camera pairs.
+    """
+    ids, X = manifest_embeddings(m, embedder=embedder, normalize=normalize)
+    cams = np.array([m.by_id[tid].camera_id for tid in ids])
+    d2 = dense_sq_dists(X)
+    n = len(ids)
+    lists = []
+    ranks = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        cand = np.flatnonzero(cams != cams[i])
+        order = cand[np.argsort(d2[i, cand], kind="stable")]
+        lists.append(order)
+        ranks[i, order] = np.arange(1, len(order) + 1)
+    return ids, lists, ranks
+
+
+def dense_edges(lists, ranks, k1: int) -> list[tuple[int, int, int]]:
+    """(s, t, weight) for t in s's first k1, weight = rank of s in t's list."""
+    return [(s, int(t), int(ranks[t, s])) for s, lst in enumerate(lists) for t in lst[:k1]]
+
+
+def dense_cluster(m: DomainManifest, K: int, T: int, k1: int):
+    """naive_cluster on the dense reference index; same return shape."""
+    ids, lists, ranks = dense_index(m)
+    edges = [(ids[s], ids[t]) for s, t, w in dense_edges(lists, ranks, k1) if w <= K]
+    return _bfs_clusters(ids, edges, T)
 
 
 def naive_average_precision(relevant_flags) -> float:

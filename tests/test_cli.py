@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import reidapt
 from reidapt import DomainManifest, Tracklet, load_checkpoint, read_manifest, write_manifest
 from reidapt.cli import run
 
@@ -99,6 +104,26 @@ class TestClusterCommand:
         assert run(["cluster", "--manifest", str(manifest), "--out", str(a)]) == 0
         assert run(["cluster", "--manifest", str(manifest), "--out", str(b)]) == 0
         assert sha(a) == sha(b)
+
+    def test_assignments_independent_of_blas_threads(self, tmp_path):
+        # GEMM distances only preselect neighbors; exact re-checks decide, so
+        # the BLAS pool size cannot change the output.
+        manifest = tmp_path / "d.jsonl"
+        assert run(["--seed", "5", "synth", "--out", str(manifest), "--identities", "250",
+                    "--cameras", "4", "--dim", "32"]) == 0
+        src = str(Path(reidapt.__file__).resolve().parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.tsv"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            subprocess.run([sys.executable, "-m", "reidapt.cli", "cluster", "--manifest",
+                            str(manifest), "--out", str(out)], env=env, check=True,
+                           capture_output=True)
+            outs.append(out.read_bytes())
+        assert len(outs[0].splitlines()) == len(read_manifest(manifest))
+        assert outs[0] == outs[1]
 
     def test_missing_manifest_fails_cleanly(self, tmp_path, capsys):
         code = run(["cluster", "--manifest", str(tmp_path / "nope.jsonl"),

@@ -14,7 +14,7 @@ from reidapt import (
     threshold_graph,
 )
 
-from oracles import naive_cluster, random_manifest
+from oracles import naive_cluster, naive_sorted_list, random_manifest
 
 
 def scalar_manifest(points, name="m"):
@@ -83,6 +83,30 @@ class TestThreshold:
             ("b2", "a2", 1),
         }
         assert gt.vertices == g.vertices  # isolated vertices survive
+
+    def test_weight_above_k1_survives(self, toy):
+        # k1=1 still yields b3->a2 with weight 3, and K=3 keeps it.
+        g = threshold_graph(build_graph(build_neighbor_index(toy), 1), 3)
+        assert ("b3", "a2", 3) in edge_set(g)
+
+    def test_edge_rule(self):
+        # s->t is kept iff rank(t in s) <= k1 and rank(s in t) <= K, k1 < K included.
+        rng = np.random.default_rng(7)
+        for _ in range(15):
+            m = random_manifest(rng, max_tracklets=16, max_cameras=4, max_dim=3)
+            idx = build_neighbor_index(m)
+            ids = [t.tracklet_id for t in m.tracklets]
+            lists = {tid: naive_sorted_list(m, tid) for tid in ids}
+            for k1 in (1, 2, 3):
+                for K in (1, 2, 4):
+                    got = {(e.src, e.dst) for e in threshold_graph(build_graph(idx, k1), K).edges}
+                    want = {
+                        (s, t)
+                        for s in ids
+                        for t in lists[s]
+                        if lists[s].index(t) < k1 and lists[t].index(s) < K
+                    }
+                    assert got == want, (k1, K)
 
     def test_K_below_one_rejected(self, toy):
         g = build_graph(build_neighbor_index(toy), 1)

@@ -136,7 +136,7 @@ class TestConfigs:
         assert cfg.k1 == 3
 
     def test_k1_below_K_warns(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning, match="at most k1 out-edges"):
             AdaptConfig(K=2, T=2, k1=1)
 
     def test_rejects_K_below_one(self):

@@ -2,16 +2,26 @@ import numpy as np
 import pytest
 
 from reidapt import (
+    AdaptConfig,
     DomainError,
     DomainManifest,
     ManifestError,
     Tracklet,
+    build_graph,
     build_neighbor_index,
+    cluster,
     k_reciprocal_distance,
     top_k,
 )
 
-from oracles import naive_rank, naive_sorted_list, random_manifest
+from oracles import (
+    dense_cluster,
+    dense_edges,
+    dense_index,
+    naive_rank,
+    naive_sorted_list,
+    random_manifest,
+)
 
 
 def scalar_manifest(points, name="m"):
@@ -73,10 +83,10 @@ class TestBuildIndex:
         for _ in range(25):
             m = random_manifest(rng, max_tracklets=20, max_cameras=4, max_dim=4)
             idx = build_neighbor_index(m)
-            for i, tid in enumerate(idx.ids):
-                row = idx.ranks[i]
-                got = sorted(int(r) for r in row if r > 0)
-                assert got == list(range(1, len(idx.lists[i]) + 1))
+            for t in idx.ids:
+                lst = idx.neighbor_ids(t)
+                got = [k_reciprocal_distance(idx, s, t) for s in lst]
+                assert got == list(range(1, len(lst) + 1))
 
     def test_lists_cover_exactly_other_cameras(self):
         rng = np.random.default_rng(4)
@@ -176,5 +186,68 @@ class TestOracleAgreement:
             )
             a = build_neighbor_index(m)
             b = build_neighbor_index(moved)
-            for x, y in zip(a.lists, b.lists):
-                assert np.array_equal(x, y)
+            for tid in a.ids:
+                assert a.neighbor_ids(tid) == b.neighbor_ids(tid)
+
+
+def point_manifest(X, cams):
+    """One single-frame tracklet per row of X; cams[i] is its camera number."""
+    return DomainManifest(
+        "points",
+        tuple(Tracklet(f"t{i:04d}", f"c{c}", X[i : i + 1]) for i, c in enumerate(cams)),
+    )
+
+
+def stress_cases():
+    rng = np.random.default_rng(29)
+
+    def cams(n, k=3):
+        c = rng.integers(0, k, size=n)
+        c[:k] = np.arange(k)
+        return c
+
+    return [
+        pytest.param(rng.normal(size=(150, 8)) + 1e6, cams(150), id="offset_1e6"),
+        pytest.param(rng.integers(0, 3, size=(150, 3)).astype(float), cams(150), id="integer_ties"),
+        pytest.param(np.full((60, 4), 3.7), cams(60), id="all_identical"),
+        # camera c0 has two tracklets, so the other rows' lists are shorter than k1
+        pytest.param(rng.normal(size=(40, 2)), np.r_[0, 0, np.ones(38, dtype=int)], id="short_lists"),
+        pytest.param(rng.normal(size=(600, 16)), cams(600, 4), id="multi_block_600"),
+        pytest.param(rng.normal(size=(80, 5)) * 1e160, cams(80), id="overflow_1e160"),
+    ]
+
+
+class TestDenseReference:
+    """heads, ranks, edge weights and clusters equal the dense full-sort index."""
+
+    @pytest.mark.parametrize("X,cams", stress_cases())
+    def test_identical_to_dense_index(self, X, cams):
+        m = point_manifest(X, cams)
+        idx = build_neighbor_index(m)
+        ids, lists, ranks = dense_index(m)
+        for k in (1, 2, 3, 7):
+            heads = idx.heads(k)
+            for i, lst in enumerate(lists):
+                head = heads[i][heads[i] >= 0]
+                assert head.tolist() == lst[:k].tolist(), (k, i)
+            got = [(e.src, e.dst, e.weight) for e in build_graph(idx, k).edges]
+            want = [(ids[s], ids[t], w) for s, t, w in dense_edges(lists, ranks, k)]
+            assert got == want, k
+        t, s = np.nonzero(ranks)
+        assert np.array_equal(idx.ranks(t, s), ranks[t, s])
+        for K, T, k1 in ((1, 1, 1), (2, 2, 2), (2, 1, 4)):
+            cs = cluster(m, AdaptConfig(K=K, T=T, k1=k1))
+            want_clusters, want_rest = dense_cluster(m, K=K, T=T, k1=k1)
+            assert {frozenset(c.members) for c in cs.clusters} == want_clusters, (K, T, k1)
+            assert cs.unclustered == want_rest, (K, T, k1)
+
+    def test_heads_pad_short_lists(self):
+        m = point_manifest(np.arange(5.0)[:, None], [0, 0, 1, 1, 1])
+        heads = build_neighbor_index(m).heads(4)
+        assert heads.shape == (5, 3)
+        assert heads[0].tolist() == [2, 3, 4]
+        assert heads[2].tolist() == [1, 0, -1]
+
+    def test_heads_bad_k(self, toy):
+        with pytest.raises(ValueError):
+            build_neighbor_index(toy).heads(0)
