@@ -21,7 +21,6 @@ from .model import (
     AdaptConfig,
     ClusterAssignment,
     DomainManifest,
-    FeatureVector,
     SOURCE_ITERATIONS,
     Tracklet,
     TrainConfig,
@@ -35,7 +34,6 @@ from .model import (
 from .neighbors import NeighborIndex, build_neighbor_index, k_reciprocal_distance, top_k
 from .graph import (
     ClusterSet,
-    Edge,
     ReciprocalGraph,
     build_graph,
     cluster,

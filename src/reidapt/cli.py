@@ -46,8 +46,7 @@ def _set_threads(n: int | None) -> None:
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:
-        print("warning: threadpoolctl not installed, --threads ignored", file=sys.stderr)
-        return
+        raise ValueError("--threads requires threadpoolctl, which is not installed") from None
     threadpool_limits(limits=n)
 
 
@@ -175,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _load_embedder(path, dim: int):
+def _load_embedder(path):
     if path is None:
         return None
     return load_checkpoint(path).embedder
@@ -203,7 +202,7 @@ def _cmd_synth(args) -> int:
 def _cmd_cluster(args) -> int:
     m = io_mod.read_manifest(args.manifest, sidecar=args.sidecar)
     cfg = _adapt_config(args, m)
-    embedder = _load_embedder(args.checkpoint, m.dim)
+    embedder = _load_embedder(args.checkpoint)
     cs = cluster(m, cfg, embedder=embedder)
     io_mod.write_assignments(cs, args.out)
     print(
@@ -291,7 +290,7 @@ def _cmd_merge(args) -> int:
 
 def _cmd_eval(args) -> int:
     m = io_mod.read_manifest(args.manifest, sidecar=args.sidecar)
-    embedder = _load_embedder(args.checkpoint, m.dim)
+    embedder = _load_embedder(args.checkpoint)
     ranks = [int(k) for k in str(args.ranks).split(",") if k]
     queries = None
     if args.queries is not None:
@@ -386,8 +385,8 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    _set_threads(args.threads)
     try:
+        _set_threads(args.threads)
         return _COMMANDS[args.command](args)
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,6 +5,19 @@ neighbors, weighting every edge s->t by the rank of s in t's own list.
 threshold_graph keeps edges with weight <= K, connected_subgraphs splits the
 survivors into components, and cluster_set promotes components larger than T
 to numbered clusters.  cluster() composes the whole chain for a manifest.
+
+Layout.  A ReciprocalGraph holds the tracklet ids in ascending order
+(`vertices`) and three parallel read-only integer arrays: edge i runs from
+vertices[src[i]] to vertices[dst[i]] with rank weight weight[i].  Edges are
+ordered by source, then by the target's rank in the source's list, which is
+how the neighbor index's heads() lays them out; thresholding is one boolean
+mask over the arrays and keeps that order.
+
+Components.  One routine, _strong_components, finds the strongly connected
+components with an iterative Kosaraju over integer adjacency lists.  Weak
+components are the strong components of the symmetrised graph, so "weak"
+mode passes every edge in both directions and "strong" mode passes the
+edges as they are.
 """
 
 from __future__ import annotations
@@ -17,22 +30,26 @@ from .model import AdaptConfig, ClusterAssignment, DomainManifest
 from .neighbors import NeighborIndex, build_neighbor_index
 
 
-@dataclass(frozen=True)
-class Edge:
-    src: str
-    dst: str
-    weight: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReciprocalGraph:
-    """Directed graph over tracklet ids with positive integer rank weights."""
+    """Directed graph over tracklet ids with positive integer rank weights.
+
+    Edge i runs from vertices[src[i]] to vertices[dst[i]] with weight[i].
+    """
 
     vertices: tuple[str, ...]
-    edges: tuple[Edge, ...]
+    src: np.ndarray
+    dst: np.ndarray
+    weight: np.ndarray
 
-    def out_degree(self, vertex: str) -> int:
-        return sum(1 for e in self.edges if e.src == vertex)
+    def __post_init__(self):
+        object.__setattr__(self, "vertices", tuple(self.vertices))
+        for name in ("src", "dst", "weight"):
+            a = np.array(getattr(self, name), dtype=np.intp)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        if not (self.src.ndim == 1 and self.src.shape == self.dst.shape == self.weight.shape):
+            raise ValueError("src, dst and weight must be 1-D arrays of one length")
 
 
 @dataclass(frozen=True)
@@ -73,99 +90,61 @@ def build_graph(idx: NeighborIndex, k1: int) -> ReciprocalGraph:
     src, col = np.nonzero(heads >= 0)
     dst = heads[src, col]
     # e(s, t) is the rank of s in t's list, not t's rank in s's list.
-    weights = idx.ranks(dst, src)
-    ids = idx.ids
-    edges = tuple(
-        Edge(ids[s], ids[t], w) for s, t, w in zip(src.tolist(), dst.tolist(), weights.tolist())
-    )
-    return ReciprocalGraph(vertices=tuple(ids), edges=edges)
+    return ReciprocalGraph(vertices=idx.ids, src=src, dst=dst, weight=idx.ranks(dst, src))
 
 
 def threshold_graph(g: ReciprocalGraph, K: int) -> ReciprocalGraph:
     """Drop edges with weight > K.  Vertices are kept even when isolated."""
     if K < 1:
         raise ValueError("K must be a positive integer")
-    return ReciprocalGraph(
-        vertices=g.vertices,
-        edges=tuple(e for e in g.edges if e.weight <= K),
-    )
+    keep = g.weight <= K
+    return ReciprocalGraph(g.vertices, g.src[keep], g.dst[keep], g.weight[keep])
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
+def _strong_components(n: int, src: np.ndarray, dst: np.ndarray) -> list[list[int]]:
+    """Strongly connected components of a directed graph on vertices 0..n-1.
 
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
+    Kosaraju: an iterative depth-first pass over the edges records finishing
+    order; a pass over the reversed edges, starting from each vertex still
+    unassigned in reverse finishing order, then collects one component each.
+    """
+    adj: list[list[int]] = [[] for _ in range(n)]
+    radj: list[list[int]] = [[] for _ in range(n)]
+    for s, t in zip(src.tolist(), dst.tolist()):
+        adj[s].append(t)
+        radj[t].append(s)
 
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
-def _weak_components(g: ReciprocalGraph) -> list[frozenset[str]]:
-    uf = _UnionFind(g.vertices)
-    for e in g.edges:
-        uf.union(e.src, e.dst)
-    groups: dict[str, set[str]] = {}
-    for v in g.vertices:
-        groups.setdefault(uf.find(v), set()).add(v)
-    return [frozenset(s) for s in groups.values()]
-
-
-def _strong_components(g: ReciprocalGraph) -> list[frozenset[str]]:
-    # Kosaraju with iterative DFS; vertices visited in sorted order so the
-    # result is deterministic.
-    adj: dict[str, list[str]] = {v: [] for v in g.vertices}
-    radj: dict[str, list[str]] = {v: [] for v in g.vertices}
-    for e in g.edges:
-        adj[e.src].append(e.dst)
-        radj[e.dst].append(e.src)
-    for v in adj:
-        adj[v].sort()
-        radj[v].sort()
-
-    seen: set[str] = set()
-    finish_order: list[str] = []
-    for start in sorted(g.vertices):
-        if start in seen:
+    seen = [False] * n
+    finish: list[int] = []
+    for start in range(n):
+        if seen[start]:
             continue
-        stack: list[tuple[str, int]] = [(start, 0)]
-        seen.add(start)
+        seen[start] = True
+        stack = [(start, iter(adj[start]))]
         while stack:
-            node, ptr = stack[-1]
-            if ptr < len(adj[node]):
-                stack[-1] = (node, ptr + 1)
-                nxt = adj[node][ptr]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append((nxt, 0))
+            node, succ = stack[-1]
+            for v in succ:
+                if not seen[v]:
+                    seen[v] = True
+                    stack.append((v, iter(adj[v])))
+                    break
             else:
                 stack.pop()
-                finish_order.append(node)
+                finish.append(node)
 
-    assigned: set[str] = set()
-    components: list[frozenset[str]] = []
-    for start in reversed(finish_order):
-        if start in assigned:
+    # Second pass: seen[v] turns False once v is assigned to a component.
+    components: list[list[int]] = []
+    for start in reversed(finish):
+        if not seen[start]:
             continue
-        comp = {start}
-        assigned.add(start)
-        frontier = [start]
-        while frontier:
-            node = frontier.pop()
-            for nxt in radj[node]:
-                if nxt not in assigned:
-                    assigned.add(nxt)
-                    comp.add(nxt)
-                    frontier.append(nxt)
-        components.append(frozenset(comp))
+        seen[start] = False
+        members = [start]
+        for node in members:  # grows while it is walked
+            for v in radj[node]:
+                if seen[v]:
+                    seen[v] = False
+                    members.append(v)
+        components.append(members)
     return components
 
 
@@ -176,12 +155,13 @@ def connected_subgraphs(g: ReciprocalGraph, connectivity: str = "weak") -> list[
     strongly connected components for ablation.
     """
     if connectivity == "weak":
-        comps = _weak_components(g)
+        src, dst = np.concatenate([g.src, g.dst]), np.concatenate([g.dst, g.src])
     elif connectivity == "strong":
-        comps = _strong_components(g)
+        src, dst = g.src, g.dst
     else:
         raise ValueError(f"connectivity must be 'weak' or 'strong', got {connectivity!r}")
-    return sorted(comps, key=min)
+    comps = _strong_components(len(g.vertices), src, dst)
+    return sorted((frozenset(g.vertices[i] for i in c) for c in comps), key=min)
 
 
 def cluster_set(components: list[frozenset[str]], T: int) -> ClusterSet:

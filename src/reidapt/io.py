@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ManifestError
 from .graph import ClusterSet
-from .model import ClusterAssignment, DomainManifest, Tracklet, validate_manifest
+from .model import ClusterAssignment, DomainManifest, Tracklet
 
 _SIDECAR_MAGIC = b"KTF1"
 _SIDECAR_HEADER = struct.Struct("<4sII")
@@ -125,7 +125,7 @@ def read_manifest(path, sidecar=None, name=None) -> DomainManifest:
                 raise ManifestError(f"{path}:{lineno}: {exc}") from exc
 
     m = DomainManifest(name=name if name is not None else path.stem, tracklets=tuple(tracklets))
-    report = validate_manifest(m)
+    report = m.validation
     if not report.ok:
         lines = "; ".join(f"{v.kind}: {v.message}" for v in report.violations[:5])
         more = "" if len(report.violations) <= 5 else f" (+{len(report.violations) - 5} more)"

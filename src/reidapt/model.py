@@ -18,10 +18,6 @@ import numpy as np
 
 from .errors import ManifestError
 
-# A feature vector is a plain 1-D float64 ndarray.  Kept as an alias so
-# signatures can say what they mean.
-FeatureVector = np.ndarray
-
 
 def _as_frame_matrix(frames) -> np.ndarray:
     """Normalize raw frame data to a read-only (n_frames, dim) float64 array."""
@@ -103,6 +99,11 @@ class DomainManifest:
         # On duplicate ids the last occurrence wins; validate_manifest reports
         # the duplication itself.
         return {t.tracklet_id: t for t in self.tracklets}
+
+    @cached_property
+    def validation(self) -> ValidationReport:
+        """validate_manifest(self), computed once: the manifest is immutable."""
+        return validate_manifest(self)
 
     @cached_property
     def cameras(self) -> tuple[str, ...]:
@@ -214,12 +215,13 @@ def validate_manifest(m: DomainManifest) -> ValidationReport:
 
 def _exact_mean(rows: np.ndarray) -> np.ndarray:
     # Compensated per-coordinate summation: exact up to the final rounding,
-    # hence independent of frame order.
+    # hence independent of frame order.  fsum reads Python floats (tolist)
+    # far faster than numpy scalars; the values summed are the same.
     n = rows.shape[0]
-    return np.array([math.fsum(col) / n for col in rows.T], dtype=np.float64)
+    return np.array([math.fsum(col) / n for col in rows.T.tolist()], dtype=np.float64)
 
 
-def tracklet_embedding(t: Tracklet) -> FeatureVector:
+def tracklet_embedding(t: Tracklet) -> np.ndarray:
     """Mean of the tracklet's frame vectors.
 
     Frame order does not affect the result: each coordinate is reduced with

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ManifestError
-from .model import DomainManifest, manifest_embeddings, validate_manifest
+from .model import DomainManifest, manifest_embeddings
 
 _BLOCK = 256
 # Elements of one coordinate-difference tensor in the exact kernel (32 MB).
@@ -224,7 +224,7 @@ def build_neighbor_index(m: DomainManifest, embedder=None, normalize: bool = Fal
     see manifest_embeddings.  Requires a valid manifest spanning at least
     two cameras.
     """
-    report = validate_manifest(m)
+    report = m.validation
     if not report.ok:
         first = report.violations[0]
         raise ManifestError(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GenerationError, ManifestError, MergeError
-from .model import DomainManifest, Tracklet, validate_manifest
+from .model import DomainManifest, Tracklet
 
 # Reserved labels marking non-person crops; such tracklets never survive a merge.
 DISTRACTOR_LABELS = frozenset({"-1", "distractor"})
@@ -141,7 +141,7 @@ def merge_domains(
             )
             continue
 
-        report = validate_manifest(src)
+        report = src.validation
         if not report.ok:
             first = report.violations[0]
             raise MergeError(
@@ -186,7 +186,7 @@ def merge_domains(
 
     name = "+".join(s.source for s in summaries if s.included)
     out = DomainManifest(name=name, tracklets=tuple(merged))
-    final = validate_manifest(out)
+    final = out.validation
     if not final.ok:
         first = final.violations[0]
         raise MergeError(f"merged manifest is invalid ({first.kind}: {first.message})")

@@ -54,7 +54,8 @@ def naive_cluster(m: DomainManifest, K: int, T: int, k1: int):
     return _bfs_clusters(ids, edges, T)
 
 
-def _bfs_clusters(ids, edges, T: int):
+def bfs_components(ids, edges) -> list[frozenset]:
+    """Weak components: BFS over the edges with their direction ignored."""
     adj = {tid: set() for tid in ids}
     for s, t in edges:
         adj[s].add(t)
@@ -76,7 +77,31 @@ def _bfs_clusters(ids, edges, T: int):
                     seen.add(nxt)
                     queue.append(nxt)
         components.append(frozenset(comp))
+    return components
 
+
+def reachability_components(ids, edges) -> list[frozenset]:
+    """Strong components: u and v share one iff each reaches the other.
+
+    Reachability is the reflexive transitive closure of the edge relation,
+    grown to a fixed point by repeated composition.
+    """
+    reach = {v: {v} for v in ids}
+    for s, t in edges:
+        reach[s].add(t)
+    changed = True
+    while changed:
+        changed = False
+        for v in ids:
+            grown = set().union(*(reach[u] for u in reach[v]))
+            if grown != reach[v]:
+                reach[v] = grown
+                changed = True
+    return list({frozenset(u for u in reach[v] if v in reach[u]) for v in ids})
+
+
+def _bfs_clusters(ids, edges, T: int):
+    components = bfs_components(ids, edges)
     clusters = {c for c in components if len(c) > T}
     unclustered = frozenset().union(*(c for c in components if len(c) <= T)) if any(
         len(c) <= T for c in components

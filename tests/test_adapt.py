@@ -332,6 +332,20 @@ class TestAdapt:
         assert report.reason == "no-clusters"
         assert len(report.rounds) == 1
 
+    def test_validates_manifest_once(self, monkeypatch):
+        import reidapt.model
+
+        calls = []
+        real = reidapt.model.validate_manifest
+        monkeypatch.setattr(
+            reidapt.model, "validate_manifest", lambda m: calls.append(m) or real(m)
+        )
+        target = generate_synthetic_domain(target_spec(seed=1))
+        cfg = AdaptConfig(K=2, T=2, I=2, train=TrainConfig(iterations=5, learning_rate=0.005))
+        _, report = adapt(LinearEmbedder.identity(6), target, cfg)
+        assert len(report.rounds) == 2 and report.reason == "completed"
+        assert len(calls) == 1 and calls[0] is target
+
     def test_deterministic(self):
         target = generate_synthetic_domain(target_spec(seed=3))
         cfg = AdaptConfig(K=2, T=2, I=2, train=TrainConfig(iterations=10, learning_rate=0.01))

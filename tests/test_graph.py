@@ -5,6 +5,7 @@ from reidapt import (
     AdaptConfig,
     DomainManifest,
     IdentityEmbedder,
+    ReciprocalGraph,
     Tracklet,
     build_graph,
     build_neighbor_index,
@@ -14,7 +15,13 @@ from reidapt import (
     threshold_graph,
 )
 
-from oracles import naive_cluster, naive_sorted_list, random_manifest
+from oracles import (
+    bfs_components,
+    naive_cluster,
+    naive_sorted_list,
+    random_manifest,
+    reachability_components,
+)
 
 
 def scalar_manifest(points, name="m"):
@@ -36,8 +43,31 @@ def toy():
     )
 
 
+def random_index_graph(rng):
+    """(graph, index edges) mixing cycles, one-way chains, self-loops,
+    duplicate edges and isolated vertices; n and the edge count may be 0."""
+    n = int(rng.integers(0, 25))
+    vertices = tuple(sorted(f"t{x:03d}" for x in rng.choice(1000, size=n, replace=False)))
+    edges = []
+    if n and rng.random() > 0.1:
+        for _ in range(rng.integers(0, 3)):  # cycles; a one-vertex cycle is a self-loop
+            path = rng.choice(n, size=rng.integers(1, n + 1), replace=False).tolist()
+            edges += zip(path, path[1:] + path[:1])
+        for _ in range(rng.integers(0, 3)):  # one-way chains
+            path = rng.choice(n, size=rng.integers(1, n + 1), replace=False).tolist()
+            edges += zip(path, path[1:])
+        edges += [(v, v) for v in rng.choice(n, size=rng.integers(0, 3)).tolist()]
+        edges += [tuple(e) for e in rng.integers(0, n, size=(rng.integers(0, n), 2)).tolist()]
+        edges += edges[: rng.integers(0, 4)]  # duplicates
+    src = [s for s, _ in edges]
+    dst = [t for _, t in edges]
+    weight = rng.integers(1, 6, size=len(edges))
+    return ReciprocalGraph(vertices, src, dst, weight), edges
+
+
 def edge_set(g):
-    return {(e.src, e.dst, e.weight) for e in g.edges}
+    v = g.vertices
+    return {(v[s], v[t], w) for s, t, w in zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist())}
 
 
 class TestBuildGraph:
@@ -58,14 +88,13 @@ class TestBuildGraph:
         idx = build_neighbor_index(m)
         for k1 in (1, 2, 3):
             g = build_graph(idx, k1)
-            for v in g.vertices:
-                assert g.out_degree(v) <= k1
+            assert np.bincount(g.src, minlength=len(g.vertices)).max() <= k1
 
     def test_weights_positive(self):
         rng = np.random.default_rng(1)
         m = random_manifest(rng, max_tracklets=20, max_cameras=4, max_dim=4)
         g = build_graph(build_neighbor_index(m), 3)
-        assert all(e.weight >= 1 for e in g.edges)
+        assert (g.weight >= 1).all()
 
     def test_bad_k1(self, toy):
         with pytest.raises(ValueError):
@@ -99,7 +128,7 @@ class TestThreshold:
             lists = {tid: naive_sorted_list(m, tid) for tid in ids}
             for k1 in (1, 2, 3):
                 for K in (1, 2, 4):
-                    got = {(e.src, e.dst) for e in threshold_graph(build_graph(idx, k1), K).edges}
+                    got = {(s, t) for s, t, _ in edge_set(threshold_graph(build_graph(idx, k1), K))}
                     want = {
                         (s, t)
                         for s in ids
@@ -119,7 +148,7 @@ class TestThreshold:
             m = random_manifest(rng, max_tracklets=16, max_cameras=3, max_dim=3)
             g = build_graph(build_neighbor_index(m), 3)
             for K in (1, 2, 3):
-                assert all(e.weight <= K for e in threshold_graph(g, K).edges)
+                assert (threshold_graph(g, K).weight <= K).all()
 
 
 class TestComponents:
@@ -139,20 +168,24 @@ class TestComponents:
             assert len(everything) == len(set(everything))
 
     def test_strong_vs_weak_on_one_way_edge(self):
-        from reidapt.graph import Edge, ReciprocalGraph
-
-        g = ReciprocalGraph(vertices=("a", "b"), edges=(Edge("a", "b", 1),))
+        g = ReciprocalGraph(vertices=("a", "b"), src=[0], dst=[1], weight=[1])
         assert [sorted(c) for c in connected_subgraphs(g, "weak")] == [["a", "b"]]
         assert [sorted(c) for c in connected_subgraphs(g, "strong")] == [["a"], ["b"]]
 
     def test_strong_finds_cycles(self):
-        from reidapt.graph import Edge, ReciprocalGraph
-
         g = ReciprocalGraph(
-            vertices=("a", "b", "c"),
-            edges=(Edge("a", "b", 1), Edge("b", "a", 1), Edge("b", "c", 1)),
+            vertices=("a", "b", "c"), src=[0, 1, 1], dst=[1, 0, 2], weight=[1, 1, 1]
         )
         assert [sorted(c) for c in connected_subgraphs(g, "strong")] == [["a", "b"], ["c"]]
+
+    def test_both_modes_match_oracles_on_random_graphs(self):
+        rng = np.random.default_rng(11)
+        for trial in range(400):
+            g, edges = random_index_graph(rng)
+            named = [(g.vertices[s], g.vertices[t]) for s, t in edges]
+            for mode, oracle in (("weak", bfs_components), ("strong", reachability_components)):
+                want = sorted(oracle(g.vertices, named), key=min)
+                assert connected_subgraphs(g, mode) == want, (trial, mode)
 
     def test_unknown_mode_rejected(self, toy):
         g = build_graph(build_neighbor_index(toy), 1)

@@ -230,7 +230,9 @@ class TestDenseReference:
             for i, lst in enumerate(lists):
                 head = heads[i][heads[i] >= 0]
                 assert head.tolist() == lst[:k].tolist(), (k, i)
-            got = [(e.src, e.dst, e.weight) for e in build_graph(idx, k).edges]
+            g = build_graph(idx, k)
+            edges = zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist())
+            got = [(g.vertices[s], g.vertices[t], w) for s, t, w in edges]
             want = [(ids[s], ids[t], w) for s, t, w in dense_edges(lists, ranks, k)]
             assert got == want, k
         t, s = np.nonzero(ranks)
