@@ -19,6 +19,7 @@ import numpy as np
 from .errors import AdaptationError, BatchError, ManifestError
 from .graph import ClusterSet, cluster
 from .model import AdaptConfig, ClusterAssignment, DomainManifest, TrainConfig
+from .neighbors import exact_sq_dists
 
 __all__ = [
     "Embedder",
@@ -269,8 +270,7 @@ def batch_hard_triplet_loss(
     elif not (float(margin) >= 0.0):
         raise BatchError("hard margin must be >= 0")
 
-    diff = X[:, None, :] - X[None, :, :]
-    D = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    D = np.sqrt(exact_sq_dists(X, X))
 
     same = y[:, None] == y[None, :]
     eye = np.eye(B, dtype=bool)
@@ -531,21 +531,34 @@ def load_checkpoint(path) -> Checkpoint:
     if len(blob) < _CKPT_HEADER.size or blob[:4] != _CKPT_MAGIC:
         raise ValueError(f"{path}: not an embedder checkpoint (bad magic)")
     magic, code, d_in, d_hid, d_out, seed, round_index, n_params = _CKPT_HEADER.unpack_from(blob)
-    body = np.frombuffer(blob, dtype="<f8", offset=_CKPT_HEADER.size)
-    if body.size != n_params:
-        raise ValueError(f"{path}: expected {n_params} parameters, found {body.size}")
-    params = body.astype(np.float64)
-
+    # The header is checked against its kind before any array exists, so a
+    # small file cannot declare dims that allocate a large one.
     kind = _CODE_KINDS.get(code)
+    if kind is None:
+        raise ValueError(f"{path}: unknown embedder kind code {code}")
+    if kind != "mlp" and d_hid != 0:
+        raise ValueError(f"{path}: {kind} checkpoint declares hidden_dim {d_hid}, expected 0")
+    if kind == "identity" and d_out != d_in:
+        raise ValueError(f"{path}: identity checkpoint maps {d_in} to {d_out} dims")
+    expected = {
+        "identity": 0,
+        "linear": d_in * d_out + d_out,
+        "mlp": d_in * d_hid + d_hid + d_hid * d_out + d_out,
+    }[kind]
+    if n_params != expected:
+        raise ValueError(f"{path}: {kind} dims imply {expected} parameters, header says {n_params}")
+    n_bytes = len(blob) - _CKPT_HEADER.size
+    if n_bytes != 8 * n_params:
+        raise ValueError(f"{path}: expected {n_params} parameters, found {n_bytes} bytes")
+    params = np.frombuffer(blob, dtype="<f8", offset=_CKPT_HEADER.size).astype(np.float64)
+
     if kind == "identity":
         emb: Embedder = IdentityEmbedder(d_in)
     elif kind == "linear":
         emb = LinearEmbedder(np.zeros((d_in, d_out)), np.zeros(d_out))
-    elif kind == "mlp":
+    else:
         emb = MlpEmbedder(
             np.zeros((d_in, d_hid)), np.zeros(d_hid), np.zeros((d_hid, d_out)), np.zeros(d_out)
         )
-    else:
-        raise ValueError(f"{path}: unknown embedder kind code {code}")
     emb.set_param_vector(params)
     return Checkpoint(embedder=emb, seed=seed, round_index=round_index)

@@ -20,11 +20,13 @@ import numpy as np
 from .errors import EvaluationError, ManifestError
 from .graph import ClusterSet
 from .model import DomainManifest, manifest_embeddings
+from .neighbors import exact_sq_dists
 
 GC = "GC"
 MC = "MC"
 DC = "DC"
 MC_DC = "MC+DC"
+_BLOCK = 64  # query rows per distance-kernel call; bounds the per-block arrays
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,41 +63,33 @@ def build_ranking(
             raise EvaluationError(f"tracklet {t.tracklet_id!r} is unlabeled")
     ids, X = manifest_embeddings(m, embedder=embedder, normalize=normalize)
     pos = {tid: i for i, tid in enumerate(ids)}
-    cams = [m.by_id[tid].camera_id for tid in ids]
-    idents = [m.by_id[tid].identity for tid in ids]
+    cams = np.unique([m.by_id[tid].camera_id for tid in ids], return_inverse=True)[1]
+    idents = np.unique([m.by_id[tid].identity for tid in ids], return_inverse=True)[1]
 
-    if queries is None:
-        query_ids = list(ids)
-    else:
-        query_ids = list(queries)
-        for q in query_ids:
-            if q not in pos:
-                raise KeyError(f"unknown query tracklet id {q!r}")
+    query_ids = list(ids if queries is None else queries)
+    unknown = [q for q in query_ids if q not in pos]
+    if unknown:
+        raise KeyError(f"unknown query tracklet id {unknown[0]!r}")
+    rows = np.array([pos[q] for q in query_ids], dtype=np.intp)
+    id_array = np.array(ids, dtype=object)
 
     out = []
-    for q in query_ids:
-        qi = pos[q]
-        keep = [
-            j
-            for j in range(len(ids))
-            if j != qi and not (cams[j] == cams[qi] and idents[j] == idents[qi])
-        ]
-        keep = np.array(keep, dtype=int)
-        diff = X[keep] - X[qi]
-        d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        order = keep[np.argsort(d, kind="stable")]  # keep ascends in id: ties -> id order
-        dist_sorted = np.sqrt(np.einsum("ij,ij->i", X[order] - X[qi], X[order] - X[qi]))
-        dist_sorted.setflags(write=False)
-        rel = np.array([idents[j] == idents[qi] for j in order], dtype=bool)
-        rel.setflags(write=False)
-        out.append(
-            QueryRanking(
-                query_id=q,
-                gallery_ids=tuple(ids[j] for j in order),
-                distances=dist_sorted,
-                relevant=rel,
-            )
-        )
+    for a in range(0, len(rows), _BLOCK):
+        qi = rows[a : a + _BLOCK]
+        D = np.sqrt(exact_sq_dists(X[qi], X))
+        # Same camera and identity covers the query itself.  Excluded entries
+        # sort last by key, not as inf, since distances can overflow to inf;
+        # sqrt can round distinct d² to one distance, which ties to id order.
+        excluded = (cams == cams[qi, None]) & (idents == idents[qi, None])
+        order = np.lexsort((D, excluded), axis=1)
+        n_kept = len(ids) - excluded.sum(axis=1)
+        for q, i, row, dist, keep in zip(query_ids[a : a + _BLOCK], qi, order, D, n_kept):
+            row = row[:keep]
+            dist = dist[row]
+            rel = idents[row] == idents[i]
+            dist.setflags(write=False)
+            rel.setflags(write=False)
+            out.append(QueryRanking(q, tuple(id_array[row].tolist()), dist, rel))
     return RankingResult(queries=tuple(out))
 
 
@@ -233,19 +227,19 @@ def inter_intra_distances(
 
     ordered = sorted(clusters.clusters, key=lambda c: c.cluster_id)
     member_rows = [np.array([pos[tid] for tid in sorted(c.members)]) for c in ordered]
-    centroids = np.vstack([X[rows].mean(axis=0) for rows in member_rows])
-    majorities = [_majority_identity(idents[c.cluster_id]) for c in ordered]
+    majorities = np.array([_majority_identity(idents[c.cluster_id]) for c in ordered])
 
-    intra: list[float] = []
-    inter: list[float] = []
-    for i in range(len(ordered)):
-        for j in range(i + 1, len(ordered)):
-            if method == "centroid":
-                d = float(np.linalg.norm(centroids[i] - centroids[j]))
-            else:
-                A = X[member_rows[i]]
-                B = X[member_rows[j]]
-                diff = A[:, None, :] - B[None, :, :]
-                d = float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).min())
-            (intra if majorities[i] == majorities[j] else inter).append(d)
-    return intra, inter
+    if method == "centroid":
+        centroids = np.vstack([X[rows].mean(axis=0) for rows in member_rows])
+        D2 = exact_sq_dists(centroids, centroids)
+    else:
+        # Row i: cluster i's members against all members, minimised over the
+        # former and then over each cluster's slice of the latter.
+        members = X[np.concatenate(member_rows)]
+        starts = np.cumsum([0] + [len(rows) for rows in member_rows[:-1]])
+        D2 = np.vstack([np.minimum.reduceat(exact_sq_dists(X[rows], members).min(axis=0), starts)
+                        for rows in member_rows])
+    i, j = np.triu_indices(len(ordered), 1)  # pairs in ascending cluster-id order
+    d = np.sqrt(D2[i, j])
+    intra = majorities[i] == majorities[j]
+    return d[intra].tolist(), d[~intra].tolist()

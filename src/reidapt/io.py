@@ -41,9 +41,10 @@ def read_feature_sidecar(path) -> np.ndarray:
     if len(blob) < _SIDECAR_HEADER.size or blob[:4] != _SIDECAR_MAGIC:
         raise ManifestError(f"{path}: not a feature sidecar (bad magic)")
     _magic, n_rows, dim = _SIDECAR_HEADER.unpack_from(blob)
+    n_bytes = len(blob) - _SIDECAR_HEADER.size
+    if n_bytes != 4 * n_rows * dim:
+        raise ManifestError(f"{path}: expected {n_rows}x{dim} values, found {n_bytes} bytes")
     body = np.frombuffer(blob, dtype="<f4", offset=_SIDECAR_HEADER.size)
-    if body.size != n_rows * dim:
-        raise ManifestError(f"{path}: expected {n_rows}x{dim} values, found {body.size}")
     return body.reshape(n_rows, dim).astype(np.float64)
 
 
@@ -94,12 +95,18 @@ def read_manifest(path, sidecar=None, name=None) -> DomainManifest:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ManifestError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            if not isinstance(rec, dict):
+                raise ManifestError(f"{path}:{lineno}: record is not a JSON object")
             try:
                 tid = rec["tracklet_id"]
                 cam = rec["camera_id"]
             except KeyError as exc:
                 raise ManifestError(f"{path}:{lineno}: missing field {exc}") from exc
             identity = rec.get("identity")
+            if not (isinstance(tid, str) and isinstance(cam, str)):
+                raise ManifestError(f"{path}:{lineno}: tracklet_id and camera_id must be strings")
+            if not (identity is None or isinstance(identity, str)):
+                raise ManifestError(f"{path}:{lineno}: identity must be a string or null")
             if "frames" in rec:
                 frames = rec["frames"]
             elif "frames_ref" in rec:
@@ -108,7 +115,14 @@ def read_manifest(path, sidecar=None, name=None) -> DomainManifest:
                         f"{path}:{lineno}: frames_ref present but no sidecar was given"
                     )
                 ref = rec["frames_ref"]
-                lo, n = int(ref["offset"]), int(ref["count"])
+                # type() rather than isinstance: JSON true/false must not pass as 1/0.
+                if not (isinstance(ref, dict) and type(ref.get("offset")) is int
+                        and type(ref.get("count")) is int):
+                    raise ManifestError(
+                        f"{path}:{lineno}: frames_ref must be an object with integer "
+                        "offset and count"
+                    )
+                lo, n = ref["offset"], ref["count"]
                 if lo < 0 or n < 0 or lo + n > features.shape[0]:
                     raise ManifestError(
                         f"{path}:{lineno}: frames_ref [{lo}, {lo + n}) outside sidecar "

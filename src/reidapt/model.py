@@ -26,7 +26,7 @@ def _as_frame_matrix(frames) -> np.ndarray:
     else:
         try:
             arr = np.array(frames, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ManifestError(f"frames are not a rectangular numeric array: {exc}") from exc
         if arr.size == 0:
             arr = arr.reshape(0, 0)

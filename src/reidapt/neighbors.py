@@ -13,7 +13,7 @@ No n×n matrix is ever stored; lists and ranks are computed on demand, 256
 rows at a time, so working memory is O(256·n) and results are O(n·k).
 
 Exactness.  Every distance that decides an order comes from one exact
-kernel, _exact_sq_dists: coordinate differences, squared and summed by a
+kernel, exact_sq_dists: coordinate differences, squared and summed by a
 fixed einsum, so it does not depend on BLAS threading.  The GEMM form
 ‖a‖² + ‖b‖² − 2a·b only preselects: heads() re-sorts a fixed candidate set
 with the exact kernel and accepts a row only when every non-candidate is
@@ -33,22 +33,22 @@ from .errors import DomainError, ManifestError
 from .model import DomainManifest, manifest_embeddings
 
 _BLOCK = 256
-# Elements of one coordinate-difference tensor in the exact kernel (32 MB).
-_DIFF_ELEMENTS = 1 << 22
+# Elements of one coordinate-difference tensor in the exact kernel (2 MB).
+_DIFF_ELEMENTS = 1 << 18
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).tiny
 
 
-def _exact_sq_dists(X: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Squared distances from X[rows[i]] to X[cols[i, j]], from differences.
+def exact_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared distances from A[i] to the rows of B (c, d) or of B[i] (len(A), c, d).
 
-    The per-pair reduction order is fixed by the einsum, so each value is the
-    same whatever pairs it is computed with.
+    The library's one distance kernel: the einsum fixes each pair's reduction
+    order, so a value is the same whatever pairs it is computed with.
     """
-    out = np.empty(cols.shape, dtype=np.float64)
-    step = max(1, _DIFF_ELEMENTS // max(1, cols.shape[1] * X.shape[1]))
-    for a in range(0, len(rows), step):
-        diff = X[rows[a : a + step], None, :] - X[cols[a : a + step]]
+    out = np.empty((len(A), B.shape[-2]), dtype=np.float64)
+    step = max(1, _DIFF_ELEMENTS // max(1, B.shape[-2] * A.shape[1]))
+    for a in range(0, len(A), step):
+        diff = A[a : a + step, None, :] - (B if B.ndim == 2 else B[a : a + step])
         out[a : a + step] = np.einsum("ijk,ijk->ij", diff, diff)
     return out
 
@@ -107,8 +107,7 @@ class NeighborIndex:
             np.put_along_axis(H, cand, np.inf, axis=1)
             redo = ~(kth < H.min(axis=1) + self.sq[pos] - self._tol(pos))
             if redo.any():
-                everything = np.broadcast_to(np.arange(n), (int(redo.sum()), n))
-                head[redo] = self._sorted_exact(rows[redo], everything, w)[0]
+                head[redo] = self._sorted_exact(rows[redo], np.arange(n), w)[0]
             out[rows] = head
         return out
 
@@ -125,7 +124,7 @@ class NeighborIndex:
             p = by_pos[a : a + _BLOCK]
             pos = pos_of[t[p]]
             H = self._gemm(pos)
-            ds = _exact_sq_dists(self.X, t[p], s[p, None])[:, 0]
+            ds = exact_sq_dists(self.X[t[p]], self.X[s[p], None])[:, 0]
             # Exact distance lies within tol of H + ‖c_t‖²: below lo is
             # surely closer than s, above hi surely farther, and the band in
             # between is re-checked exactly.  Same-camera columns are +inf.
@@ -138,7 +137,10 @@ class NeighborIndex:
             closer = H[pi, v] < lo[pi]
             out[p] += np.bincount(pi[closer], minlength=len(p))
             pi, u = pi[~closer], self.order[v[~closer]]
-            d2 = _exact_sq_dists(self.X, t[p[pi]], u[:, None])[:, 0]
+            d2, step = np.empty(len(pi)), 1 + _DIFF_ELEMENTS // self.X.shape[1]
+            for b in range(0, len(pi), step):  # a wide band is gathered in pieces
+                part = slice(b, b + step)
+                d2[part] = exact_sq_dists(self.X[t[p[pi[part]]]], self.X[u[part], None])[:, 0]
             before = (d2 < ds[pi]) | ((d2 == ds[pi]) & (u < s[p[pi]]))
             out[p] += np.bincount(pi[before], minlength=len(p))
             for q in p[loose]:
@@ -189,10 +191,12 @@ class NeighborIndex:
     def _sorted_exact(self, rows: np.ndarray, cols: np.ndarray, w: int):
         """First w of cols per row in (other camera first, distance, id) order.
 
+        cols is one index row per row, or a single row shared by all of them.
         Returns (head, d2): same-camera entries of head are -1, and d2 holds
         the exact squared distances in head order.
         """
-        d2 = _exact_sq_dists(self.X, rows, cols)
+        d2 = exact_sq_dists(self.X[rows], self.X[cols])
+        cols = np.broadcast_to(cols, d2.shape)
         same = self.codes[cols] == self.codes[rows, None]
         order = np.lexsort((cols, d2, same), axis=-1)[:, :w]
         head = np.take_along_axis(cols, order, axis=-1)
@@ -202,7 +206,7 @@ class NeighborIndex:
     def _exact_row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Other-camera indices of row i (ascending) and their exact squared distances."""
         other = np.flatnonzero(self.codes != self.codes[i])
-        return other, _exact_sq_dists(self.X, np.array([i]), other[None, :])[0]
+        return other, exact_sq_dists(self.X[[i]], self.X[other])[0]
 
     def _rank_exact(self, t: int, s: int) -> int:
         """Rank of s in t's list by counting, from one exact row."""

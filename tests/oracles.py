@@ -8,10 +8,12 @@ algorithms.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
-from reidapt import DomainManifest, Tracklet, manifest_embeddings
+from reidapt import DomainManifest, EvaluationError, Tracklet, manifest_embeddings
+from reidapt.evaluate import QueryRanking, RankingResult
 
 
 def mean_vector(tracklet: Tracklet) -> list[float]:
@@ -154,6 +156,93 @@ def dense_cluster(m: DomainManifest, K: int, T: int, k1: int):
     ids, lists, ranks = dense_index(m)
     edges = [(ids[s], ids[t]) for s, t, w in dense_edges(lists, ranks, k1) if w <= K]
     return _bfs_clusters(ids, edges, T)
+
+
+# --------------------------------------------------------------------------
+# Evaluation references: build_ranking as it was before it ranked blocks of
+# queries on integer codes, and the per-pair loop inter_intra_distances ran.
+
+
+def naive_ranking(
+    m: DomainManifest,
+    embedder=None,
+    queries=None,
+    normalize: bool = False,
+) -> RankingResult:
+    """Rank the manifest for each query tracklet.
+
+    Every tracklet must carry an identity label.  For each query the gallery
+    is every other tracklet except same-camera entries of the same identity;
+    it is sorted by ascending true Euclidean distance with ties broken by
+    ascending tracklet_id.  queries defaults to all tracklet ids.
+    """
+    for t in m.tracklets:
+        if t.identity is None:
+            raise EvaluationError(f"tracklet {t.tracklet_id!r} is unlabeled")
+    ids, X = manifest_embeddings(m, embedder=embedder, normalize=normalize)
+    pos = {tid: i for i, tid in enumerate(ids)}
+    cams = [m.by_id[tid].camera_id for tid in ids]
+    idents = [m.by_id[tid].identity for tid in ids]
+
+    if queries is None:
+        query_ids = list(ids)
+    else:
+        query_ids = list(queries)
+        for q in query_ids:
+            if q not in pos:
+                raise KeyError(f"unknown query tracklet id {q!r}")
+
+    out = []
+    for q in query_ids:
+        qi = pos[q]
+        keep = [
+            j
+            for j in range(len(ids))
+            if j != qi and not (cams[j] == cams[qi] and idents[j] == idents[qi])
+        ]
+        keep = np.array(keep, dtype=int)
+        diff = X[keep] - X[qi]
+        d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        order = keep[np.argsort(d, kind="stable")]  # keep ascends in id: ties -> id order
+        dist_sorted = np.sqrt(np.einsum("ij,ij->i", X[order] - X[qi], X[order] - X[qi]))
+        dist_sorted.setflags(write=False)
+        rel = np.array([idents[j] == idents[qi] for j in order], dtype=bool)
+        rel.setflags(write=False)
+        out.append(
+            QueryRanking(
+                query_id=q,
+                gallery_ids=tuple(ids[j] for j in order),
+                distances=dist_sorted,
+                relevant=rel,
+            )
+        )
+    return RankingResult(queries=tuple(out))
+
+
+def naive_inter_intra_distances(clusters, truth: DomainManifest, method: str):
+    """(intra, inter) by one distance per cluster pair, in ascending id order.
+
+    "centroid" uses np.linalg.norm of the centroid difference; "min-pairwise"
+    the smallest member-to-member distance from coordinate differences.
+    """
+    ids, X = manifest_embeddings(truth)
+    pos = {tid: i for i, tid in enumerate(ids)}
+    ordered = sorted(clusters.clusters, key=lambda c: c.cluster_id)
+    rows = [[pos[tid] for tid in sorted(c.members)] for c in ordered]
+    majorities = []
+    for c in ordered:
+        counts = Counter(truth.by_id[tid].identity for tid in c.members)
+        majorities.append(min(counts, key=lambda ident: (-counts[ident], ident)))
+    intra, inter = [], []
+    for i in range(len(ordered)):
+        for j in range(i + 1, len(ordered)):
+            if method == "centroid":
+                d = float(np.linalg.norm(X[rows[i]].mean(axis=0) - X[rows[j]].mean(axis=0)))
+            else:
+                diff = X[rows[i]][:, None, :] - X[rows[j]][None, :, :]
+                d = float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).min())
+            (intra if majorities[i] == majorities[j] else inter).append(d)
+    return intra, inter
 
 
 def naive_average_precision(relevant_flags) -> float:

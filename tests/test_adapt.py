@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -389,3 +390,42 @@ class TestCheckpoints:
         save_checkpoint(p1, e, seed=1, round_index=0)
         save_checkpoint(p2, e, seed=1, round_index=0)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def write_header(path, code, d_in, d_hid, d_out, n_params):
+    """A KTE1 file with the given header fields and n_params zero parameters."""
+    header = struct.pack("<4sIIIIQIQ", b"KTE1", code, d_in, d_hid, d_out, 0, 0, n_params)
+    path.write_bytes(header + bytes(8 * n_params))
+    return path
+
+
+class TestCheckpointHeaders:
+    """Header dims are checked against the kind before anything is allocated."""
+
+    def test_identity_with_output_dim_differing_rejected(self, tmp_path):
+        path = write_header(tmp_path / "e.kte", 0, 3, 0, 7, 0)
+        with pytest.raises(ValueError, match=r"e\.kte: identity checkpoint maps 3 to 7"):
+            load_checkpoint(path)
+
+    def test_identity_with_hidden_dim_rejected(self, tmp_path):
+        path = write_header(tmp_path / "e.kte", 0, 3, 2, 3, 0)
+        with pytest.raises(ValueError, match=r"e\.kte: identity checkpoint declares hidden_dim 2"):
+            load_checkpoint(path)
+
+    def test_linear_with_hidden_dim_rejected(self, tmp_path):
+        path = write_header(tmp_path / "e.kte", 1, 2, 5, 3, 9)
+        with pytest.raises(ValueError, match=r"e\.kte: linear checkpoint declares hidden_dim 5"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("code,dims", [(1, (1 << 20, 0, 1 << 20)), (2, (1 << 20, 1 << 20, 8))])
+    def test_param_count_checked_before_allocation(self, tmp_path, monkeypatch, code, dims):
+        # Dims implying terabytes of weights, zero declared parameters: the
+        # loader must refuse before creating any array.
+        path = write_header(tmp_path / "e.kte", code, *dims, 0)
+
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("array allocated before the header was checked")
+
+        monkeypatch.setattr(np, "zeros", no_alloc)
+        with pytest.raises(ValueError, match=r"e\.kte: \w+ dims imply \d+ parameters, header says 0"):
+            load_checkpoint(path)

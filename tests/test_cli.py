@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 import reidapt
-from reidapt import DomainManifest, Tracklet, load_checkpoint, read_manifest, write_manifest
+from reidapt import (
+    DomainManifest,
+    Tracklet,
+    load_checkpoint,
+    read_manifest,
+    write_feature_sidecar,
+    write_manifest,
+)
 from reidapt.cli import run
 
 
@@ -130,6 +137,39 @@ class TestClusterCommand:
                     "--out", str(tmp_path / "x.tsv")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [
+        pytest.param('5', id="number"),
+        pytest.param('["t2", "B", null, [[1.0]]]', id="array"),
+        pytest.param('{"tracklet_id": 2, "camera_id": "B", "frames": [[1.0]]}', id="numeric_id"),
+        pytest.param('{"tracklet_id": "t2", "camera_id": 7, "frames": [[1.0]]}',
+                     id="numeric_camera"),
+        pytest.param('{"tracklet_id": "t2", "camera_id": "B", "identity": 3, "frames": [[1.0]]}',
+                     id="numeric_identity"),
+        pytest.param('{"tracklet_id": "t2", "camera_id": "B", "frames_ref": [0, 1]}',
+                     id="ref_array"),
+        pytest.param('{"tracklet_id": "t2", "camera_id": "B", "frames_ref": {"offset": 0}}',
+                     id="ref_no_count"),
+        pytest.param('{"tracklet_id": "t2", "camera_id": "B", '
+                     '"frames_ref": {"offset": 0.0, "count": 1}}', id="ref_float"),
+        pytest.param('{"tracklet_id": "t2", "camera_id": "B", '
+                     '"frames_ref": {"offset": "0", "count": 1}}', id="ref_string"),
+        pytest.param('{"tracklet_id": "t2", "camera_id": "B", '
+                     '"frames_ref": {"offset": 0, "count": true}}', id="ref_bool"),
+        pytest.param('{"tracklet_id": "t2", "camera_id": "B", "frames": [[1' + '0' * 400 + ']]}',
+                     id="frame_int_overflows_float"),
+    ])
+    def test_malformed_record_fails_cleanly(self, tmp_path, capsys, bad):
+        manifest, sidecar = tmp_path / "m.jsonl", tmp_path / "m.ktf"
+        write_feature_sidecar(sidecar, np.zeros((2, 1)))
+        good = '{"tracklet_id": "t1", "camera_id": "A", "frames_ref": {"offset": 0, "count": 1}}'
+        manifest.write_text(good + "\n" + bad + "\n")
+        code = run(["cluster", "--manifest", str(manifest), "--sidecar", str(sidecar),
+                    "--out", str(tmp_path / "x.tsv")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith(f"error: {manifest}:2: "), err
+        assert not (tmp_path / "x.tsv").exists()
 
 
 class TestTrainAndAdapt:

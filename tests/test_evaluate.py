@@ -16,7 +16,7 @@ from reidapt.evaluate import QueryRanking, RankingResult, average_precision
 from reidapt.graph import ClusterSet
 from reidapt.model import ClusterAssignment
 
-from oracles import naive_average_precision
+from oracles import naive_average_precision, naive_inter_intra_distances, naive_ranking
 
 
 def ranking_from_flags(per_query_flags):
@@ -317,3 +317,80 @@ class TestInterIntraDistances:
         cs = clusters_of({"t1", "t2"}, {"t3", "t4"})
         with pytest.raises(ValueError):
             inter_intra_distances(cs, truth, method="median")
+
+
+def labeled_points(X, cams, idents, rng):
+    """One single-frame tracklet per row of X, inserted in shuffled order."""
+    rows = [
+        Tracklet(f"t{i:04d}", f"c{cams[i]}", X[i : i + 1], identity=f"p{idents[i]}")
+        for i in range(len(X))
+    ]
+    return DomainManifest("points", tuple(rows[i] for i in rng.permutation(len(rows))))
+
+
+def ranking_cases():
+    rng = np.random.default_rng(41)
+
+    def labels(n, n_cams=3):
+        cams = rng.integers(0, n_cams, size=n)
+        cams[:n_cams] = np.arange(n_cams)
+        return cams, rng.integers(0, n // 4, size=n)
+
+    return [
+        pytest.param(
+            rng.integers(0, 3, size=(150, 3)).astype(float), *labels(150), None, id="integer_ties"
+        ),
+        pytest.param(rng.normal(size=(150, 8)) + 1e6, *labels(150), None, id="offset_1e6"),
+        pytest.param(rng.normal(size=(80, 5)) * 1e160, *labels(80), None, id="overflow_1e160"),
+        pytest.param(
+            rng.normal(size=(120, 4)), *labels(120), [f"t{i:04d}" for i in (77, 3, 77, 119, 0)],
+            id="query_subset",
+        ),
+        pytest.param(rng.normal(size=(600, 16)), *labels(600, 4), None, id="multi_block_600"),
+        # d² of t0001 exceeds that of t0002 by one ulp, but both round to one
+        # distance, so the tie goes to the smaller id.
+        pytest.param(
+            np.array([[0.0, 0.0], [3.875, 3.3750000000000004], [3.875, 3.375]]),
+            [0, 1, 1], [0, 1, 2], None, id="sqrt_ties",
+        ),
+    ]
+
+
+class TestRankingReference:
+    """build_ranking equals the per-query reference bit for bit."""
+
+    @pytest.mark.parametrize("X,cams,idents,queries", ranking_cases())
+    def test_identical_to_naive_ranking(self, X, cams, idents, queries):
+        m = labeled_points(X, cams, idents, np.random.default_rng(0))
+        got = build_ranking(m, queries=queries)
+        want = naive_ranking(m, queries=queries)
+        assert len(got) == len(want)
+        for g, w in zip(got.queries, want.queries):
+            assert g.query_id == w.query_id
+            assert g.gallery_ids == w.gallery_ids, g.query_id
+            assert g.distances.tobytes() == w.distances.tobytes(), g.query_id
+            assert g.relevant.dtype == bool and np.array_equal(g.relevant, w.relevant)
+            assert not (g.distances.flags.writeable or g.relevant.flags.writeable)
+
+
+class TestInterIntraReference:
+    @pytest.mark.parametrize("scale,offset", [(1.0, 0.0), (1e3, 1e6)])
+    def test_matches_per_pair_loop(self, scale, offset):
+        rng = np.random.default_rng(43)
+        n = 400
+        X = rng.normal(size=(n, 8)) * scale + offset
+        truth = labeled_points(X, np.arange(n) % 3, rng.integers(0, 12, size=n), rng)
+        # 40 clusters of 1 to 9 members; the rest stay unclustered.
+        sizes = rng.integers(1, 10, size=40)
+        members = np.split(rng.permutation(n)[: sizes.sum()], np.cumsum(sizes)[:-1])
+        cs = clusters_of(*({f"t{i:04d}" for i in g} for g in members))
+
+        got = inter_intra_distances(cs, truth, method="min-pairwise")
+        assert got == naive_inter_intra_distances(cs, truth, "min-pairwise")
+
+        got = inter_intra_distances(cs, truth, method="centroid")
+        want = naive_inter_intra_distances(cs, truth, "centroid")
+        assert len(got[0]) > 0 and len(got[1]) > 0
+        for g, w in zip(got, want):
+            assert len(g) == len(w)
+            assert np.all(np.abs(np.subtract(g, w)) <= 1e-15 * np.abs(w))
