@@ -31,10 +31,10 @@ _BLOCK = 64  # query rows per distance-kernel call; bounds the per-block arrays
 
 @dataclass(frozen=True, eq=False)
 class QueryRanking:
+    """hits: 1-based ranks, ascending, of the query's relevant gallery items."""
+
     query_id: str
-    gallery_ids: tuple[str, ...]
-    distances: np.ndarray
-    relevant: np.ndarray  # boolean mask aligned with gallery_ids
+    hits: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +56,8 @@ def build_ranking(
     Every tracklet must carry an identity label.  For each query the gallery
     is every other tracklet except same-camera entries of the same identity;
     it is sorted by ascending true Euclidean distance with ties broken by
-    ascending tracklet_id.  queries defaults to all tracklet ids.
+    ascending tracklet_id.  Relevant items are those of the query's identity
+    from other cameras.  queries defaults to all tracklet ids.
     """
     for t in m.tracklets:
         if t.identity is None:
@@ -71,35 +72,37 @@ def build_ranking(
     if unknown:
         raise KeyError(f"unknown query tracklet id {unknown[0]!r}")
     rows = np.array([pos[q] for q in query_ids], dtype=np.intp)
-    id_array = np.array(ids, dtype=object)
 
     out = []
     for a in range(0, len(rows), _BLOCK):
         qi = rows[a : a + _BLOCK]
         D = np.sqrt(exact_sq_dists(X[qi], X))
-        # Same camera and identity covers the query itself.  Excluded entries
-        # sort last by key, not as inf, since distances can overflow to inf;
-        # sqrt can round distinct d² to one distance, which ties to id order.
-        excluded = (cams == cams[qi, None]) & (idents == idents[qi, None])
-        order = np.lexsort((D, excluded), axis=1)
-        n_kept = len(ids) - excluded.sum(axis=1)
-        for q, i, row, dist, keep in zip(query_ids[a : a + _BLOCK], qi, order, D, n_kept):
-            row = row[:keep]
-            dist = dist[row]
-            rel = idents[row] == idents[i]
-            dist.setflags(write=False)
-            rel.setflags(write=False)
-            out.append(QueryRanking(q, tuple(id_array[row].tolist()), dist, rel))
+        # ids ascend with column index, so a stable sort gives (distance, id)
+        # order; only rows with a tie need it (== also matches inf, where
+        # distances overflow, and sqrt can round distinct d² to one value).
+        order = np.argsort(D, axis=1)
+        Ds = np.take_along_axis(D, order, axis=1)
+        tied = (Ds[:, 1:] == Ds[:, :-1]).any(axis=1)
+        order[tied] = np.argsort(D[tied], axis=1, kind="stable")
+        # Ranks count gallery entries only: same camera and identity, the
+        # query included, is not in the gallery.
+        same_cam = cams[order] == cams[qi, None]
+        same_id = idents[order] == idents[qi, None]
+        rank = np.cumsum(~(same_cam & same_id), axis=1)
+        r, c = np.nonzero(same_id & ~same_cam)
+        hit_ranks = rank[r, c]
+        hit_ranks.setflags(write=False)
+        hits = np.split(hit_ranks, np.cumsum(np.bincount(r, minlength=len(qi)))[:-1])
+        out.extend(map(QueryRanking, query_ids[a : a + _BLOCK], hits))
     return RankingResult(queries=tuple(out))
 
 
 def _first_hits(r: RankingResult) -> np.ndarray:
     firsts = np.empty(len(r.queries), dtype=np.int64)
     for i, q in enumerate(r.queries):
-        hits = np.flatnonzero(q.relevant)
-        if hits.size == 0:
+        if q.hits.size == 0:
             raise EvaluationError(f"query {q.query_id!r} has no relevant gallery items")
-        firsts[i] = hits[0] + 1  # 1-based rank
+        firsts[i] = q.hits[0]
     return firsts
 
 
@@ -121,11 +124,9 @@ def cmc(r: RankingResult, ranks=(1, 5, 10, 20)) -> np.ndarray:
 
 def average_precision(q: QueryRanking) -> float:
     """AP for one query: mean of precision-at-hit over its relevant items."""
-    hits = np.flatnonzero(q.relevant)
-    if hits.size == 0:
+    if q.hits.size == 0:
         raise EvaluationError(f"query {q.query_id!r} has no relevant gallery items")
-    positions = hits + 1
-    precisions = np.arange(1, hits.size + 1, dtype=np.float64) / positions
+    precisions = np.arange(1, q.hits.size + 1, dtype=np.float64) / q.hits
     return float(precisions.mean())
 
 

@@ -80,14 +80,28 @@ def write_manifest(m: DomainManifest, path, sidecar=None) -> None:
             fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
 
+def _numbered_lines(fh, path, error):
+    """(lineno, line) over a text file opened with errors="surrogateescape".
+
+    A line holding bytes that are not UTF-8 raises error("<path>:<line>: ...").
+    """
+    for lineno, line in enumerate(fh, 1):
+        if not line.isascii():
+            try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise error(f"{path}:{lineno}: not UTF-8: {exc}") from exc
+        yield lineno, line
+
+
 def read_manifest(path, sidecar=None, name=None) -> DomainManifest:
     """Load and validate a JSONL manifest; any violation is a hard error."""
     path = Path(path)
     features = read_feature_sidecar(sidecar) if sidecar is not None else None
 
     tracklets = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in _numbered_lines(fh, path, ManifestError):
             line = line.strip()
             if not line:
                 continue
@@ -95,6 +109,8 @@ def read_manifest(path, sidecar=None, name=None) -> DomainManifest:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ManifestError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            except RecursionError as exc:
+                raise ManifestError(f"{path}:{lineno}: JSON nested too deeply") from exc
             if not isinstance(rec, dict):
                 raise ManifestError(f"{path}:{lineno}: record is not a JSON object")
             try:
@@ -160,8 +176,8 @@ def write_assignments(clusters: ClusterSet, path) -> None:
 def read_assignments(path) -> ClusterSet:
     members: dict[int, set[str]] = {}
     unclustered: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in _numbered_lines(fh, path, ValueError):
             line = line.rstrip("\n")
             if not line:
                 continue
@@ -170,6 +186,8 @@ def read_assignments(path) -> ClusterSet:
                 cid = int(cid_str)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad assignment line {line!r}") from exc
+            if cid < -1:
+                raise ValueError(f"{path}:{lineno}: cluster id must be -1 or non-negative")
             if cid == -1:
                 unclustered.add(tid)
             else:

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
 from reidapt import DomainManifest, EvaluationError, Tracklet, manifest_embeddings
-from reidapt.evaluate import QueryRanking, RankingResult
 
 
 def mean_vector(tracklet: Tracklet) -> list[float]:
@@ -163,12 +163,22 @@ def dense_cluster(m: DomainManifest, K: int, T: int, k1: int):
 # queries on integer codes, and the per-pair loop inter_intra_distances ran.
 
 
+@dataclass(frozen=True, eq=False)
+class NaiveQueryRanking:
+    """One query's full ranking: the record build_ranking used to return."""
+
+    query_id: str
+    gallery_ids: tuple[str, ...]
+    distances: np.ndarray
+    relevant: np.ndarray  # boolean mask aligned with gallery_ids
+
+
 def naive_ranking(
     m: DomainManifest,
     embedder=None,
     queries=None,
     normalize: bool = False,
-) -> RankingResult:
+) -> tuple[NaiveQueryRanking, ...]:
     """Rank the manifest for each query tracklet.
 
     Every tracklet must carry an identity label.  For each query the gallery
@@ -209,14 +219,14 @@ def naive_ranking(
         rel = np.array([idents[j] == idents[qi] for j in order], dtype=bool)
         rel.setflags(write=False)
         out.append(
-            QueryRanking(
+            NaiveQueryRanking(
                 query_id=q,
                 gallery_ids=tuple(ids[j] for j in order),
                 distances=dist_sorted,
                 relevant=rel,
             )
         )
-    return RankingResult(queries=tuple(out))
+    return tuple(out)
 
 
 def naive_inter_intra_distances(clusters, truth: DomainManifest, method: str):

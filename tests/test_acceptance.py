@@ -361,14 +361,7 @@ def ranking_from_ranks(first_hit_ranks, gallery_size=20):
     for qi, r in enumerate(first_hit_ranks):
         relevant = np.zeros(gallery_size, dtype=bool)
         relevant[r - 1] = True
-        queries.append(
-            QueryRanking(
-                query_id=f"q{qi}",
-                gallery_ids=tuple(f"g{qi}_{j}" for j in range(gallery_size)),
-                distances=np.arange(gallery_size, dtype=np.float64),
-                relevant=relevant,
-            )
-        )
+        queries.append(QueryRanking(query_id=f"q{qi}", hits=np.flatnonzero(relevant) + 1))
     return RankingResult(tuple(queries))
 
 
@@ -380,10 +373,7 @@ def test_criterion_09_metric_exactness():
     )
 
     two_rel = QueryRanking(
-        query_id="q",
-        gallery_ids=("a", "b", "c", "d"),
-        distances=np.array([0.1, 0.2, 0.3, 0.4]),
-        relevant=np.array([True, False, True, False]),
+        query_id="q", hits=np.flatnonzero(np.array([True, False, True, False])) + 1
     )
     ap_ok = abs(average_precision(two_rel) - (1.0 + 2.0 / 3.0) / 2.0) <= 1e-9
     map_ok = abs(mean_average_precision(fixture) - (1 + 1 + 1 / 3 + 1 / 6) / 4) <= 1e-9
@@ -395,12 +385,7 @@ def test_criterion_09_metric_exactness():
         flags = rng.random(size) < 0.4
         if not flags.any():
             flags[int(rng.integers(size))] = True
-        q = QueryRanking(
-            query_id="q",
-            gallery_ids=tuple(f"g{j}" for j in range(size)),
-            distances=np.sort(rng.normal(size=size)),
-            relevant=flags,
-        )
+        q = QueryRanking(query_id="q", hits=np.flatnonzero(flags) + 1)
         worst = max(worst, abs(average_precision(q) - naive_average_precision(flags)))
 
     verdict(9, "CMC/mAP fixtures exact and AP matches oracle on 100 instances",

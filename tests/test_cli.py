@@ -158,12 +158,17 @@ class TestClusterCommand:
                      '"frames_ref": {"offset": 0, "count": true}}', id="ref_bool"),
         pytest.param('{"tracklet_id": "t2", "camera_id": "B", "frames": [[1' + '0' * 400 + ']]}',
                      id="frame_int_overflows_float"),
+        # Written with surrogateescape: the line starts with bytes FF FE.
+        pytest.param('\udcff\udcfe{"tracklet_id": "t2", "camera_id": "B", "frames": [[1.0]]}',
+                     id="not_utf8"),
+        pytest.param('{"tracklet_id": "t2", "camera_id": "B", "frames": '
+                     + "[" * 200_000 + "]" * 200_000 + "}", id="nested_200k_deep"),
     ])
     def test_malformed_record_fails_cleanly(self, tmp_path, capsys, bad):
         manifest, sidecar = tmp_path / "m.jsonl", tmp_path / "m.ktf"
         write_feature_sidecar(sidecar, np.zeros((2, 1)))
         good = '{"tracklet_id": "t1", "camera_id": "A", "frames_ref": {"offset": 0, "count": 1}}'
-        manifest.write_text(good + "\n" + bad + "\n")
+        manifest.write_bytes((good + "\n" + bad + "\n").encode("utf-8", "surrogateescape"))
         code = run(["cluster", "--manifest", str(manifest), "--sidecar", str(sidecar),
                     "--out", str(tmp_path / "x.tsv")])
         err = capsys.readouterr().err.splitlines()

@@ -23,15 +23,8 @@ def ranking_from_flags(per_query_flags):
     """Build a RankingResult straight from relevance masks."""
     queries = []
     for qi, flags in enumerate(per_query_flags):
-        flags = np.array(flags, dtype=bool)
-        queries.append(
-            QueryRanking(
-                query_id=f"q{qi}",
-                gallery_ids=tuple(f"g{j}" for j in range(len(flags))),
-                distances=np.arange(len(flags), dtype=np.float64),
-                relevant=flags,
-            )
-        )
+        hits = np.flatnonzero(np.array(flags, dtype=bool)) + 1
+        queries.append(QueryRanking(query_id=f"q{qi}", hits=hits))
     return RankingResult(queries=tuple(queries))
 
 
@@ -98,18 +91,25 @@ class TestAveragePrecision:
             assert abs(average_precision(q) - naive_average_precision(flags)) <= 1e-12
 
     def test_invariant_under_monotone_distance_transform(self):
-        # Metrics read only the order, so rescaling distances changes nothing.
+        # Scaling every frame by 2^k scales every distance exactly, ties
+        # included, so the order, the hits and the metrics cannot move.
         rng = np.random.default_rng(2)
-        flags = rng.random((4, 20)) < 0.25
-        flags[:, 3] = True
-        r1 = ranking_from_flags(list(flags))
-        queries = tuple(
-            QueryRanking(q.query_id, q.gallery_ids, np.exp(q.distances) * 7.0, q.relevant)
-            for q in r1.queries
-        )
-        r2 = RankingResult(queries=queries)
-        assert mean_average_precision(r1) == mean_average_precision(r2)
-        assert np.array_equal(cmc(r1, [1, 5, 10]), cmc(r2, [1, 5, 10]))
+        n = 60
+        X = rng.integers(0, 4, size=(n, 3)).astype(float)
+        # Five tracklets per identity over three cameras: every query has hits.
+        m = labeled_points(X, np.arange(n) % 3, np.arange(n) // 5, rng)
+        r1 = build_ranking(m)
+        for k in (-20, 3, 30):
+            scaled = DomainManifest(
+                "scaled",
+                tuple(Tracklet(t.tracklet_id, t.camera_id, t.frames * 2.0**k, t.identity)
+                      for t in m.tracklets),
+            )
+            r2 = build_ranking(scaled)
+            for q1, q2 in zip(r1.queries, r2.queries):
+                assert np.array_equal(q1.hits, q2.hits), q1.query_id
+            assert mean_average_precision(r1) == mean_average_precision(r2)
+            assert np.array_equal(cmc(r1, [1, 5, 10]), cmc(r2, [1, 5, 10]))
 
 
 class TestBuildRanking:
@@ -140,20 +140,23 @@ class TestBuildRanking:
         )
         r = build_ranking(m, queries=["a1"])
         q = r.queries[0]
-        assert q.gallery_ids == ("b1",)
-        assert q.relevant.tolist() == [True]
+        # Gallery ("b1",): a2 is nearer than b1 but not in the gallery.
+        assert q.hits.tolist() == [1]
 
     def test_same_camera_other_identities_stay_in_gallery(self):
         r = build_ranking(self.manifest(), queries=["a1"])
         q = r.queries[0]
-        assert "a3" in q.gallery_ids  # same camera, different identity
-        assert "a1" not in q.gallery_ids
+        # b1 follows b3 and a3 (same camera, different identity); a1 itself
+        # at distance 0 is not counted.
+        assert q.hits.tolist() == [3]
 
     def test_orders_by_distance(self):
-        r = build_ranking(self.manifest(), queries=["a1"])
-        q = r.queries[0]
-        assert q.gallery_ids == ("b3", "a3", "b1", "a2", "b2")
-        assert np.all(np.diff(q.distances) >= 0)
+        # Galleries by distance: a1 (b3, a3, b1, a2, b2), a2 (b2, b1, a3, b3,
+        # a1), a3 (b3, b1, a1, a2, b2), b1 (a3, b3, a1, a2, b2), b2 (a2, b1,
+        # a3, b3, a1), b3 (a3, a1, b1, a2, b2).
+        r = build_ranking(self.manifest())
+        got = {q.query_id: q.hits.tolist() for q in r.queries}
+        assert got == {"a1": [3], "a2": [1], "a3": [1], "b1": [3], "b2": [1], "b3": [1]}
 
     def test_rank_one_fixture(self):
         r = build_ranking(self.manifest())
@@ -336,7 +339,7 @@ def ranking_cases():
         cams[:n_cams] = np.arange(n_cams)
         return cams, rng.integers(0, n // 4, size=n)
 
-    return [
+    cases = [
         pytest.param(
             rng.integers(0, 3, size=(150, 3)).astype(float), *labels(150), None, id="integer_ties"
         ),
@@ -347,17 +350,24 @@ def ranking_cases():
             id="query_subset",
         ),
         pytest.param(rng.normal(size=(600, 16)), *labels(600, 4), None, id="multi_block_600"),
-        # d² of t0001 exceeds that of t0002 by one ulp, but both round to one
-        # distance, so the tie goes to the smaller id.
-        pytest.param(
-            np.array([[0.0, 0.0], [3.875, 3.3750000000000004], [3.875, 3.375]]),
-            [0, 1, 1], [0, 1, 2], None, id="sqrt_ties",
-        ),
     ]
+    # In each pair, d² of the first point exceeds that of the second by one
+    # ulp, but both round to one distance, so the tie goes to the smaller id.
+    # Scaling by 2^k keeps that; one point of each pair is relevant to the
+    # query at the origin, so the tie order shows in its hits.
+    pair = np.array([[3.875, 3.3750000000000004], [3.875, 3.375]])
+    ks = rng.permutation(np.arange(-12, 12))
+    idents = np.ones(2 * len(ks) + 1, dtype=int)
+    idents[0] = 0
+    idents[1 + 2 * np.arange(len(ks)) + rng.integers(0, 2, size=len(ks))] = 0
+    cams = np.minimum(np.arange(len(idents)), 1)
+    X = np.vstack([np.zeros((1, 2))] + [pair * 2.0**k for k in ks])
+    cases.append(pytest.param(X, cams, idents, None, id="sqrt_ties"))
+    return cases
 
 
 class TestRankingReference:
-    """build_ranking equals the per-query reference bit for bit."""
+    """build_ranking's hit ranks equal the per-query full reference sort."""
 
     @pytest.mark.parametrize("X,cams,idents,queries", ranking_cases())
     def test_identical_to_naive_ranking(self, X, cams, idents, queries):
@@ -365,12 +375,10 @@ class TestRankingReference:
         got = build_ranking(m, queries=queries)
         want = naive_ranking(m, queries=queries)
         assert len(got) == len(want)
-        for g, w in zip(got.queries, want.queries):
+        for g, w in zip(got.queries, want):
             assert g.query_id == w.query_id
-            assert g.gallery_ids == w.gallery_ids, g.query_id
-            assert g.distances.tobytes() == w.distances.tobytes(), g.query_id
-            assert g.relevant.dtype == bool and np.array_equal(g.relevant, w.relevant)
-            assert not (g.distances.flags.writeable or g.relevant.flags.writeable)
+            assert np.array_equal(g.hits, np.flatnonzero(w.relevant) + 1), g.query_id
+            assert g.hits.dtype.kind == "i" and not g.hits.flags.writeable
 
 
 class TestInterIntraReference:

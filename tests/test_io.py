@@ -179,3 +179,17 @@ class TestAssignments:
         path.write_text("zero\ta\n")
         with pytest.raises(ValueError):
             read_assignments(path)
+
+    def test_cluster_id_below_minus_one_names_line(self, tmp_path):
+        path = tmp_path / "a.tsv"
+        path.write_text("0\ta\n-4\tb\n")
+        with pytest.raises(ValueError) as exc:
+            read_assignments(path)
+        assert str(exc.value) == f"{path}:2: cluster id must be -1 or non-negative"
+
+    def test_non_utf8_names_line(self, tmp_path):
+        path = tmp_path / "a.tsv"
+        path.write_bytes(b"0\ta\n1\t\xffb\n")
+        with pytest.raises(ValueError) as exc:
+            read_assignments(path)
+        assert str(exc.value).startswith(f"{path}:2: not UTF-8: ")

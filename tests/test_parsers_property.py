@@ -1,12 +1,15 @@
-"""Property tests: the binary and TSV parsers fail only with a clean error.
+"""Property tests: the parsers fail only with a clean error.
 
 Whatever bytes they are given, read_feature_sidecar, load_checkpoint and
 read_assignments either return a well-formed object or raise ValueError
 (ManifestError is one), and a valid sidecar or checkpoint cut short is
-always rejected.  Generated headers declare only small sizes, so even a
-loader that allocated before checking its header would stay small.
+always rejected.  read_manifest returns a valid manifest or raises
+ManifestError, never another ValueError.  Generated headers declare only
+small sizes, so even a loader that allocated before checking its header
+would stay small.
 """
 
+import json
 import struct
 
 import numpy as np
@@ -15,13 +18,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reidapt import (
+    DomainManifest,
     IdentityEmbedder,
     LinearEmbedder,
+    ManifestError,
     MlpEmbedder,
+    Tracklet,
     load_checkpoint,
     read_assignments,
     read_feature_sidecar,
+    read_manifest,
     save_checkpoint,
+    write_feature_sidecar,
+    write_manifest,
 )
 
 # Derandomized and without an example database: every run tries the same inputs.
@@ -130,3 +139,75 @@ class TestAssignments:
     def test_truncated_file(self, path, full, data):
         if full:
             parse_or_none(read_assignments, path, cut_short(full, data.draw))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=12,
+)
+# Mostly well-typed fields, so records get past the first checks; any JSON
+# value in their place, and any field left out, tests the checks themselves.
+record_fields = {
+    "tracklet_id": st.text(max_size=3) | json_values,
+    "camera_id": st.sampled_from(["A", "B"]) | json_values,
+    "identity": st.none() | st.text(max_size=2) | json_values,
+    "frames": st.lists(st.lists(st.floats() | st.integers(), max_size=3), max_size=3)
+    | json_values,
+    "frames_ref": st.fixed_dictionaries({"offset": st.integers(-1, 4), "count": st.integers(-1, 4)})
+    | json_values,
+}
+record_lines = st.one_of(
+    st.fixed_dictionaries({}, optional=record_fields),
+    json_values,
+).map(json.dumps)
+manifest_files = st.lists(record_lines | st.just(""), max_size=5).map(
+    lambda lines: "\n".join(lines).encode("utf-8")
+)
+
+small_manifests = st.lists(
+    st.tuples(st.text(min_size=1, max_size=4), st.sampled_from(["A", "B"]),
+              st.none() | st.text(max_size=2), st.integers(1, 3)),
+    min_size=1, max_size=4, unique_by=lambda t: t[0],
+)
+
+
+class TestManifest:
+    @pytest.fixture(scope="class")
+    def sidecar(self, tmp_path_factory):
+        sidecar = tmp_path_factory.mktemp("manifest") / "rows.ktf"
+        write_feature_sidecar(sidecar, np.arange(8.0).reshape(4, 2))
+        return sidecar
+
+    @staticmethod
+    def manifest_or_none(path, data: bytes, sidecar):
+        """read_manifest on a file holding data; None when it raised ManifestError."""
+        path.write_bytes(data)
+        try:
+            return read_manifest(path, sidecar=sidecar)
+        except ManifestError:
+            return None
+
+    @bounded
+    @given(st.one_of(st.binary(max_size=200), manifest_files), st.booleans())
+    def test_arbitrary_input(self, path, sidecar, data, with_sidecar):
+        m = self.manifest_or_none(path, data, sidecar if with_sidecar else None)
+        if m is not None:
+            assert m.tracklets and m.validation.ok
+
+    @bounded
+    @given(small_manifests, st.booleans(), st.data())
+    def test_truncated_manifest(self, path, sidecar, rows, to_sidecar, data):
+        m = DomainManifest("m", tuple(
+            Tracklet(tid, cam, np.full((n, 2), 0.5), identity=ident)
+            for tid, cam, ident, n in rows
+        ))
+        rows_file = path.with_suffix(".ktf")
+        write_manifest(m, path, sidecar=rows_file if to_sidecar else None)
+        full = path.read_bytes()
+        cut = self.manifest_or_none(path, cut_short(full, data.draw),
+                                    rows_file if to_sidecar else None)
+        if cut is not None:
+            assert [t.tracklet_id for t in cut.tracklets] == \
+                [t.tracklet_id for t in m.tracklets[: len(cut.tracklets)]]
