@@ -385,6 +385,7 @@ def test_criterion_09_metric_exactness():
         flags = rng.random(size) < 0.4
         if not flags.any():
             flags[int(rng.integers(size))] = True
+        rng.normal(size=size)  # keep the instance stream: distances used to be drawn here
         q = QueryRanking(query_id="q", hits=np.flatnonzero(flags) + 1)
         worst = max(worst, abs(average_precision(q) - naive_average_precision(flags)))
 
