@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import AdaptationError, BatchError, ManifestError
 from .graph import ClusterSet, cluster
+from .io import atomic_write
 from .model import AdaptConfig, ClusterAssignment, DomainManifest, TrainConfig
 from .neighbors import exact_sq_dists
 
@@ -520,7 +521,7 @@ def save_checkpoint(path, embedder: Embedder, seed: int = 0, round_index: int = 
         round_index,
         params.size,
     )
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(header)
         fh.write(params.astype("<f8").tobytes())
 

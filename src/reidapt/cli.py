@@ -292,13 +292,7 @@ def _cmd_eval(args) -> int:
     m = io_mod.read_manifest(args.manifest, sidecar=args.sidecar)
     embedder = _load_embedder(args.checkpoint)
     ranks = [int(k) for k in str(args.ranks).split(",") if k]
-    queries = None
-    if args.queries is not None:
-        queries = [
-            line.strip()
-            for line in Path(args.queries).read_text(encoding="utf-8").splitlines()
-            if line.strip()
-        ]
+    queries = None if args.queries is None else io_mod.read_queries(args.queries, m.by_id)
 
     ranking = build_ranking(m, embedder=embedder, queries=queries, normalize=args.normalize)
     cmc_vals = cmc(ranking, ranks)
@@ -343,11 +337,11 @@ def _cmd_eval(args) -> int:
         io_mod.write_json(summary, out / "summary.json")
         max_rank = max(ranks)
         curve = cmc(ranking, range(1, max_rank + 1))
-        with open(out / "cmc_curve.csv", "w", encoding="utf-8") as fh:
+        with io_mod.atomic_write(out / "cmc_curve.csv") as fh:
             fh.write("rank,cmc\n")
             for k, v in enumerate(curve, 1):
                 fh.write(f"{k},{v:.6f}\n")
-        with open(out / "cluster_distances.csv", "w", encoding="utf-8") as fh:
+        with io_mod.atomic_write(out / "cluster_distances.csv") as fh:
             fh.write("kind,distance\n")
             for d in intra:
                 fh.write(f"intra,{d:.6f}\n")

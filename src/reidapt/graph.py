@@ -5,13 +5,18 @@ neighbors, weighting every edge s->t by the rank of s in t's own list.
 threshold_graph keeps edges with weight <= K, connected_subgraphs splits the
 survivors into components, and cluster_set promotes components larger than T
 to numbered clusters.  cluster() composes the whole chain for a manifest.
+It only needs to know which weights are <= K, and both halves of that rule
+(t among s's first k1, s among t's first K) are read from one
+heads(max(k1, K)) call: cluster() builds with build_graph(..., K=), which
+reports every weight above K as K+1, and never computes an exact rank.
 
 Layout.  A ReciprocalGraph holds the tracklet ids in ascending order
 (`vertices`) and three parallel read-only integer arrays: edge i runs from
-vertices[src[i]] to vertices[dst[i]] with rank weight weight[i].  Edges are
-ordered by source, then by the target's rank in the source's list, which is
-how the neighbor index's heads() lays them out; thresholding is one boolean
-mask over the arrays and keeps that order.
+vertices[src[i]] to vertices[dst[i]] with rank weight weight[i] (K+1 for
+"above K" when built with K).  Edges are ordered by source, then by the
+target's rank in the source's list, which is how the neighbor index's
+heads() lays them out; thresholding is one boolean mask over the arrays and
+keeps that order.
 
 Components.  One routine, _strong_components, finds the strongly connected
 components with an iterative Kosaraju over integer adjacency lists.  Weak
@@ -82,15 +87,28 @@ class ClusterSet:
         return out
 
 
-def build_graph(idx: NeighborIndex, k1: int) -> ReciprocalGraph:
-    """Directed rank graph: s -> t for each t in top_k(k1, s), weight e(s, t)."""
+def build_graph(idx: NeighborIndex, k1: int, K: int | None = None) -> ReciprocalGraph:
+    """Directed rank graph: s -> t for each t in top_k(k1, s), weight e(s, t).
+
+    Without K every weight is exact.  With K, weights up to K are exact and
+    every larger one reads K+1 ("above K"), so threshold_graph(g, K) keeps
+    the same edges; both come from one heads(max(k1, K)) call.
+    """
     if k1 < 1:
         raise ValueError("k1 must be a positive integer")
-    heads = idx.heads(k1)
-    src, col = np.nonzero(heads >= 0)
+    if K is not None and K < 1:
+        raise ValueError("K must be a positive integer")
+    heads = idx.heads(k1 if K is None else max(k1, K))
+    src, col = np.nonzero(heads[:, :k1] >= 0)
     dst = heads[src, col]
     # e(s, t) is the rank of s in t's list, not t's rank in s's list.
-    return ReciprocalGraph(vertices=idx.ids, src=src, dst=dst, weight=idx.ranks(dst, src))
+    if K is None:
+        weight = idx.ranks(dst, src)
+    else:
+        # heads is exact, so s at column c of t's first K entries has rank c+1.
+        found = heads[dst, :K] == src[:, None]
+        weight = np.where(found.any(axis=1), found.argmax(axis=1) + 1, K + 1)
+    return ReciprocalGraph(vertices=idx.ids, src=src, dst=dst, weight=weight)
 
 
 def threshold_graph(g: ReciprocalGraph, K: int) -> ReciprocalGraph:
@@ -190,6 +208,6 @@ def cluster(m: DomainManifest, cfg: AdaptConfig, embedder=None) -> ClusterSet:
     feature space matters.
     """
     idx = build_neighbor_index(m, embedder=embedder, normalize=cfg.normalize)
-    g = threshold_graph(build_graph(idx, cfg.k1), cfg.K)
+    g = threshold_graph(build_graph(idx, cfg.k1, K=cfg.K), cfg.K)
     comps = connected_subgraphs(g, connectivity=cfg.connectivity)
     return cluster_set(comps, cfg.T)

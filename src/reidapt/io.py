@@ -8,12 +8,20 @@ Sidecar: magic "KTF1", u32 row count, u32 dim, then row-major little-endian
 float32 rows.
 
 Assignments: "<cluster_id>\t<tracklet_id>" lines, -1 for unclustered.
+
+Queries: one tracklet id per line, blank lines ignored.
+
+Every writer goes through atomic_write, so a failed write leaves the old file
+(or none) in place, never a truncated one.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import secrets
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -26,11 +34,34 @@ _SIDECAR_MAGIC = b"KTF1"
 _SIDECAR_HEADER = struct.Struct("<4sII")
 
 
+@contextmanager
+def atomic_write(path, binary: bool = False):
+    """Open a new file beside `path`; it replaces `path` only if the block succeeds.
+
+    On any error the partial file is removed and `path` is left as it was.
+    Text files are UTF-8.  The file is created with open(), so it gets the
+    usual permissions under the process umask.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    try:
+        fh = open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8")
+    except OSError as exc:  # name the target, not the temporary file
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_feature_sidecar(path, rows: np.ndarray) -> None:
     rows = np.ascontiguousarray(rows, dtype="<f4")
     if rows.ndim != 2:
         raise ValueError(f"sidecar rows must be 2-D, got shape {rows.shape}")
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(_SIDECAR_HEADER.pack(_SIDECAR_MAGIC, rows.shape[0], rows.shape[1]))
         fh.write(rows.tobytes())
 
@@ -64,7 +95,7 @@ def write_manifest(m: DomainManifest, path, sidecar=None) -> None:
         )
         write_feature_sidecar(sidecar, stacked)
 
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         offset = 0
         for t in m.tracklets:
             rec: dict = {
@@ -165,7 +196,7 @@ def read_manifest(path, sidecar=None, name=None) -> DomainManifest:
 
 def write_assignments(clusters: ClusterSet, path) -> None:
     """Write cluster assignments, clusters first (by id), then unclustered as -1."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for c in sorted(clusters.clusters, key=lambda c: c.cluster_id):
             for tid in sorted(c.members):
                 fh.write(f"{c.cluster_id}\t{tid}\n")
@@ -199,7 +230,21 @@ def read_assignments(path) -> ClusterSet:
     return ClusterSet(clusters=clusters, unclustered=frozenset(unclustered))
 
 
+def read_queries(path, known) -> list[str]:
+    """Query ids in file order; a non-UTF-8 line or an id not in `known` names its line."""
+    queries = []
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in _numbered_lines(fh, path, ValueError):
+            tid = line.strip()
+            if not tid:
+                continue
+            if tid not in known:
+                raise ValueError(f"{path}:{lineno}: unknown query tracklet id {tid!r}")
+            queries.append(tid)
+    return queries
+
+
 def write_json(obj: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -21,6 +21,10 @@ provably farther than the k-th exact distance (else it redoes the row
 exactly); ranks() trusts the GEMM only for tracklets provably closer or
 farther than s and re-checks the band in between exactly.  Both orders are
 therefore the ones a full exact sort on (distance, id) gives.
+
+Callers.  Clustering reads everything it needs from heads().  ranks() now
+serves only the exact edge weights of build_graph called without K;
+k_reciprocal_distance counts one exact row per pair instead.
 """
 
 from __future__ import annotations

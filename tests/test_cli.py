@@ -315,6 +315,21 @@ class TestEvalCommand:
         assert curve[0] == "rank,cmc"
         assert len(curve) == 21
 
+    @pytest.mark.parametrize("content,message", [
+        pytest.param(b"q1\nq\xff2\n", "2: not UTF-8: ", id="not_utf8"),
+        pytest.param(b"q1\n\nnope\n", "3: unknown query tracklet id 'nope'", id="unknown_id"),
+    ])
+    def test_bad_queries_file_names_line(self, tmp_path, capsys, content, message):
+        manifest, queries = write_eval_fixture(tmp_path)
+        queries.write_bytes(content)
+        out_dir = tmp_path / "report"
+        code = run(["eval", "--manifest", str(manifest), "--queries", str(queries),
+                    "--out-dir", str(out_dir)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith(f"error: {queries}:{message}"), err
+        assert not out_dir.exists()
+
     def test_eval_with_checkpoint(self, tmp_path, capsys):
         src = tmp_path / "d.jsonl"
         assert run(["--seed", "2", "synth", "--out", str(src), "--identities", "6",

@@ -6,15 +6,19 @@ import pytest
 from reidapt import (
     ClusterSet,
     DomainManifest,
+    LinearEmbedder,
     ManifestError,
     Tracklet,
     read_assignments,
     read_feature_sidecar,
     read_manifest,
+    save_checkpoint,
     write_assignments,
     write_feature_sidecar,
     write_manifest,
 )
+from reidapt import io as io_mod
+from reidapt.io import write_json
 from reidapt.model import ClusterAssignment
 
 
@@ -193,3 +197,63 @@ class TestAssignments:
         with pytest.raises(ValueError) as exc:
             read_assignments(path)
         assert str(exc.value).startswith(f"{path}:2: not UTF-8: ")
+
+
+class FailingFile:
+    """A file whose second write raises, as on a disk that fills mid-write."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError(28, "No space left on device")
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+class TestAtomicWrites:
+    WRITERS = {
+        "sidecar": lambda p: write_feature_sidecar(p, np.ones((4, 3))),
+        "manifest": lambda p: write_manifest(sample_manifest(), p),
+        "assignments": lambda p: write_assignments(TestAssignments().cluster_fixture(), p),
+        "json": lambda p: write_json({"a": [1, 2, 3], "b": "x"}, p),
+        "checkpoint": lambda p: save_checkpoint(p, LinearEmbedder.identity(3)),
+    }
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch, writer):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old contents")
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            fh = open(file, mode, *args, **kwargs)
+            return FailingFile(fh) if "x" in mode else fh
+
+        monkeypatch.setattr(io_mod, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            self.WRITERS[writer](path)
+        assert path.read_bytes() == b"old contents"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    def test_serializer_error_keeps_old_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        write_json({"a": 1}, path)
+        old = path.read_bytes()
+        # json.dump has written '{\n  "a": 1,\n  "b": ' when the object fails.
+        with pytest.raises(TypeError):
+            write_json({"a": 1, "b": object()}, path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_missing_directory_names_target(self, tmp_path):
+        path = tmp_path / "missing" / "a.tsv"
+        with pytest.raises(FileNotFoundError) as exc:
+            write_assignments(TestAssignments().cluster_fixture(), path)
+        assert exc.value.filename == str(path)

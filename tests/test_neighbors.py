@@ -6,11 +6,13 @@ from reidapt import (
     DomainError,
     DomainManifest,
     ManifestError,
+    NeighborIndex,
     Tracklet,
     build_graph,
     build_neighbor_index,
     cluster,
     k_reciprocal_distance,
+    threshold_graph,
     top_k,
 )
 
@@ -242,6 +244,37 @@ class TestDenseReference:
             want_clusters, want_rest = dense_cluster(m, K=K, T=T, k1=k1)
             assert {frozenset(c.members) for c in cs.clusters} == want_clusters, (K, T, k1)
             assert cs.unclustered == want_rest, (K, T, k1)
+
+    @pytest.mark.parametrize("X,cams", stress_cases())
+    def test_heads_only_graph_equals_exact_ranks(self, X, cams):
+        # k1 < K, k1 = K and k1 > K
+        idx = build_neighbor_index(point_manifest(X, cams))
+        for k1, K in ((1, 3), (2, 2), (4, 2)):
+            exact, fast = build_graph(idx, k1), build_graph(idx, k1, K=K)
+            assert np.array_equal(fast.src, exact.src), (k1, K)
+            assert np.array_equal(fast.dst, exact.dst), (k1, K)
+            want = np.where(exact.weight <= K, exact.weight, K + 1)
+            assert np.array_equal(fast.weight, want), (k1, K)
+            a, b = threshold_graph(exact, K), threshold_graph(fast, K)
+            for name in ("src", "dst", "weight"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), (k1, K, name)
+
+    @pytest.mark.filterwarnings("ignore:k1=1 is smaller than K")
+    def test_cluster_never_computes_ranks(self, monkeypatch):
+        def refuse(self, t, s):
+            raise AssertionError("cluster() must not compute exact ranks")
+
+        monkeypatch.setattr(NeighborIndex, "ranks", refuse)
+        m = point_manifest(np.random.default_rng(3).normal(size=(90, 4)), np.arange(90) % 3)
+        for K, T, k1 in ((1, 1, 1), (2, 2, 2), (2, 1, 4), (3, 1, 1)):
+            cs = cluster(m, AdaptConfig(K=K, T=T, k1=k1))
+            want_clusters, want_rest = dense_cluster(m, K=K, T=T, k1=k1)
+            assert {frozenset(c.members) for c in cs.clusters} == want_clusters, (K, T, k1)
+            assert cs.unclustered == want_rest, (K, T, k1)
+
+    def test_build_graph_bad_K(self, toy):
+        with pytest.raises(ValueError, match="K must be"):
+            build_graph(build_neighbor_index(toy), 1, K=0)
 
     def test_heads_pad_short_lists(self):
         m = point_manifest(np.arange(5.0)[:, None], [0, 0, 1, 1, 1])
