@@ -259,11 +259,12 @@ def batch_hard_triplet_loss(
     B = X.shape[0]
     if y.shape != (B,):
         raise BatchError(f"labels shape {y.shape} does not match batch size {B}")
-    uniq, counts = np.unique(y, return_counts=True)
-    if len(uniq) < 2:
+    same = y[:, None] == y
+    if same.all():
         raise BatchError("triplets require at least two distinct labels in the batch")
+    counts = same.sum(axis=1)
     if counts.min() < 2:
-        lonely = uniq[counts.argmin()]
+        lonely = np.sort(y[counts < 2])[:1].item()  # sort: min() has no loop for str labels
         raise BatchError(f"label {lonely!r} has a single sample; need >= 2 per label")
     if isinstance(margin, str):
         if margin != "soft":
@@ -273,15 +274,17 @@ def batch_hard_triplet_loss(
 
     D = np.sqrt(exact_sq_dists(X, X))
 
-    same = y[:, None] == y[None, :]
-    eye = np.eye(B, dtype=bool)
-    pos_mask = same & ~eye
-    neg_mask = ~same
-
-    d_pos = np.where(pos_mask, D, -np.inf).max(axis=1)
-    p_idx = np.where(pos_mask, D, -np.inf).argmax(axis=1)
-    d_neg = np.where(neg_mask, D, np.inf).min(axis=1)
-    n_idx = np.where(neg_mask, D, np.inf).argmin(axis=1)
+    # One masked copy of D per side.  d+ and d- are read from these copies,
+    # not from D: a row whose negatives all overflowed to +inf has its
+    # argmin on a masked entry, where D holds a same-label distance.
+    far = np.where(same, D, -np.inf)
+    np.fill_diagonal(far, -np.inf)
+    near = np.where(same, np.inf, D)
+    p_idx = far.argmax(axis=1)
+    n_idx = near.argmin(axis=1)
+    rows = np.arange(B)
+    d_pos = far[rows, p_idx]
+    d_neg = near[rows, n_idx]
 
     raw = d_pos - d_neg
     if margin == "soft":
@@ -294,9 +297,9 @@ def batch_hard_triplet_loss(
 
     # d(||a-b||)/da is the unit vector (a-b)/||a-b||; define it as 0 for
     # coincident points (the loss is locally flat there).
-    def _unit(rows):
-        vec = X - X[rows]
-        norm = D[np.arange(B), rows]
+    def _unit(idx):
+        vec = X - X[idx]
+        norm = D[rows, idx]
         safe = np.where(norm > 0.0, norm, 1.0)
         return np.where((norm > 0.0)[:, None], vec / safe[:, None], 0.0)
 
@@ -328,10 +331,17 @@ def identity_clusters(m: DomainManifest) -> ClusterSet:
     return ClusterSet(clusters=clusters, unclustered=frozenset())
 
 
-def _frame_pools(clusters: ClusterSet, m: DomainManifest) -> list[np.ndarray]:
-    pools = []
+def _frame_pools(clusters: ClusterSet, m: DomainManifest):
+    """(frames, starts, sizes): every member frame in one array, cluster by cluster.
+
+    Clusters come in cluster-id order and members in id order; cluster i's
+    frames are rows starts[i] .. starts[i] + sizes[i] of frames.
+    """
+    rows, sizes = [], []
     for c in sorted(clusters.clusters, key=lambda c: c.cluster_id):
-        rows = []
+        if not c.members:
+            raise AdaptationError(f"cluster {c.cluster_id} has no members")
+        size = 0
         for tid in sorted(c.members):
             t = m.by_id.get(tid)
             if t is None:
@@ -339,8 +349,10 @@ def _frame_pools(clusters: ClusterSet, m: DomainManifest) -> list[np.ndarray]:
             if t.n_frames == 0:
                 raise AdaptationError(f"cluster member {tid!r} has no frames")
             rows.append(t.frames)
-        pools.append(np.concatenate(rows, axis=0))
-    return pools
+            size += t.n_frames
+        sizes.append(size)
+    sizes = np.array(sizes, dtype=np.intp)
+    return np.concatenate(rows, axis=0), np.cumsum(sizes) - sizes, sizes
 
 
 def train_embedder(
@@ -359,6 +371,12 @@ def train_embedder(
     with the exponentially decaying rate from cfg.  The incoming embedder is
     left untouched.
 
+    The random stream is part of the contract: each step draws one
+    rng.choice of P clusters, then for each chosen cluster, in chosen order,
+    one rng.choice of batch_k frames without replacement, or one
+    rng.integers call when the cluster holds fewer than batch_k frames.
+    Results for a seed, criterion 6's among them, depend on this stream.
+
     progress, if given, is called as progress(step, loss) after each step.
     """
     if len(clusters.clusters) == 0:
@@ -366,25 +384,25 @@ def train_embedder(
     if len(clusters.clusters) < 2:
         raise AdaptationError("need at least two clusters to form triplets")
 
-    pools = _frame_pools(clusters, m)
+    frames, starts, sizes = _frame_pools(clusters, m)
     rng = np.random.default_rng(cfg.seed)
     out = embedder.clone()
     params = out.param_vector()
 
-    n_pools = len(pools)
-    P = min(cfg.batch_p, n_pools)
+    n_pools = len(sizes)
+    P, K = min(cfg.batch_p, n_pools), cfg.batch_k
+    # chosen holds distinct clusters, so these labels give the same masks
+    # as the cluster ids themselves.
+    labels = np.repeat(np.arange(P), K)
+    sel = np.empty((P, K), dtype=np.intp)
     for step in range(cfg.iterations):
         chosen = rng.choice(n_pools, size=P, replace=False)
-        parts = []
-        labels = np.repeat(chosen, cfg.batch_k)
-        for ci in chosen:
-            pool = pools[ci]
-            if len(pool) >= cfg.batch_k:
-                sel = rng.choice(len(pool), size=cfg.batch_k, replace=False)
+        for i, size in enumerate(sizes[chosen].tolist()):
+            if size >= K:
+                sel[i] = rng.choice(size, size=K, replace=False)
             else:
-                sel = rng.integers(0, len(pool), size=cfg.batch_k)
-            parts.append(pool[sel])
-        x = np.concatenate(parts, axis=0)
+                sel[i] = rng.integers(0, size, size=K)
+        x = frames[(starts[chosen][:, None] + sel).ravel()]
 
         yhat = out.embed(x)
         loss, gy = batch_hard_triplet_loss(yhat, labels, cfg.margin)

@@ -180,6 +180,15 @@ def _load_embedder(path):
     return load_checkpoint(path).embedder
 
 
+def _check_input_dim(embedder, m, args) -> None:
+    """Fail before any work when the checkpoint cannot take the manifest's frames."""
+    if embedder is not None and m.dim is not None and embedder.input_dim != m.dim:
+        raise ValueError(
+            f"{args.checkpoint}: embedder takes {embedder.input_dim}-d frames, "
+            f"{args.manifest} has {m.dim}-d frames"
+        )
+
+
 def _cmd_synth(args) -> int:
     spec = SyntheticSpec(
         identities=args.identities,
@@ -203,6 +212,7 @@ def _cmd_cluster(args) -> int:
     m = io_mod.read_manifest(args.manifest, sidecar=args.sidecar)
     cfg = _adapt_config(args, m)
     embedder = _load_embedder(args.checkpoint)
+    _check_input_dim(embedder, m, args)
     cs = cluster(m, cfg, embedder=embedder)
     io_mod.write_assignments(cs, args.out)
     print(
@@ -245,6 +255,7 @@ def _cmd_train_source(args) -> int:
 def _cmd_adapt(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     m = io_mod.read_manifest(args.manifest, sidecar=args.sidecar)
+    _check_input_dim(ckpt.embedder, m, args)
     cfg = _adapt_config(args, m, train=_train_config(args, args.seed))
     emb, report = run_adapt(ckpt.embedder, m, cfg)
     if report.rounds:
@@ -291,6 +302,7 @@ def _cmd_merge(args) -> int:
 def _cmd_eval(args) -> int:
     m = io_mod.read_manifest(args.manifest, sidecar=args.sidecar)
     embedder = _load_embedder(args.checkpoint)
+    _check_input_dim(embedder, m, args)
     ranks = [int(k) for k in str(args.ranks).split(",") if k]
     queries = None if args.queries is None else io_mod.read_queries(args.queries, m.by_id)
 

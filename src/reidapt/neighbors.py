@@ -14,7 +14,10 @@ rows at a time, so working memory is O(256·n) and results are O(n·k).
 
 Exactness.  Every distance that decides an order comes from one exact
 kernel, exact_sq_dists: coordinate differences, squared and summed by a
-fixed einsum, so it does not depend on BLAS threading.  The GEMM form
+fixed einsum, so it does not depend on BLAS threading.  The differences are
+taken from A's rows repeated once per row of B, minus B in place: each
+element rounds exactly as in the broadcast A[:, None, :] - B, but NumPy runs
+one long loop instead of one short loop per pair.  The GEMM form
 ‖a‖² + ‖b‖² − 2a·b only preselects: heads() re-sorts a fixed candidate set
 with the exact kernel and accepts a row only when every non-candidate is
 provably farther than the k-th exact distance (else it redoes the row
@@ -47,12 +50,23 @@ def exact_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Squared distances from A[i] to the rows of B (c, d) or of B[i] (len(A), c, d).
 
     The library's one distance kernel: the einsum fixes each pair's reduction
-    order, so a value is the same whatever pairs it is computed with.
+    order, so a value is the same whatever pairs it is computed with.  The
+    difference tensor is each row of A repeated c times, shaped (n, c, d),
+    with B subtracted in place.  Every element is the one rounding of
+    A[i, k] - B[j, k] that the broadcast A[:, None, :] - B makes, in the same
+    result dtype, and the einsum gets the same C-ordered tensor, so every
+    distance keeps its bits.  The repeat lets NumPy run one long inner loop
+    over c·d elements instead of one d-element loop per pair, and the
+    in-place subtraction saves a second tensor.
     """
-    out = np.empty((len(A), B.shape[-2]), dtype=np.float64)
-    step = max(1, _DIFF_ELEMENTS // max(1, B.shape[-2] * A.shape[1]))
+    c, d = B.shape[-2], A.shape[1]
+    A = A.astype(np.result_type(A, B), copy=False)
+    out = np.empty((len(A), c), dtype=np.float64)
+    step = max(1, _DIFF_ELEMENTS // max(1, c * d))
     for a in range(0, len(A), step):
-        diff = A[a : a + step, None, :] - (B if B.ndim == 2 else B[a : a + step])
+        rows = A[a : a + step]
+        diff = np.repeat(rows, c, axis=0).reshape(len(rows), c, d)  # -1 fails when c == 0
+        diff -= B if B.ndim == 2 else B[a : a + step]
         out[a : a + step] = np.einsum("ijk,ijk->ij", diff, diff)
     return out
 

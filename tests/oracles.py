@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from reidapt import DomainManifest, EvaluationError, Tracklet, manifest_embeddings
+from reidapt import BatchError, DomainManifest, EvaluationError, Tracklet, manifest_embeddings
 
 
 def mean_vector(tracklet: Tracklet) -> list[float]:
@@ -321,3 +321,121 @@ def rel_error(a: np.ndarray, b: np.ndarray) -> float:
     nb = float(np.linalg.norm(b))
     denom = max(na, nb, 1e-12)
     return float(np.linalg.norm(np.asarray(a) - np.asarray(b))) / denom
+
+
+# Loop references: the training step as the library wrote it before batches
+# were gathered from one flat frame array, the loss before it validated from
+# its label mask, and the distance kernel before it repeated the rows of A.
+# Kept verbatim (only renamed) so the fast forms can be held to their bytes.
+
+_LOOP_DIFF_ELEMENTS = 1 << 18
+
+
+def loop_exact_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared distances from A[i] to the rows of B (c, d) or of B[i] (len(A), c, d)."""
+    out = np.empty((len(A), B.shape[-2]), dtype=np.float64)
+    step = max(1, _LOOP_DIFF_ELEMENTS // max(1, B.shape[-2] * A.shape[1]))
+    for a in range(0, len(A), step):
+        diff = A[a : a + step, None, :] - (B if B.ndim == 2 else B[a : a + step])
+        out[a : a + step] = np.einsum("ijk,ijk->ij", diff, diff)
+    return out
+
+
+def _loop_sigmoid(x: np.ndarray) -> np.ndarray:
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def loop_batch_hard_triplet_loss(embeddings, labels, margin="soft"):
+    """Batch-hard triplet loss and its gradient, two masked passes per side."""
+    X = np.asarray(embeddings, dtype=np.float64)
+    if X.ndim != 2:
+        raise BatchError(f"embeddings must be 2-D, got shape {X.shape}")
+    y = np.asarray(labels)
+    B = X.shape[0]
+    if y.shape != (B,):
+        raise BatchError(f"labels shape {y.shape} does not match batch size {B}")
+    uniq, counts = np.unique(y, return_counts=True)
+    if len(uniq) < 2:
+        raise BatchError("triplets require at least two distinct labels in the batch")
+    if counts.min() < 2:
+        lonely = uniq[counts.argmin()]
+        raise BatchError(f"label {lonely!r} has a single sample; need >= 2 per label")
+    if isinstance(margin, str):
+        if margin != "soft":
+            raise BatchError(f"margin must be 'soft' or a non-negative float, got {margin!r}")
+    elif not (float(margin) >= 0.0):
+        raise BatchError("hard margin must be >= 0")
+
+    D = np.sqrt(loop_exact_sq_dists(X, X))
+
+    same = y[:, None] == y[None, :]
+    eye = np.eye(B, dtype=bool)
+    pos_mask = same & ~eye
+    neg_mask = ~same
+
+    d_pos = np.where(pos_mask, D, -np.inf).max(axis=1)
+    p_idx = np.where(pos_mask, D, -np.inf).argmax(axis=1)
+    d_neg = np.where(neg_mask, D, np.inf).min(axis=1)
+    n_idx = np.where(neg_mask, D, np.inf).argmin(axis=1)
+
+    raw = d_pos - d_neg
+    if margin == "soft":
+        losses = np.logaddexp(0.0, raw)
+        w = _loop_sigmoid(raw)
+    else:
+        losses = np.maximum(0.0, float(margin) + raw)
+        w = (losses > 0.0).astype(np.float64)
+    loss = float(losses.mean())
+
+    def _unit(rows):
+        vec = X - X[rows]
+        norm = D[np.arange(B), rows]
+        safe = np.where(norm > 0.0, norm, 1.0)
+        return np.where((norm > 0.0)[:, None], vec / safe[:, None], 0.0)
+
+    u_pos = _unit(p_idx)
+    u_neg = _unit(n_idx)
+    scale = (w / B)[:, None]
+    grad = scale * (u_pos - u_neg)
+    np.add.at(grad, p_idx, -scale * u_pos)
+    np.add.at(grad, n_idx, scale * u_neg)
+    return loss, grad
+
+
+def loop_train_embedder(embedder, clusters, m: DomainManifest, cfg):
+    """train_embedder with one frame pool per cluster and a concatenated batch."""
+    pools = []
+    for c in sorted(clusters.clusters, key=lambda c: c.cluster_id):
+        pools.append(np.concatenate([m.by_id[tid].frames for tid in sorted(c.members)], axis=0))
+    rng = np.random.default_rng(cfg.seed)
+    out = embedder.clone()
+    params = out.param_vector()
+
+    n_pools = len(pools)
+    P = min(cfg.batch_p, n_pools)
+    for step in range(cfg.iterations):
+        chosen = rng.choice(n_pools, size=P, replace=False)
+        parts = []
+        labels = np.repeat(chosen, cfg.batch_k)
+        for ci in chosen:
+            pool = pools[ci]
+            if len(pool) >= cfg.batch_k:
+                sel = rng.choice(len(pool), size=cfg.batch_k, replace=False)
+            else:
+                sel = rng.integers(0, len(pool), size=cfg.batch_k)
+            parts.append(pool[sel])
+        x = np.concatenate(parts, axis=0)
+
+        yhat = out.embed(x)
+        loss, gy = loop_batch_hard_triplet_loss(yhat, labels, cfg.margin)
+        grad = out.param_grad(x, gy)
+        lr = cfg.learning_rate * cfg.lr_decay**step
+        if params.size:
+            params = params - lr * grad
+            out.set_param_vector(params)
+    return out

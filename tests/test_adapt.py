@@ -1,3 +1,4 @@
+import importlib
 import math
 import struct
 
@@ -27,7 +28,7 @@ from reidapt import (
 from reidapt.graph import ClusterSet
 from reidapt.model import ClusterAssignment
 
-from oracles import fd_gradient, rel_error
+from oracles import fd_gradient, loop_batch_hard_triplet_loss, loop_train_embedder, rel_error
 
 
 class TestTripletLossValues:
@@ -72,6 +73,119 @@ class TestTripletLossValues:
             batch_hard_triplet_loss(X, np.array([0, 0, 1]))  # singleton label
         with pytest.raises(BatchError):
             batch_hard_triplet_loss(np.zeros((4, 2)), np.array([0, 0, 1, 1]), margin=-1.0)
+
+    @pytest.mark.parametrize("labels,lonely", [
+        pytest.param([0, 0, 1], "1", id="int"),
+        pytest.param([5, 3, 3, 7], "5", id="int_smallest"),
+        pytest.param(["b", "b", "a"], "'a'", id="str"),
+        pytest.param(["z", "y", "y", "x"], "'x'", id="str_smallest"),
+    ])
+    def test_lonely_label_message(self, labels, lonely):
+        X = np.zeros((len(labels), 2))
+        with pytest.raises(BatchError) as exc:
+            batch_hard_triplet_loss(X, np.array(labels))
+        assert str(exc.value) == f"label {lonely} has a single sample; need >= 2 per label"
+
+    def test_overflowed_negatives(self):
+        # Label 0 sits at 1e308, so every distance across labels overflows
+        # to +inf: each anchor's hardest negative is +inf and no term pulls.
+        X = np.array([[1e308, -1e308], [1e308, -1e308], [0.0, 1.0], [1.0, 0.0]])
+        y = np.array([0, 0, 1, 1])
+        for margin in ("soft", 0.5):
+            with np.errstate(over="ignore"):
+                loss, grad = batch_hard_triplet_loss(X, y, margin)
+                want_loss, want_grad = loop_batch_hard_triplet_loss(X, y, margin)
+            assert loss == want_loss == 0.0
+            assert grad.tobytes() == want_grad.tobytes()
+            assert not grad.any()
+
+
+def loss_batches(n_batches, seed=0):
+    """Random PK batches that probe ties, tiny and huge scales and overflow."""
+    rng = np.random.default_rng(seed)
+    for i in range(n_batches):
+        P, K, d = int(rng.integers(2, 6)), int(rng.integers(2, 5)), int(rng.integers(1, 6))
+        X = rng.normal(size=(P * K, d)) * 10.0 ** float(rng.choice([-150, 0, 150]))
+        y = np.repeat(np.arange(P), K)
+        kind = i % 4
+        if kind == 1:  # duplicated rows: zero distances, in and across labels
+            X[rng.integers(P * K, size=P)] = X[rng.integers(P * K, size=P)]
+        elif kind == 2:  # rows at +-1e308: their distances to others overflow to inf
+            for label in {0, int(rng.integers(P))}:
+                rows = y == label
+                X[rows] = 1e308 * rng.choice([-1.0, 1.0], size=(int(rows.sum()), d))
+        elif kind == 3:  # infinite coordinates: nan self-distances
+            X[rng.integers(P * K, size=2), rng.integers(d, size=2)] = rng.choice([-np.inf, np.inf])
+        if i % 5 == 0:
+            perm = rng.permutation(P * K)
+            X, y = X[perm], y[perm]
+        if i % 7 == 0:
+            y = np.array([f"id{v}" for v in y])
+        yield X, y
+
+
+class TestLoopReference:
+    """The library's loss and training loop against their loop forms in oracles.py."""
+
+    @pytest.mark.parametrize("margin", ["soft", 0.0, 0.5])
+    def test_loss_matches_loop_form(self, margin):
+        for X, y in loss_batches(320, seed=7):
+            with np.errstate(all="ignore"):
+                loss, grad = batch_hard_triplet_loss(X, y, margin)
+                want_loss, want_grad = loop_batch_hard_triplet_loss(X, y, margin)
+            assert np.array_equal(loss, want_loss, equal_nan=True)
+            assert np.array_equal(grad, want_grad, equal_nan=True)
+            if np.isfinite(X).all():
+                assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+                assert grad.tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("arch", ["linear", "mlp"])
+    @pytest.mark.parametrize("margin", ["soft", 0.3])
+    @pytest.mark.parametrize("batch_p,batch_k", [(3, 4), (8, 3)])
+    def test_training_matches_loop_form(self, arch, margin, batch_p, batch_k):
+        # Five clusters of 1 to 7 frames: some pools are smaller than
+        # batch_k (the rng.integers branch), and batch_p 8 exceeds them all.
+        rng = np.random.default_rng(11)
+        tracklets = []
+        for c, n_frames in enumerate([1, 2, 3, 5, 7]):
+            for cam in ("A", "B")[: 1 + c % 2]:
+                frames = rng.normal(3.0 * c, 1.0, size=(n_frames, 4))
+                tracklets.append(Tracklet(f"{cam}{c}", cam, frames, identity=f"p{c}"))
+        m = DomainManifest("pools", tuple(tracklets))
+        cs = identity_clusters(m)
+        emb = (
+            LinearEmbedder.random(4, 3, rng)
+            if arch == "linear"
+            else MlpEmbedder.random(4, 6, 3, rng)
+        )
+        cfg = TrainConfig(
+            iterations=300, batch_p=batch_p, batch_k=batch_k, margin=margin,
+            learning_rate=0.05, seed=4,
+        )
+        got = train_embedder(emb, cs, m, cfg).param_vector()
+        want = loop_train_embedder(emb, cs, m, cfg).param_vector()
+        assert got.tobytes() == want.tobytes()
+        assert not np.array_equal(got, emb.param_vector())
+
+    def test_each_step_calls_the_module_loss(self, monkeypatch):
+        # Layer timings wrap reidapt.adapt.batch_hard_triplet_loss by name, so
+        # every step must reach the loss through that module attribute.
+        m = two_blob_manifest()
+        cs = identity_clusters(m)
+        cfg = TrainConfig(iterations=37, learning_rate=0.01, seed=2)
+        want = train_embedder(LinearEmbedder.identity(2), cs, m, cfg).param_vector()
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return batch_hard_triplet_loss(*args, **kwargs)
+
+        # The package's `adapt` attribute is the function, not the module.
+        module = importlib.import_module("reidapt.adapt")
+        monkeypatch.setattr(module, "batch_hard_triplet_loss", counting)
+        got = train_embedder(LinearEmbedder.identity(2), cs, m, cfg).param_vector()
+        assert len(calls) == cfg.iterations
+        assert got.tobytes() == want.tobytes()
 
 
 class TestTripletLossGradient:
@@ -236,6 +350,14 @@ class TestTrainEmbedder:
                 m,
                 TrainConfig(iterations=1),
             )
+
+    def test_empty_cluster_rejected(self):
+        m = two_blob_manifest()
+        cs = identity_clusters(m)
+        cs = ClusterSet(clusters=cs.clusters + (ClusterAssignment(9, frozenset()),),
+                        unclustered=frozenset())
+        with pytest.raises(AdaptationError, match="cluster 9 has no members"):
+            train_embedder(LinearEmbedder.identity(2), cs, m, TrainConfig(iterations=1))
 
     def test_unclustered_tracklets_not_sampled(self):
         # Poison the unclustered tracklet's frames: training only touches

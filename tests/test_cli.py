@@ -11,9 +11,11 @@ import pytest
 import reidapt
 from reidapt import (
     DomainManifest,
+    LinearEmbedder,
     Tracklet,
     load_checkpoint,
     read_manifest,
+    save_checkpoint,
     write_feature_sidecar,
     write_manifest,
 )
@@ -339,6 +341,30 @@ class TestEvalCommand:
                     "--iterations", "10", "--lr", "0.01"]) == 0
         assert run(["eval", "--manifest", str(src), "--checkpoint", str(ckpt)]) == 0
         assert "mAP" in capsys.readouterr().out
+
+
+class TestCheckpointInputDim:
+    @pytest.mark.parametrize("command", ["adapt", "eval", "cluster"])
+    def test_dim_mismatch_is_one_line_error(self, tmp_path, capsys, command):
+        manifest = tmp_path / "d.jsonl"
+        assert run(["--seed", "2", "synth", "--out", str(manifest), "--identities", "6",
+                    "--cameras", "3", "--dim", "3"]) == 0
+        ckpt = tmp_path / "wide.kte"
+        save_checkpoint(ckpt, LinearEmbedder.random(64, 16, np.random.default_rng(0)))
+        out = tmp_path / "out"
+        argv = {
+            "adapt": ["adapt", "--out", str(out), "--report", str(tmp_path / "r.json"),
+                      "--iterations", "5"],
+            "eval": ["eval", "--out-dir", str(out)],
+            "cluster": ["cluster", "--out", str(out)],
+        }[command]
+        capsys.readouterr()
+        code = run(argv + ["--manifest", str(manifest), "--checkpoint", str(ckpt)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {ckpt}: embedder takes 64-d frames, {manifest} has 3-d frames"
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl", "wide.kte"]
 
 
 class TestUsageErrors:

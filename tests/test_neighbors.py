@@ -16,10 +16,13 @@ from reidapt import (
     top_k,
 )
 
+from reidapt.neighbors import _DIFF_ELEMENTS, exact_sq_dists
+
 from oracles import (
     dense_cluster,
     dense_edges,
     dense_index,
+    loop_exact_sq_dists,
     naive_rank,
     naive_sorted_list,
     random_manifest,
@@ -286,3 +289,34 @@ class TestDenseReference:
     def test_heads_bad_k(self, toy):
         with pytest.raises(ValueError):
             build_neighbor_index(toy).heads(0)
+
+
+class TestExactKernel:
+    """exact_sq_dists against its broadcast loop form in oracles.py, bit for bit."""
+
+    @pytest.mark.parametrize("d", [1, 3, 16, 64])
+    @pytest.mark.parametrize("c", [0, 1, 7, 64])
+    @pytest.mark.parametrize("paired", [False, True], ids=["2d", "3d"])
+    def test_matches_loop_form(self, d, c, paired):
+        rng = np.random.default_rng(d * 100 + c)
+        # Enough rows for several difference chunks when c * d is large.
+        n = 3 * max(1, _DIFF_ELEMENTS // max(1, c * d)) + 5 if c * d >= 1024 else 37
+        A = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+        B = rng.normal(size=(n, c, d) if paired else (c, d))
+        got = exact_sq_dists(A, B)
+        want = loop_exact_sq_dists(A, B)
+        assert got.shape == (n, c) and got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("a_type,b_type", [
+        (np.float32, np.float32), (np.float32, np.float64), (np.float64, np.float32),
+    ])
+    def test_differences_keep_the_result_dtype(self, a_type, b_type):
+        rng = np.random.default_rng(5)
+        A = rng.normal(size=(9, 3)).astype(a_type)
+        B = rng.normal(size=(4, 3)).astype(b_type)
+        assert exact_sq_dists(A, B).tobytes() == loop_exact_sq_dists(A, B).tobytes()
+
+    def test_empty_inputs(self):
+        for A, B in [(np.empty((0, 3)), np.ones((4, 3))), (np.ones((2, 3)), np.empty((0, 3)))]:
+            assert exact_sq_dists(A, B).shape == loop_exact_sq_dists(A, B).shape
