@@ -20,7 +20,7 @@ from .errors import AdaptationError, BatchError, ManifestError
 from .graph import ClusterSet, cluster
 from .io import atomic_write
 from .model import AdaptConfig, ClusterAssignment, DomainManifest, TrainConfig
-from .neighbors import exact_sq_dists
+from .neighbors import build_neighbor_index, exact_sq_dists
 
 __all__ = [
     "Embedder",
@@ -81,14 +81,18 @@ class Embedder(abc.ABC):
         return arr, False
 
 
+def _check_dims(*dims: int) -> None:
+    if min(dims) < 1:
+        raise ValueError(f"embedder dims must be positive, got {dims}")
+
+
 class IdentityEmbedder(Embedder):
     """Pass-through embedder; useful as a no-op baseline."""
 
     kind = "identity"
 
     def __init__(self, dim: int):
-        if dim < 1:
-            raise ValueError("dim must be positive")
+        _check_dims(dim)
         self.input_dim = dim
         self.output_dim = dim
 
@@ -119,6 +123,7 @@ class LinearEmbedder(Embedder):
         b = np.array(bias, dtype=np.float64)
         if W.ndim != 2 or b.ndim != 1 or b.shape[0] != W.shape[1]:
             raise ValueError(f"inconsistent shapes: W {W.shape}, b {b.shape}")
+        _check_dims(*W.shape)
         self.W = W
         self.b = b
         self.input_dim = W.shape[0]
@@ -130,6 +135,7 @@ class LinearEmbedder(Embedder):
 
     @classmethod
     def random(cls, input_dim: int, output_dim: int, rng: np.random.Generator) -> "LinearEmbedder":
+        _check_dims(input_dim, output_dim)  # before 1/sqrt(0) can warn
         W = rng.normal(0.0, 1.0 / np.sqrt(input_dim), size=(input_dim, output_dim))
         return cls(W, np.zeros(output_dim))
 
@@ -175,6 +181,7 @@ class MlpEmbedder(Embedder):
             or self.b2.shape != (self.W2.shape[1],)
         ):
             raise ValueError("inconsistent MLP shapes")
+        _check_dims(*self.W1.shape, self.W2.shape[1])
         self.input_dim = self.W1.shape[0]
         self.hidden_dim = self.W1.shape[1]
         self.output_dim = self.W2.shape[1]
@@ -183,6 +190,7 @@ class MlpEmbedder(Embedder):
     def random(
         cls, input_dim: int, hidden_dim: int, output_dim: int, rng: np.random.Generator
     ) -> "MlpEmbedder":
+        _check_dims(input_dim, hidden_dim, output_dim)  # before 1/sqrt(0) can warn
         W1 = rng.normal(0.0, 1.0 / np.sqrt(input_dim), size=(input_dim, hidden_dim))
         W2 = rng.normal(0.0, 1.0 / np.sqrt(hidden_dim), size=(hidden_dim, output_dim))
         return cls(W1, np.zeros(hidden_dim), W2, np.zeros(output_dim))
@@ -479,7 +487,7 @@ def adapt(
     early_stop = False
     reason = "completed"
     for r in range(cfg.I):
-        cs = cluster(target, cfg, embedder=e)
+        cs = cluster(build_neighbor_index(target, e, cfg.normalize), cfg)
         count = len(cs.clusters)
         if count > cfg.cluster_cap:
             rounds.append(RoundRecord(r, count, cs.clustered_fraction, ()))
@@ -559,6 +567,8 @@ def load_checkpoint(path) -> Checkpoint:
         raise ValueError(f"{path}: {kind} checkpoint declares hidden_dim {d_hid}, expected 0")
     if kind == "identity" and d_out != d_in:
         raise ValueError(f"{path}: identity checkpoint maps {d_in} to {d_out} dims")
+    if 0 in (d_in, d_out) or (kind == "mlp" and d_hid == 0):
+        raise ValueError(f"{path}: {kind} checkpoint declares a zero dim ({d_in}, {d_hid}, {d_out})")
     expected = {
         "identity": 0,
         "linear": d_in * d_out + d_out,

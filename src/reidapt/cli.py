@@ -37,6 +37,7 @@ from .errors import (
 from .evaluate import build_ranking, classify_clusters, cmc, inter_intra_distances, mean_average_precision
 from .graph import cluster
 from .model import AdaptConfig, SOURCE_ITERATIONS, TrainConfig, default_kt
+from .neighbors import NeighborIndex, build_neighbor_index
 from .synth import MergePolicy, SyntheticSpec, generate_synthetic_domain, merge_domains
 
 
@@ -174,12 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _load_embedder(path):
-    if path is None:
-        return None
-    return load_checkpoint(path).embedder
-
-
 def _check_input_dim(embedder, m, args) -> None:
     """Fail before any work when the checkpoint cannot take the manifest's frames."""
     if embedder is not None and m.dim is not None and embedder.input_dim != m.dim:
@@ -187,6 +182,13 @@ def _check_input_dim(embedder, m, args) -> None:
             f"{args.checkpoint}: embedder takes {embedder.input_dim}-d frames, "
             f"{args.manifest} has {m.dim}-d frames"
         )
+
+
+def _neighbor_index(args, m) -> NeighborIndex:
+    """The command's one representation pass, under --checkpoint and --normalize."""
+    embedder = None if args.checkpoint is None else load_checkpoint(args.checkpoint).embedder
+    _check_input_dim(embedder, m, args)
+    return build_neighbor_index(m, embedder, args.normalize)
 
 
 def _cmd_synth(args) -> int:
@@ -211,9 +213,7 @@ def _cmd_synth(args) -> int:
 def _cmd_cluster(args) -> int:
     m = io_mod.read_manifest(args.manifest, sidecar=args.sidecar)
     cfg = _adapt_config(args, m)
-    embedder = _load_embedder(args.checkpoint)
-    _check_input_dim(embedder, m, args)
-    cs = cluster(m, cfg, embedder=embedder)
+    cs = cluster(_neighbor_index(args, m), cfg)
     io_mod.write_assignments(cs, args.out)
     print(
         f"{len(cs.clusters)} clusters covering {cs.clustered_fraction:.1%} of "
@@ -301,20 +301,18 @@ def _cmd_merge(args) -> int:
 
 def _cmd_eval(args) -> int:
     m = io_mod.read_manifest(args.manifest, sidecar=args.sidecar)
-    embedder = _load_embedder(args.checkpoint)
-    _check_input_dim(embedder, m, args)
+    idx = _neighbor_index(args, m)
     ranks = [int(k) for k in str(args.ranks).split(",") if k]
     queries = None if args.queries is None else io_mod.read_queries(args.queries, m.by_id)
 
-    ranking = build_ranking(m, embedder=embedder, queries=queries, normalize=args.normalize)
+    ranking = build_ranking(idx, m, queries=queries)
     cmc_vals = cmc(ranking, ranks)
     map_val = mean_average_precision(ranking)
 
-    cfg = _adapt_config(args, m)
-    cs = cluster(m, cfg, embedder=embedder)
+    cs = cluster(idx, _adapt_config(args, m))
     quality = classify_clusters(cs, m) if cs.clusters else None
     if len(cs.clusters) >= 2:
-        intra, inter = inter_intra_distances(cs, m, embedder=embedder)
+        intra, inter = inter_intra_distances(cs, m, idx)
     else:
         intra, inter = [], []
 

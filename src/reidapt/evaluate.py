@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationError, ManifestError
+from .errors import EvaluationError
 from .graph import ClusterSet
-from .model import DomainManifest, manifest_embeddings
-from .neighbors import exact_sq_dists
+from .model import DomainManifest
+from .neighbors import NeighborIndex, exact_sq_dists
 
 GC = "GC"
 MC = "MC"
@@ -45,33 +45,26 @@ class RankingResult:
         return len(self.queries)
 
 
-def build_ranking(
-    m: DomainManifest,
-    embedder=None,
-    queries=None,
-    normalize: bool = False,
-) -> RankingResult:
-    """Rank the manifest for each query tracklet.
+def build_ranking(idx: NeighborIndex, truth: DomainManifest, queries=None) -> RankingResult:
+    """Rank the index's tracklets, in its representation space, for each query.
 
-    Every tracklet must carry an identity label.  For each query the gallery
-    is every other tracklet except same-camera entries of the same identity;
-    it is sorted by ascending true Euclidean distance with ties broken by
-    ascending tracklet_id.  Relevant items are those of the query's identity
-    from other cameras.  queries defaults to all tracklet ids.
+    truth supplies identity labels, and every tracklet must carry one.  For
+    each query the gallery is every other tracklet except same-camera entries
+    of the same identity; it is sorted by ascending true Euclidean distance
+    with ties broken by ascending tracklet_id.  Relevant items are those of
+    the query's identity from other cameras.  queries defaults to all ids.
     """
-    for t in m.tracklets:
+    for t in truth.tracklets:
         if t.identity is None:
             raise EvaluationError(f"tracklet {t.tracklet_id!r} is unlabeled")
-    ids, X = manifest_embeddings(m, embedder=embedder, normalize=normalize)
-    pos = {tid: i for i, tid in enumerate(ids)}
-    cams = np.unique([m.by_id[tid].camera_id for tid in ids], return_inverse=True)[1]
-    idents = np.unique([m.by_id[tid].identity for tid in ids], return_inverse=True)[1]
+    X, cams = idx.X, idx.codes
+    idents = np.unique([truth.by_id[tid].identity for tid in idx.ids], return_inverse=True)[1]
 
-    query_ids = list(ids if queries is None else queries)
-    unknown = [q for q in query_ids if q not in pos]
+    query_ids = list(idx.ids if queries is None else queries)
+    unknown = [q for q in query_ids if q not in idx]
     if unknown:
         raise KeyError(f"unknown query tracklet id {unknown[0]!r}")
-    rows = np.array([pos[q] for q in query_ids], dtype=np.intp)
+    rows = np.array([idx.index_of[q] for q in query_ids], dtype=np.intp)
 
     out = []
     for a in range(0, len(rows), _BLOCK):
@@ -204,7 +197,7 @@ def classify_clusters(clusters: ClusterSet, truth: DomainManifest) -> ClusterQua
 def inter_intra_distances(
     clusters: ClusterSet,
     truth: DomainManifest,
-    embedder=None,
+    idx: NeighborIndex,
     method: str = "centroid",
 ) -> tuple[list[float], list[float]]:
     """Distances between all cluster pairs, split by majority identity.
@@ -212,7 +205,7 @@ def inter_intra_distances(
     A pair is *intra* when both clusters have the same majority identity
     (the same person split across clusters) and *inter* otherwise.  method
     "centroid" measures between cluster centroids; "min-pairwise" takes the
-    minimum distance over member tracklet representations.
+    minimum distance over member tracklet representations, which are idx.X.
 
     Returns (intra, inter) lists, ordered by ascending cluster id pairs.
     """
@@ -222,25 +215,19 @@ def inter_intra_distances(
         raise EvaluationError("need at least two clusters to compare distances")
     idents = _cluster_identities(clusters, truth)
 
-    try:
-        ids, X = manifest_embeddings(truth, embedder=embedder)
-    except ManifestError as exc:
-        raise EvaluationError(str(exc)) from exc
-    pos = {tid: i for i, tid in enumerate(ids)}
-
     ordered = sorted(clusters.clusters, key=lambda c: c.cluster_id)
-    member_rows = [np.array([pos[tid] for tid in sorted(c.members)]) for c in ordered]
+    member_rows = [np.array([idx.index_of[tid] for tid in sorted(c.members)]) for c in ordered]
     majorities = np.array([_majority_identity(idents[c.cluster_id]) for c in ordered])
 
     if method == "centroid":
-        centroids = np.vstack([X[rows].mean(axis=0) for rows in member_rows])
+        centroids = np.vstack([idx.X[rows].mean(axis=0) for rows in member_rows])
         D2 = exact_sq_dists(centroids, centroids)
     else:
         # Row i: cluster i's members against all members, minimised over the
         # former and then over each cluster's slice of the latter.
-        members = X[np.concatenate(member_rows)]
+        members = idx.X[np.concatenate(member_rows)]
         starts = np.cumsum([0] + [len(rows) for rows in member_rows[:-1]])
-        D2 = np.vstack([np.minimum.reduceat(exact_sq_dists(X[rows], members).min(axis=0), starts)
+        D2 = np.vstack([np.minimum.reduceat(exact_sq_dists(idx.X[rows], members).min(axis=0), starts)
                         for rows in member_rows])
     i, j = np.triu_indices(len(ordered), 1)  # pairs in ascending cluster-id order
     d = np.sqrt(D2[i, j])

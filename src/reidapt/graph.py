@@ -4,11 +4,12 @@ Pipeline: build_graph wires each tracklet to its k1 best cross-camera
 neighbors, weighting every edge s->t by the rank of s in t's own list.
 threshold_graph keeps edges with weight <= K, connected_subgraphs splits the
 survivors into components, and cluster_set promotes components larger than T
-to numbered clusters.  cluster() composes the whole chain for a manifest.
-It only needs to know which weights are <= K, and both halves of that rule
-(t among s's first k1, s among t's first K) are read from one
-heads(max(k1, K)) call: cluster() builds with build_graph(..., K=), which
-reports every weight above K as K+1, and never computes an exact rank.
+to numbered clusters.  cluster() composes the whole chain on the index a
+command builds once.  It only needs to know which weights are <= K, and
+both halves of that rule (t among s's first k1, s among t's first K) are
+read from one heads(max(k1, K)) call: cluster() builds with
+build_graph(..., K=), which reports every weight above K as K+1, and never
+computes an exact rank.
 
 Layout.  A ReciprocalGraph holds the tracklet ids in ascending order
 (`vertices`) and three parallel read-only integer arrays: edge i runs from
@@ -31,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AdaptConfig, ClusterAssignment, DomainManifest
-from .neighbors import NeighborIndex, build_neighbor_index
+from .model import AdaptConfig, ClusterAssignment
+from .neighbors import NeighborIndex
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,13 +202,12 @@ def cluster_set(components: list[frozenset[str]], T: int) -> ClusterSet:
     return ClusterSet(clusters=clusters, unclustered=frozenset(leftover))
 
 
-def cluster(m: DomainManifest, cfg: AdaptConfig, embedder=None) -> ClusterSet:
-    """Full unsupervised clustering of one manifest.
+def cluster(idx: NeighborIndex, cfg: AdaptConfig) -> ClusterSet:
+    """Full unsupervised clustering of the tracklets in a neighbor index.
 
-    Identity labels are never consulted; only geometry in the (embedded)
-    feature space matters.
+    Identity labels are never consulted; only geometry in the index's
+    representation space matters.
     """
-    idx = build_neighbor_index(m, embedder=embedder, normalize=cfg.normalize)
     g = threshold_graph(build_graph(idx, cfg.k1, K=cfg.K), cfg.K)
     comps = connected_subgraphs(g, connectivity=cfg.connectivity)
     return cluster_set(comps, cfg.T)

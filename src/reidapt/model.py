@@ -325,7 +325,8 @@ class AdaptConfig:
     cluster_cap: soft upper bound on the expected number of distinct people;
         adaptation stops early when a round yields more clusters than this.
     connectivity: "weak" (default) or "strong" component semantics.
-    normalize: L2-normalize tracklet representations before indexing.
+    normalize: L2-normalize tracklet representations when adapt() builds
+        each round's neighbor index; cluster() reads the index it is given.
     """
 
     K: int = 2

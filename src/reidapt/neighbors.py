@@ -25,9 +25,11 @@ exactly); ranks() trusts the GEMM only for tracklets provably closer or
 farther than s and re-checks the band in between exactly.  Both orders are
 therefore the ones a full exact sort on (distance, id) gives.
 
-Callers.  Clustering reads everything it needs from heads().  ranks() now
-serves only the exact edge weights of build_graph called without K;
-k_reciprocal_distance counts one exact row per pair instead.
+Callers.  A command builds one index and hands it to cluster(),
+build_ranking and inter_intra_distances, so it embeds its manifest once.
+Clustering reads everything it needs from heads().  ranks() serves only the
+exact edge weights of build_graph called without K; k_reciprocal_distance
+counts one exact row per pair instead.
 """
 
 from __future__ import annotations
@@ -242,9 +244,9 @@ class NeighborIndex:
 def build_neighbor_index(m: DomainManifest, embedder=None, normalize: bool = False) -> NeighborIndex:
     """Build the exact cross-camera neighbor index for a manifest.
 
-    Tracklet representations are mean (optionally embedded) frame vectors;
-    see manifest_embeddings.  Requires a valid manifest spanning at least
-    two cameras.
+    The one place a manifest becomes representations: each tracklet's exact
+    mean (optionally embedded, optionally L2-normalized) frame vector, plus
+    camera codes.  Requires a valid manifest spanning at least two cameras.
     """
     report = m.validation
     if not report.ok:

@@ -105,7 +105,7 @@ def test_criterion_02_clustering_oracle_equivalence():
         K = int(rng.integers(1, 4))
         T = int(rng.integers(1, 4))
         cfg = AdaptConfig(K=K, T=T, seed=0)
-        cs = cluster(m, cfg)
+        cs = cluster(build_neighbor_index(m), cfg)
         got = ({frozenset(c.members) for c in cs.clusters}, frozenset(cs.unclustered))
         want = naive_cluster(m, K=K, T=T, k1=K)
         if got != want:
@@ -161,7 +161,8 @@ def test_criterion_04_invariant_suite():
         T = int(rng.integers(1, 4))
         k1 = K + int(rng.integers(0, 3))
         cfg = AdaptConfig(K=K, T=T, k1=k1, seed=0)
-        cs = cluster(m, cfg)
+        idx = build_neighbor_index(m)
+        cs = cluster(idx, cfg)
 
         # disjoint clusters, every cluster strictly larger than T
         seen = set()
@@ -171,7 +172,6 @@ def test_criterion_04_invariant_suite():
             seen |= c.members
 
         # surviving edges never exceed the rank threshold
-        idx = build_neighbor_index(m)
         g = threshold_graph(build_graph(idx, k1), K)
         assert (g.weight <= K).all(), trial
 
@@ -188,8 +188,8 @@ def test_criterion_04_invariant_suite():
             Q = orthogonal(rng, dim)
             shift = rng.normal(size=dim)
             scale = float(rng.uniform(0.1, 10.0))
-            iso = cluster(transformed(m, lambda F: F @ Q + shift), cfg)
-            scl = cluster(transformed(m, lambda F: F * scale), cfg)
+            iso = cluster(build_neighbor_index(transformed(m, lambda F: F @ Q + shift)), cfg)
+            scl = cluster(build_neighbor_index(transformed(m, lambda F: F * scale)), cfg)
             assert cluster_key(iso) == cluster_key(cs), (trial, "isometry changed clusters")
             assert cluster_key(scl) == cluster_key(cs), (trial, "scaling changed clusters")
     verdict(4, "1000-trial invariant suite (disjoint, size, weights, coarsening, isometry)",
@@ -226,13 +226,13 @@ EXPERIMENT_SEEDS = (0, 1, 2, 3, 4)
 
 
 def rank1(m, embedder):
-    return cmc(build_ranking(m, embedder=embedder), [1])[0]
+    return cmc(build_ranking(build_neighbor_index(m, embedder), m), [1])[0]
 
 
 def mean_growth(cs, m, before, after):
     """Per-pair post/pre centroid distance ratios, averaged, intra vs inter."""
-    intra0, inter0 = inter_intra_distances(cs, m, embedder=before)
-    intra1, inter1 = inter_intra_distances(cs, m, embedder=after)
+    intra0, inter0 = inter_intra_distances(cs, m, build_neighbor_index(m, before))
+    intra1, inter1 = inter_intra_distances(cs, m, build_neighbor_index(m, after))
     g_intra = [b / a for a, b in zip(intra0, intra1) if a > 0]
     g_inter = [b / a for a, b in zip(inter0, inter1) if a > 0]
     intra = float(np.mean(g_intra)) if g_intra else None
@@ -273,7 +273,7 @@ def adaptation_experiment():
         adapted, report = adapt(source_emb, target, cfg)
         post = rank1(target, adapted)
 
-        final_clusters = cluster(target, cfg, embedder=adapted)
+        final_clusters = cluster(build_neighbor_index(target, adapted), cfg)
         purity = classify_clusters(final_clusters, target).purity
         g_intra, g_inter = mean_growth(final_clusters, target, source_emb, adapted)
 

@@ -218,6 +218,21 @@ class TestEmbedders:
         out = e.embed(np.array([1.0, 1.0]))
         assert np.array_equal(out, [3.0, 2.0])
 
+    @pytest.mark.filterwarnings("error")  # a zero width must fail before 1/sqrt(0) warns
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda rng: IdentityEmbedder(0), id="identity"),
+        pytest.param(lambda rng: LinearEmbedder(np.ones((0, 2)), np.ones(2)), id="linear_input"),
+        pytest.param(lambda rng: LinearEmbedder(np.ones((3, 0)), np.ones(0)), id="linear_output"),
+        pytest.param(lambda rng: LinearEmbedder.random(0, 2, rng), id="linear_random_input"),
+        pytest.param(lambda rng: MlpEmbedder(np.ones((3, 0)), np.ones(0), np.ones((0, 2)),
+                                             np.ones(2)), id="mlp_hidden"),
+        pytest.param(lambda rng: MlpEmbedder.random(3, 0, 2, rng), id="mlp_random_hidden"),
+        pytest.param(lambda rng: MlpEmbedder.random(3, 4, 0, rng), id="mlp_random_output"),
+    ])
+    def test_zero_dim_rejected(self, make):
+        with pytest.raises(ValueError, match="embedder dims must be positive"):
+            make(np.random.default_rng(0))
+
     def test_param_roundtrip(self):
         rng = np.random.default_rng(1)
         for e in (
@@ -537,6 +552,20 @@ class TestCheckpointHeaders:
     def test_linear_with_hidden_dim_rejected(self, tmp_path):
         path = write_header(tmp_path / "e.kte", 1, 2, 5, 3, 9)
         with pytest.raises(ValueError, match=r"e\.kte: linear checkpoint declares hidden_dim 5"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("code,dims,n_params", [
+        (0, (0, 0, 0), 0), (1, (4, 0, 0), 0), (1, (0, 0, 3), 3), (2, (4, 0, 3), 3), (2, (0, 5, 3), 23),
+    ])
+    def test_zero_dim_rejected(self, tmp_path, monkeypatch, code, dims, n_params):
+        # The parameter count fits the dims, so only the zero dim is wrong.
+        path = write_header(tmp_path / "e.kte", code, *dims, n_params)
+
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("array allocated before the header was checked")
+
+        monkeypatch.setattr(np, "zeros", no_alloc)
+        with pytest.raises(ValueError, match=r"e\.kte: \w+ checkpoint declares a zero dim"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("code,dims", [(1, (1 << 20, 0, 1 << 20)), (2, (1 << 20, 1 << 20, 8))])

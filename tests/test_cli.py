@@ -1,6 +1,8 @@
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,12 +12,18 @@ import pytest
 
 import reidapt
 from reidapt import (
+    AdaptConfig,
     DomainManifest,
     LinearEmbedder,
     Tracklet,
+    build_neighbor_index,
+    cluster,
+    default_kt,
+    inter_intra_distances,
     load_checkpoint,
     read_manifest,
     save_checkpoint,
+    write_assignments,
     write_feature_sidecar,
     write_manifest,
 )
@@ -365,6 +373,110 @@ class TestCheckpointInputDim:
             f"error: {ckpt}: embedder takes 64-d frames, {manifest} has 3-d frames"
         ]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl", "wide.kte"]
+
+
+class TestZeroDimEmbedder:
+    @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
+    @pytest.mark.parametrize("flags", [
+        pytest.param(["--embed-dim", "0"], id="linear_embed_dim"),
+        pytest.param(["--arch", "mlp", "--embed-dim", "0"], id="mlp_embed_dim"),
+        pytest.param(["--arch", "mlp", "--hidden-dim", "0"], id="mlp_hidden_dim"),
+    ])
+    def test_train_source_rejects_zero_dim(self, tmp_path, capsys, flags):
+        manifest = tmp_path / "d.jsonl"
+        assert run(["--seed", "2", "synth", "--out", str(manifest), "--identities", "6",
+                    "--cameras", "3", "--dim", "4"]) == 0
+        out = tmp_path / "e.kte"
+        capsys.readouterr()
+        code = run(["train-source", "--manifest", str(manifest), "--out", str(out),
+                    "--iterations", "5", *flags])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: embedder dims must be positive"), err
+        assert not out.exists()
+
+
+@pytest.fixture
+def embedding_calls(monkeypatch):
+    """Manifests passed to manifest_embeddings, wrapped under every name a reidapt
+    module binds it to (reidapt.adapt is also a function, hence import_module)."""
+    real = reidapt.manifest_embeddings
+    calls = []
+
+    def counted(m, *args, **kwargs):
+        calls.append(m)
+        return real(m, *args, **kwargs)
+
+    names = ["reidapt"] + [f"reidapt.{info.name}" for info in pkgutil.iter_modules(reidapt.__path__)]
+    for module in map(importlib.import_module, names):
+        for key, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+def write_embedded_domain(tmp_path):
+    """A small synthetic manifest and a random 4->3 linear checkpoint for it."""
+    manifest = tmp_path / "d.jsonl"
+    assert run(["--seed", "3", "synth", "--out", str(manifest), "--identities", "8",
+                "--cameras", "3", "--dim", "4", "--noise-sigma", "0.3"]) == 0
+    ckpt = tmp_path / "e.kte"
+    save_checkpoint(ckpt, LinearEmbedder.random(4, 3, np.random.default_rng(7)))
+    return manifest, ckpt
+
+
+class TestOneRepresentationPass:
+    """A command turns its manifest into representations once (adapt: once per round)."""
+
+    @pytest.mark.parametrize("command", ["eval", "cluster"])
+    def test_one_call(self, tmp_path, embedding_calls, command):
+        manifest, ckpt = write_embedded_domain(tmp_path)
+        out = ["--out-dir", str(tmp_path / "out")] if command == "eval" else ["--out", str(tmp_path / "a.tsv")]
+        assert run([command, *out, "--manifest", str(manifest), "--checkpoint", str(ckpt)]) == 0
+        assert len(embedding_calls) == 1
+
+    @pytest.mark.parametrize("rounds", [1, 2])
+    def test_adapt_one_call_per_round(self, tmp_path, embedding_calls, rounds):
+        manifest, ckpt = write_embedded_domain(tmp_path)
+        report = tmp_path / "r.json"
+        assert run(["adapt", "--checkpoint", str(ckpt), "--manifest", str(manifest),
+                    "--out", str(tmp_path / "a.kte"), "--report", str(report),
+                    "--rounds", str(rounds), "--iterations", "5", "--lr", "0.005"]) == 0
+        assert len(json.loads(report.read_text())["rounds"]) == rounds
+        assert len(embedding_calls) == rounds
+
+
+class TestNormalize:
+    """--normalize reaches ranking, clustering and cluster distances alike."""
+
+    def run_both(self, tmp_path, manifest, ckpt, tag, *flags):
+        """cluster and eval with the same flags; (assignment TSV, eval out-dir)."""
+        tsv, out_dir = tmp_path / f"{tag}.tsv", tmp_path / tag
+        common = ["--manifest", str(manifest), "--checkpoint", str(ckpt), *flags]
+        assert run(["cluster", "--out", str(tsv), *common]) == 0
+        assert run(["eval", "--out-dir", str(out_dir), *common]) == 0
+        return tsv, out_dir
+
+    def test_outputs_use_the_normalized_index(self, tmp_path):
+        manifest, ckpt = write_embedded_domain(tmp_path)
+        tsv, out_dir = self.run_both(tmp_path, manifest, ckpt, "norm", "--normalize")
+        raw_tsv, raw_dir = self.run_both(tmp_path, manifest, ckpt, "raw")
+        m = read_manifest(manifest)
+        idx = build_neighbor_index(m, load_checkpoint(ckpt).embedder, normalize=True)
+        K, T = default_kt(len(m.cameras))
+        cs = cluster(idx, AdaptConfig(K=K, T=T))
+        want_tsv = tmp_path / "want.tsv"
+        write_assignments(cs, want_tsv)
+        assert tsv.read_bytes() == want_tsv.read_bytes()
+        assert tsv.read_bytes() != raw_tsv.read_bytes()
+
+        intra, inter = inter_intra_distances(cs, m, idx)
+        want = ["kind,distance"] + [f"intra,{d:.6f}" for d in intra] + [f"inter,{d:.6f}" for d in inter]
+        got = (out_dir / "cluster_distances.csv").read_text().splitlines()
+        assert got == want and len(inter) > 0
+        assert got != (raw_dir / "cluster_distances.csv").read_text().splitlines()
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["clusters"] == len(cs.clusters)
 
 
 class TestUsageErrors:

@@ -5,6 +5,7 @@ from reidapt import (
     DomainManifest,
     EvaluationError,
     Tracklet,
+    build_neighbor_index,
     build_ranking,
     classify_clusters,
     cluster_set,
@@ -17,6 +18,11 @@ from reidapt.graph import ClusterSet
 from reidapt.model import ClusterAssignment
 
 from oracles import naive_average_precision, naive_inter_intra_distances, naive_ranking
+
+
+def ranking_of(m, queries=None, normalize=False):
+    """build_ranking over m's own neighbor index."""
+    return build_ranking(build_neighbor_index(m, normalize=normalize), m, queries=queries)
 
 
 def ranking_from_flags(per_query_flags):
@@ -98,14 +104,14 @@ class TestAveragePrecision:
         X = rng.integers(0, 4, size=(n, 3)).astype(float)
         # Five tracklets per identity over three cameras: every query has hits.
         m = labeled_points(X, np.arange(n) % 3, np.arange(n) // 5, rng)
-        r1 = build_ranking(m)
+        r1 = ranking_of(m)
         for k in (-20, 3, 30):
             scaled = DomainManifest(
                 "scaled",
                 tuple(Tracklet(t.tracklet_id, t.camera_id, t.frames * 2.0**k, t.identity)
                       for t in m.tracklets),
             )
-            r2 = build_ranking(scaled)
+            r2 = ranking_of(scaled)
             for q1, q2 in zip(r1.queries, r2.queries):
                 assert np.array_equal(q1.hits, q2.hits), q1.query_id
             assert mean_average_precision(r1) == mean_average_precision(r2)
@@ -138,13 +144,13 @@ class TestBuildRanking:
                 mk("b1", "B", "p1", 0.2),
             ),
         )
-        r = build_ranking(m, queries=["a1"])
+        r = ranking_of(m, queries=["a1"])
         q = r.queries[0]
         # Gallery ("b1",): a2 is nearer than b1 but not in the gallery.
         assert q.hits.tolist() == [1]
 
     def test_same_camera_other_identities_stay_in_gallery(self):
-        r = build_ranking(self.manifest(), queries=["a1"])
+        r = ranking_of(self.manifest(), queries=["a1"])
         q = r.queries[0]
         # b1 follows b3 and a3 (same camera, different identity); a1 itself
         # at distance 0 is not counted.
@@ -154,24 +160,25 @@ class TestBuildRanking:
         # Galleries by distance: a1 (b3, a3, b1, a2, b2), a2 (b2, b1, a3, b3,
         # a1), a3 (b3, b1, a1, a2, b2), b1 (a3, b3, a1, a2, b2), b2 (a2, b1,
         # a3, b3, a1), b3 (a3, a1, b1, a2, b2).
-        r = build_ranking(self.manifest())
+        r = ranking_of(self.manifest())
         got = {q.query_id: q.hits.tolist() for q in r.queries}
         assert got == {"a1": [3], "a2": [1], "a3": [1], "b1": [3], "b2": [1], "b3": [1]}
 
     def test_rank_one_fixture(self):
-        r = build_ranking(self.manifest())
+        r = ranking_of(self.manifest())
         vals = cmc(r, ranks=[1])
         # a1's best match b3 is a decoy, so not every query hits at rank 1.
         assert 0.0 < vals[0] < 1.0
 
     def test_unlabeled_manifest_rejected(self):
-        m = DomainManifest("m", (Tracklet("t", "A", [[0.0]]),))
+        # A second camera lets the index build, so the label check is what fails.
+        m = DomainManifest("m", (Tracklet("t", "A", [[0.0]]), Tracklet("u", "B", [[1.0]])))
         with pytest.raises(EvaluationError):
-            build_ranking(m)
+            ranking_of(m)
 
     def test_unknown_query_rejected(self):
         with pytest.raises(KeyError):
-            build_ranking(self.manifest(), queries=["nope"])
+            ranking_of(self.manifest(), queries=["nope"])
 
 
 def truth_manifest(assignments):
@@ -265,7 +272,7 @@ class TestInterIntraDistances:
             ]
         )
         cs = clusters_of({"t1", "t2"}, {"t3", "t4"})
-        intra, inter = inter_intra_distances(cs, truth)
+        intra, inter = inter_intra_distances(cs, truth, build_neighbor_index(truth))
         assert intra == pytest.approx([3.0], abs=1e-12)
         assert inter == []
 
@@ -278,7 +285,7 @@ class TestInterIntraDistances:
             ]
         )
         cs = clusters_of({"t1", "t2"}, {"t3", "t4"}, {"t5", "t6"})
-        intra, inter = inter_intra_distances(cs, truth)
+        intra, inter = inter_intra_distances(cs, truth, build_neighbor_index(truth))
         # clusters 0 and 1 share majority p7 (centroids 0 and 1);
         # cluster 2 is p9 at centroid 5.
         assert intra == pytest.approx([1.0], abs=1e-12)
@@ -292,8 +299,9 @@ class TestInterIntraDistances:
             ]
         )
         cs = clusters_of({"t1", "t2"}, {"t3", "t4"})
-        _, inter_c = inter_intra_distances(cs, truth, method="centroid")
-        _, inter_m = inter_intra_distances(cs, truth, method="min-pairwise")
+        idx = build_neighbor_index(truth)
+        _, inter_c = inter_intra_distances(cs, truth, idx, method="centroid")
+        _, inter_m = inter_intra_distances(cs, truth, idx, method="min-pairwise")
         assert inter_c == pytest.approx([6.0], abs=1e-12)  # |1 - 7|
         assert inter_m == pytest.approx([3.0], abs=1e-12)  # |2 - 5|
 
@@ -305,7 +313,7 @@ class TestInterIntraDistances:
             ]
         )
         cs = clusters_of({"t1", "t2"}, {"t3", "t4"})
-        intra, inter = inter_intra_distances(cs, truth)
+        intra, inter = inter_intra_distances(cs, truth, build_neighbor_index(truth))
         assert intra == pytest.approx([4.0])  # both majorities are pA
         assert inter == []
 
@@ -313,13 +321,13 @@ class TestInterIntraDistances:
         truth = truth_manifest([("t1", "p1"), ("t2", "p1")])
         cs = clusters_of({"t1", "t2"})
         with pytest.raises(EvaluationError):
-            inter_intra_distances(cs, truth)
+            inter_intra_distances(cs, truth, build_neighbor_index(truth))
 
     def test_bad_method_rejected(self):
         truth = truth_manifest([("t1", "p1"), ("t2", "p1"), ("t3", "p2"), ("t4", "p2")])
         cs = clusters_of({"t1", "t2"}, {"t3", "t4"})
         with pytest.raises(ValueError):
-            inter_intra_distances(cs, truth, method="median")
+            inter_intra_distances(cs, truth, build_neighbor_index(truth), method="median")
 
 
 def labeled_points(X, cams, idents, rng):
@@ -363,17 +371,21 @@ def ranking_cases():
     cams = np.minimum(np.arange(len(idents)), 1)
     X = np.vstack([np.zeros((1, 2))] + [pair * 2.0**k for k in ks])
     cases.append(pytest.param(X, cams, idents, None, id="sqrt_ties"))
+    cases = [pytest.param(*c.values, False, id=c.id) for c in cases]
+    # Norms spread over four decades, so unit length reorders the galleries.
+    X = rng.normal(size=(150, 6)) * 10.0 ** rng.uniform(-2, 2, size=(150, 1))
+    cases.append(pytest.param(X, *labels(150), None, True, id="normalize"))
     return cases
 
 
 class TestRankingReference:
     """build_ranking's hit ranks equal the per-query full reference sort."""
 
-    @pytest.mark.parametrize("X,cams,idents,queries", ranking_cases())
-    def test_identical_to_naive_ranking(self, X, cams, idents, queries):
+    @pytest.mark.parametrize("X,cams,idents,queries,normalize", ranking_cases())
+    def test_identical_to_naive_ranking(self, X, cams, idents, queries, normalize):
         m = labeled_points(X, cams, idents, np.random.default_rng(0))
-        got = build_ranking(m, queries=queries)
-        want = naive_ranking(m, queries=queries)
+        got = ranking_of(m, queries=queries, normalize=normalize)
+        want = naive_ranking(m, queries=queries, normalize=normalize)
         assert len(got) == len(want)
         for g, w in zip(got.queries, want):
             assert g.query_id == w.query_id
@@ -393,10 +405,11 @@ class TestInterIntraReference:
         members = np.split(rng.permutation(n)[: sizes.sum()], np.cumsum(sizes)[:-1])
         cs = clusters_of(*({f"t{i:04d}" for i in g} for g in members))
 
-        got = inter_intra_distances(cs, truth, method="min-pairwise")
+        idx = build_neighbor_index(truth)
+        got = inter_intra_distances(cs, truth, idx, method="min-pairwise")
         assert got == naive_inter_intra_distances(cs, truth, "min-pairwise")
 
-        got = inter_intra_distances(cs, truth, method="centroid")
+        got = inter_intra_distances(cs, truth, idx, method="centroid")
         want = naive_inter_intra_distances(cs, truth, "centroid")
         assert len(got[0]) > 0 and len(got[1]) > 0
         for g, w in zip(got, want):

@@ -221,7 +221,7 @@ class TestClusterSet:
 
 class TestClusterPipeline:
     def test_toy_end_to_end(self, toy):
-        cs = cluster(toy, AdaptConfig(K=1, T=1))
+        cs = cluster(build_neighbor_index(toy), AdaptConfig(K=1, T=1))
         assert [(c.cluster_id, sorted(c.members)) for c in cs.clusters] == [
             (0, ["a1", "b1"]),
             (1, ["a2", "b2"]),
@@ -232,7 +232,8 @@ class TestClusterPipeline:
 
     def test_identity_embedder_matches_raw(self, toy):
         cfg = AdaptConfig(K=1, T=1)
-        assert cluster(toy, cfg, embedder=IdentityEmbedder(1)) == cluster(toy, cfg)
+        raw = cluster(build_neighbor_index(toy), cfg)
+        assert cluster(build_neighbor_index(toy, IdentityEmbedder(1)), cfg) == raw
 
     def test_ignores_identity_labels(self):
         # Same geometry, adversarial labels: clustering must not change.
@@ -246,7 +247,7 @@ class TestClusterPipeline:
             ),
         )
         cfg = AdaptConfig(K=1, T=1)
-        assert cluster(unlabeled, cfg) == cluster(labeled, cfg)
+        assert cluster(build_neighbor_index(unlabeled), cfg) == cluster(build_neighbor_index(labeled), cfg)
 
     def test_matches_naive_implementation(self):
         rng = np.random.default_rng(4)
@@ -255,7 +256,7 @@ class TestClusterPipeline:
             K = int(rng.integers(1, 4))
             T = int(rng.integers(1, 3))
             k1 = int(rng.integers(K, 5))
-            cs = cluster(m, AdaptConfig(K=K, T=T, k1=k1))
+            cs = cluster(build_neighbor_index(m), AdaptConfig(K=K, T=T, k1=k1))
             got = {frozenset(c.members) for c in cs.clusters}
             want, want_rest = naive_cluster(m, K=K, T=T, k1=k1)
             assert got == want
@@ -292,7 +293,7 @@ class TestClusterPipeline:
             ),
         )
         cfg = AdaptConfig(K=2, T=1)
-        assert cluster(m, cfg) == cluster(scaled, cfg)
+        assert cluster(build_neighbor_index(m), cfg) == cluster(build_neighbor_index(scaled), cfg)
 
     def test_identical_embeddings_deterministic(self):
         # Fully degenerate geometry: every distance ties, so ordering falls
@@ -300,6 +301,6 @@ class TestClusterPipeline:
         pts = [("a1", "A", 1.0), ("a2", "A", 1.0), ("b1", "B", 1.0), ("b2", "B", 1.0)]
         m = scalar_manifest(pts)
         cfg = AdaptConfig(K=1, T=1)
-        first = cluster(m, cfg)
+        first = cluster(build_neighbor_index(m), cfg)
         for _ in range(5):
-            assert cluster(m, cfg) == first
+            assert cluster(build_neighbor_index(m), cfg) == first

@@ -243,7 +243,7 @@ class TestDenseReference:
         t, s = np.nonzero(ranks)
         assert np.array_equal(idx.ranks(t, s), ranks[t, s])
         for K, T, k1 in ((1, 1, 1), (2, 2, 2), (2, 1, 4)):
-            cs = cluster(m, AdaptConfig(K=K, T=T, k1=k1))
+            cs = cluster(build_neighbor_index(m), AdaptConfig(K=K, T=T, k1=k1))
             want_clusters, want_rest = dense_cluster(m, K=K, T=T, k1=k1)
             assert {frozenset(c.members) for c in cs.clusters} == want_clusters, (K, T, k1)
             assert cs.unclustered == want_rest, (K, T, k1)
@@ -270,7 +270,7 @@ class TestDenseReference:
         monkeypatch.setattr(NeighborIndex, "ranks", refuse)
         m = point_manifest(np.random.default_rng(3).normal(size=(90, 4)), np.arange(90) % 3)
         for K, T, k1 in ((1, 1, 1), (2, 2, 2), (2, 1, 4), (3, 1, 1)):
-            cs = cluster(m, AdaptConfig(K=K, T=T, k1=k1))
+            cs = cluster(build_neighbor_index(m), AdaptConfig(K=K, T=T, k1=k1))
             want_clusters, want_rest = dense_cluster(m, K=K, T=T, k1=k1)
             assert {frozenset(c.members) for c in cs.clusters} == want_clusters, (K, T, k1)
             assert cs.unclustered == want_rest, (K, T, k1)

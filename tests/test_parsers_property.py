@@ -87,12 +87,13 @@ def checkpoint_headers(draw):
     return struct.pack("<4sIIIIQIQ", b"KTE1", code, d_in, d_hid, d_out, 0, 0, n) + body
 
 
+dims = st.integers(1, 6)  # embedders reject a zero dim; headers still draw them (small)
 embedders = st.one_of(
-    st.builds(IdentityEmbedder, st.integers(1, 6)),
-    st.builds(lambda i, o: LinearEmbedder(np.ones((i, o)), np.ones(o)), small, small),
+    st.builds(IdentityEmbedder, dims),
+    st.builds(lambda i, o: LinearEmbedder(np.ones((i, o)), np.ones(o)), dims, dims),
     st.builds(
         lambda i, h, o: MlpEmbedder(np.ones((i, h)), np.ones(h), np.ones((h, o)), np.ones(o)),
-        small, small, small,
+        dims, dims, dims,
     ),
 )
 

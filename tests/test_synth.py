@@ -11,6 +11,7 @@ from reidapt import (
     MergePolicy,
     SyntheticSpec,
     Tracklet,
+    build_neighbor_index,
     classify_clusters,
     cluster,
     filter_cross_camera,
@@ -270,7 +271,7 @@ class TestSyntheticGenerator:
                 tracklets_per_identity_per_camera=(1, 1),
             )
         )
-        cs = cluster(m, AdaptConfig(K=1, T=1))
+        cs = cluster(build_neighbor_index(m), AdaptConfig(K=1, T=1))
         quality = classify_clusters(cs, m)
         assert len(cs.clusters) == 2
         assert quality.purity == 1.0
