@@ -299,10 +299,25 @@ def _cmd_merge(args) -> int:
     return 0
 
 
+def _parse_ranks(text: str) -> list[int]:
+    """--ranks as a list of positive integers; an error names the first bad value."""
+    ranks = []
+    for k in filter(None, text.split(",")):
+        try:
+            ranks.append(int(k))
+            if ranks[-1] < 1:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"--ranks: {k!r} is not a positive integer") from None
+    if not ranks:
+        raise ValueError("--ranks: no rank given")
+    return ranks
+
+
 def _cmd_eval(args) -> int:
+    ranks = _parse_ranks(args.ranks)
     m = io_mod.read_manifest(args.manifest, sidecar=args.sidecar)
     idx = _neighbor_index(args, m)
-    ranks = [int(k) for k in str(args.ranks).split(",") if k]
     queries = None if args.queries is None else io_mod.read_queries(args.queries, m.by_id)
 
     ranking = build_ranking(idx, m, queries=queries)

@@ -20,13 +20,12 @@ import numpy as np
 from .errors import EvaluationError
 from .graph import ClusterSet
 from .model import DomainManifest
-from .neighbors import NeighborIndex, exact_sq_dists
+from .neighbors import NeighborIndex, count_ranks, exact_sq_dists
 
 GC = "GC"
 MC = "MC"
 DC = "DC"
 MC_DC = "MC+DC"
-_BLOCK = 64  # query rows per distance-kernel call; bounds the per-block arrays
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,14 +49,15 @@ def build_ranking(idx: NeighborIndex, truth: DomainManifest, queries=None) -> Ra
 
     truth supplies identity labels, and every tracklet must carry one.  For
     each query the gallery is every other tracklet except same-camera entries
-    of the same identity; it is sorted by ascending true Euclidean distance
-    with ties broken by ascending tracklet_id.  Relevant items are those of
-    the query's identity from other cameras.  queries defaults to all ids.
+    of the same identity, ordered by ascending true Euclidean distance with
+    ties broken by ascending tracklet_id.  Relevant items are those of the
+    query's identity from other cameras.  No gallery is sorted: count_ranks
+    counts the items before each relevant one, so a hit rank is exact on
+    (distance, id) order.  queries defaults to all ids.
     """
     for t in truth.tracklets:
         if t.identity is None:
             raise EvaluationError(f"tracklet {t.tracklet_id!r} is unlabeled")
-    X, cams = idx.X, idx.codes
     idents = np.unique([truth.by_id[tid].identity for tid in idx.ids], return_inverse=True)[1]
 
     query_ids = list(idx.ids if queries is None else queries)
@@ -66,30 +66,21 @@ def build_ranking(idx: NeighborIndex, truth: DomainManifest, queries=None) -> Ra
         raise KeyError(f"unknown query tracklet id {unknown[0]!r}")
     rows = np.array([idx.index_of[q] for q in query_ids], dtype=np.intp)
 
-    out = []
-    for a in range(0, len(rows), _BLOCK):
-        qi = rows[a : a + _BLOCK]
-        D = np.sqrt(exact_sq_dists(X[qi], X))
-        # ids ascend with column index, so a stable sort gives (distance, id)
-        # order; only rows with a tie need it (== also matches inf, where
-        # distances overflow, and sqrt can round distinct d² to one value).
-        # The default sort is SIMD on x86 and ~2.7x faster than the stable
-        # one on eval-size rows, which rarely hold a tie.
-        order = np.argsort(D, axis=1)
-        Ds = np.take_along_axis(D, order, axis=1)
-        tied = (Ds[:, 1:] == Ds[:, :-1]).any(axis=1)
-        order[tied] = np.argsort(D[tied], axis=1, kind="stable")
-        # Ranks count gallery entries only: same camera and identity, the
-        # query included, is not in the gallery.
-        same_cam = cams[order] == cams[qi, None]
-        same_id = idents[order] == idents[qi, None]
-        rank = np.cumsum(~(same_cam & same_id), axis=1)
-        r, c = np.nonzero(same_id & ~same_cam)
-        hit_ranks = rank[r, c]
-        hit_ranks.setflags(write=False)
-        hits = np.split(hit_ranks, np.cumsum(np.bincount(r, minlength=len(qi)))[:-1])
-        out.extend(map(QueryRanking, query_ids[a : a + _BLOCK], hits))
-    return RankingResult(queries=tuple(out))
+    # Each query's relevant items: the tracklets of its identity (ids
+    # ascending) seen from other cameras.
+    members = np.lexsort((idents,))  # stable: ids ascend within an identity
+    size = np.bincount(idents)[idents[rows]]
+    first = np.searchsorted(idents[members], idents[rows]) - np.cumsum(size) + size
+    targets = members[np.repeat(first, size) + np.arange(size.sum())]
+    q = np.repeat(np.arange(len(rows)), size)
+    keep = idx.codes[targets] != idx.codes[rows[q]]
+    q, targets = q[keep], targets[keep]
+    ptr = np.r_[0, np.cumsum(np.bincount(q, minlength=len(rows)))]
+    hit = count_ranks(idx, rows, ptr, targets, ident=idents, key=np.sqrt)
+    # Sort each query's hits: q ascends, and a hit is below len(idx).
+    hit = np.sort(q * len(idx) + hit) - q * len(idx)
+    hit.setflags(write=False)
+    return RankingResult(queries=tuple(map(QueryRanking, query_ids, np.split(hit, ptr[1:-1]))))
 
 
 def _first_hits(r: RankingResult) -> np.ndarray:

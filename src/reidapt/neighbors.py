@@ -21,15 +21,20 @@ one long loop instead of one short loop per pair.  The GEMM form
 ‖a‖² + ‖b‖² − 2a·b only preselects: heads() re-sorts a fixed candidate set
 with the exact kernel and accepts a row only when every non-candidate is
 provably farther than the k-th exact distance (else it redoes the row
-exactly); ranks() trusts the GEMM only for tracklets provably closer or
-farther than s and re-checks the band in between exactly.  Both orders are
-therefore the ones a full exact sort on (distance, id) gives.
+exactly).  count_ranks() ranks given targets by counting, not sorting: it
+orders a row's targets exactly among themselves, counts every other
+gallery item against their exact thresholds with one searchsorted of the
+GEMM row, and re-checks exactly only the items the _tol bound cannot
+place.  Its order key is d2 for ranks() and the rounded distance sqrt(d2)
+for evaluation; _tol shows that the bound covers both.  Every order is
+therefore the one a full exact sort on (key, id) gives.
 
 Callers.  A command builds one index and hands it to cluster(),
 build_ranking and inter_intra_distances, so it embeds its manifest once.
-Clustering reads everything it needs from heads().  ranks() serves only the
-exact edge weights of build_graph called without K; k_reciprocal_distance
-counts one exact row per pair instead.
+Clustering reads everything it needs from heads().  count_ranks() serves
+build_ranking's hit ranks and ranks(), which gives only the exact edge
+weights of build_graph called without K; k_reciprocal_distance counts one
+exact row per pair instead, which is cheaper for a single pair.
 """
 
 from __future__ import annotations
@@ -131,56 +136,41 @@ class NeighborIndex:
             out[rows] = head
         return out
 
-    @np.errstate(over="ignore", invalid="ignore")
     def ranks(self, t, s) -> np.ndarray:
         """Exact 1-based rank of row s[p] in row t[p]'s list (cameras must differ)."""
-        t = np.asarray(t, dtype=np.intp)
-        s = np.asarray(s, dtype=np.intp)
-        out = np.ones(len(t), dtype=np.int64)
-        pos_of = np.empty_like(self.order)
-        pos_of[self.order] = np.arange(len(self.order))
-        by_pos = np.argsort(pos_of[t], kind="stable")
-        for a in range(0, len(t), _BLOCK):
-            p = by_pos[a : a + _BLOCK]
-            pos = pos_of[t[p]]
-            H = self._gemm(pos)
-            ds = exact_sq_dists(self.X[t[p]], self.X[s[p], None])[:, 0]
-            # Exact distance lies within tol of H + ‖c_t‖²: below lo is
-            # surely closer than s, above hi surely farther, and the band in
-            # between is re-checked exactly.  Same-camera columns are +inf.
-            tol = self._tol(pos)
-            lo = ds - self.sq[pos] - tol
-            hi = ds - self.sq[pos] + tol
-            loose = ~np.isfinite(hi)
-            hi[loose] = -np.inf  # the GEMM proves nothing there; see below
-            pi, v = np.divmod(np.flatnonzero(H <= hi[:, None]), H.shape[1])  # 2-D nonzero is slow
-            closer = H[pi, v] < lo[pi]
-            out[p] += np.bincount(pi[closer], minlength=len(p))
-            pi, u = pi[~closer], self.order[v[~closer]]
-            d2, step = np.empty(len(pi)), 1 + _DIFF_ELEMENTS // self.X.shape[1]
-            for b in range(0, len(pi), step):  # a wide band is gathered in pieces
-                part = slice(b, b + step)
-                d2[part] = exact_sq_dists(self.X[t[p[pi[part]]]], self.X[u[part], None])[:, 0]
-            before = (d2 < ds[pi]) | ((d2 == ds[pi]) & (u < s[p[pi]]))
-            out[p] += np.bincount(pi[before], minlength=len(p))
-            for q in p[loose]:
-                out[q] = self._rank_exact(t[q], s[q])
-        return out
+        n = len(self.ids)
+        pairs, inverse = np.unique(np.asarray(t, dtype=np.intp) * n + s, return_inverse=True)
+        rows, targets = np.divmod(pairs, n)
+        rows, size = np.unique(rows, return_counts=True)
+        return count_ranks(self, rows, np.r_[0, np.cumsum(size)], targets)[inverse.reshape(-1)]
 
-    def _gemm(self, pos: np.ndarray) -> np.ndarray:
+    def _gemm(self, pos: np.ndarray, ident: np.ndarray | None = None) -> np.ndarray:
         """H = G - ‖c_i‖² from ascending positions pos to every position.
 
-        G is the GEMM form of the squared distance; same-camera entries are
-        +inf, set one camera slice at a time.
+        G is the GEMM form of the squared distance.  Entries outside a row's
+        gallery are +inf, set one camera slice at a time: the row's camera,
+        or with ident (a label per tracklet) only its camera and label.
         """
         H = (-2.0 * self.Xc[pos]) @ self.Xc.T
         H += self.sq
-        cams = self.codes[self.order[pos]]
+        rows = self.order[pos]
+        cams = self.codes[rows]
         starts = np.searchsorted(self.codes[self.order], np.arange(self.codes.max() + 2))
         for cam in np.unique(cams):
             r0, r1 = np.searchsorted(cams, [cam, cam + 1])
-            H[r0:r1, starts[cam] : starts[cam + 1]] = np.inf
+            cols = slice(starts[cam], starts[cam + 1])
+            if ident is None:
+                H[r0:r1, cols] = np.inf
+            else:
+                H[r0:r1, cols][self._outside(rows[r0:r1], self.order[cols], ident)] = np.inf
         return H
+
+    def _outside(self, rows: np.ndarray, cols: np.ndarray, ident: np.ndarray | None) -> np.ndarray:
+        """Whether cols[j] is outside row rows[i]'s gallery (see _gemm)."""
+        out = self.codes[cols] == self.codes[rows, None]
+        if ident is not None:
+            out &= ident[cols] == ident[rows, None]
+        return out
 
     def _tol(self, pos: np.ndarray) -> np.ndarray:
         """Bound on |G[i, j] - exact d2(i, j)| over all j, per position i.
@@ -202,6 +192,15 @@ class NeighborIndex:
         covers (8·(d + 4)·2^-1074).  Nothing in the GEMM form exceeds 2S, so
         while 4S is finite nothing overflowed; otherwise the bound is
         infinite and the row is settled by the exact kernel alone.
+
+        The margin also covers ordering on the rounded distance sqrt(d2):
+        if two exact d2 values a <= b round to one distance r, both roots
+        lie within u·r of r, so b - a <= 4u·r² ≈ 2·eps·b <= 4·eps·S (d2 is
+        at most 2S up to the centring term).  The GEMM error plus that gap,
+        about (2d + 9.5)·eps·S, stays below 8·(d + 4)·eps·S >= 40·eps·S, so
+        an item whose root may collide with a threshold's lies in the band
+        that is re-checked exactly, and outside it d2 and sqrt(d2) order
+        strictly alike.
         """
         scale = self.sq[pos] + self.sq.max() + _TINY
         tol = 8.0 * (self.X.shape[1] + 4) * _EPS * scale
@@ -239,6 +238,105 @@ class NeighborIndex:
             return self.index_of[tracklet_id]
         except KeyError:
             raise KeyError(f"unknown tracklet id {tracklet_id!r}") from None
+
+
+def count_ranks(idx: NeighborIndex, rows, ptr, targets, ident: np.ndarray | None = None,
+                key=None) -> np.ndarray:
+    """Exact 1-based rank of each target in the gallery of its row, by counting.
+
+    Row rows[i] owns targets[ptr[i]:ptr[i + 1]]: distinct tracklets in
+    ascending order, each inside the row's gallery.  A row's gallery is every
+    tracklet outside its own camera, or with ident (an integer label per
+    tracklet) every tracklet but those sharing both its camera and its label.
+    It is ordered on (key(d2), id), key defaulting to d2 itself, and a rank
+    is 1 plus the number of gallery items before the target.  Rows are taken
+    _BLOCK at a time in camera-major order, so working memory is O(_BLOCK·n)
+    however many targets a row has.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    ptr = np.asarray(ptr, dtype=np.intp)
+    targets = np.asarray(targets, dtype=np.intp)
+    pos_of = np.empty_like(idx.order)
+    pos_of[idx.order] = np.arange(len(idx))
+    size = np.diff(ptr)
+    live = np.flatnonzero(size)
+    live = live[np.argsort(pos_of[rows[live]], kind="stable")]
+    out = np.empty(len(targets), dtype=np.int64)
+    for a in range(0, len(live), _BLOCK):
+        blk = live[a : a + _BLOCK]
+        r = size[blk]
+        flat = np.repeat(ptr[blk] - np.cumsum(r) + r, r) + np.arange(r.sum())
+        out[flat] = _count_block(idx, pos_of[rows[blk]], r, targets[flat], pos_of, ident, key)
+    return out
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow only widens the bound
+def _count_block(idx, pos, r, tgt, pos_of, ident, key) -> np.ndarray:
+    """count_ranks for rows at ascending positions pos, row i owning r[i] >= 1 of tgt.
+
+    Targets are ordered exactly among themselves.  Every other gallery item j
+    precedes a suffix of its row's targets in (key, id) order; p_j, the
+    number of targets before j, comes from one searchsorted of the GEMM row
+    against the row's thresholds ds - ‖c_i‖² - tol, sorted by d2.  Below a
+    threshold's band [lo, hi] j surely precedes that target and above it
+    surely follows, so j needs the exact kernel only inside a band; _tol
+    shows that the bands also hold every item whose key may tie with a
+    target's.  A row whose bound is not finite puts its whole gallery in the
+    band.
+    """
+    X, rows, n, b, w = idx.X, idx.order[pos], len(idx), len(pos), int(r.max())
+    slot = np.repeat(np.arange(b), r)
+    start = np.repeat(np.cumsum(r) - r, r)  # each target's row start in tgt
+    col = np.arange(len(tgt)) - start
+    D = np.full((b, w), np.inf)  # each row's exact target d2, padded
+    D[slot, col] = exact_sq_dists(np.repeat(X[rows], r, axis=0), X[tgt, None])[:, 0]
+    H = idx._gemm(pos, ident)
+    H[slot, pos_of[tgt]] = np.inf  # targets are ordered among themselves below
+    tol = idx._tol(pos)[:, None]
+    base = np.sort(D, axis=1) - idx.sq[pos, None]
+    lo = base - tol
+    # hi[i, p] is the largest hi of row i's first p thresholds (-inf for none).
+    hi = np.c_[np.full(b, -np.inf), base + tol]
+    loose = ~np.isfinite(hi[np.arange(b), r])
+    # Row i's bins are (w + 1)·i + p; bin r[i] ("before no target") is unused.
+    B = np.empty(H.shape, dtype=np.intp)
+    for i in range(b):
+        if loose[i]:
+            B[i] = (w + 1) * i + r[i]
+        else:
+            np.add(np.searchsorted(lo[i, : r[i]], H[i], side="right"), (w + 1) * i, out=B[i])
+    band = H <= hi.ravel()[B]
+    if loose.any():
+        band[loose] = ~idx._outside(rows[loose], idx.order, ident)
+        band[slot, pos_of[tgt]] = False
+    bi, bv = np.divmod(np.flatnonzero(band), n)  # 2-D nonzero is slow
+    bins = np.bincount(B.ravel(), minlength=b * (w + 1))
+    bins -= np.bincount(B[bi, bv], minlength=b * (w + 1))
+
+    K = D if key is None else key(D)
+    by_key = np.argsort(K, axis=1, kind="stable")  # ids ascend in each row: (key, id)
+    if len(bi):
+        bu = idx.order[bv]
+        d2, step = np.empty(len(bi)), 1 + _DIFF_ELEMENTS // X.shape[1]
+        for c in range(0, len(bi), step):  # a wide band is gathered in pieces
+            part = slice(c, c + step)
+            d2[part] = exact_sq_dists(X[rows[bi[part]]], X[bu[part], None])[:, 0]
+        # One (row, key, id) order over band items and their rows' targets
+        # gives each band item its p.
+        has = np.bincount(bi, minlength=b) > 0
+        mine = has[slot]
+        order = np.lexsort((np.r_[bu, tgt[mine]],
+                            np.r_[d2 if key is None else key(d2), K[slot[mine], col[mine]]],
+                            np.r_[bi, slot[mine]]))
+        is_tgt = order >= len(bi)
+        row = bi[order[~is_tgt]]
+        p = np.cumsum(is_tgt)[~is_tgt] - np.r_[0, np.cumsum(np.where(has, r, 0))][row]
+        bins += np.bincount((w + 1) * row + p, minlength=b * (w + 1))
+    # before[i, k]: gallery items, targets aside, that precede row i's k-th target.
+    before = np.cumsum(bins.reshape(b, w + 1), axis=1)
+    out = np.empty(len(tgt), dtype=np.int64)
+    out[start + by_key[slot, col]] = 1 + col + before[slot, col]
+    return out
 
 
 def build_neighbor_index(m: DomainManifest, embedder=None, normalize: bool = False) -> NeighborIndex:

@@ -340,6 +340,22 @@ class TestEvalCommand:
         assert len(err) == 1 and err[0].startswith(f"error: {queries}:{message}"), err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("ranks,message", [
+        ("1,x", "'x' is not a positive integer"),
+        ("1,0", "'0' is not a positive integer"),
+        ("1,-3", "'-3' is not a positive integer"),
+        (",", "no rank given"),
+    ])
+    def test_bad_ranks_name_the_flag(self, tmp_path, capsys, ranks, message):
+        manifest, queries = write_eval_fixture(tmp_path)
+        out_dir = tmp_path / "report"
+        code = run(["eval", "--manifest", str(manifest), "--ranks", ranks,
+                    "--out-dir", str(out_dir)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert err == [f"error: --ranks: {message}"]
+        assert not out_dir.exists()
+
     def test_eval_with_checkpoint(self, tmp_path, capsys):
         src = tmp_path / "d.jsonl"
         assert run(["--seed", "2", "synth", "--out", str(src), "--identities", "6",

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from reidapt import (
 from reidapt.evaluate import QueryRanking, RankingResult, average_precision
 from reidapt.graph import ClusterSet
 from reidapt.model import ClusterAssignment
+from reidapt.neighbors import count_ranks, exact_sq_dists
 
 from oracles import naive_average_precision, naive_inter_intra_distances, naive_ranking
 
@@ -371,6 +374,18 @@ def ranking_cases():
     cams = np.minimum(np.arange(len(idents)), 1)
     X = np.vstack([np.zeros((1, 2))] + [pair * 2.0**k for k in ks])
     cases.append(pytest.param(X, cams, idents, None, id="sqrt_ties"))
+    # In each triple, the first and last points are relevant to the query at
+    # the origin and the middle one is not; all three round to one distance,
+    # but the first's d² is one ulp above the others'.  So the (distance, id)
+    # order is relevant, other, relevant, while d² would put the last
+    # relevant item first.
+    triple = np.array([[3.875, 3.3750000000000004], [3.375, 3.875], [3.875, 3.375]])
+    ks = np.arange(-6, 6)
+    X = np.vstack([np.zeros((1, 2))] + [triple * 2.0**k for k in ks])
+    idents = np.zeros(len(X), dtype=int)
+    idents[2::3] = 1 + np.arange(len(ks))
+    cams = np.minimum(np.arange(len(X)), 1)
+    cases.append(pytest.param(X, cams, idents, None, id="sqrt_ties_interleaved"))
     cases = [pytest.param(*c.values, False, id=c.id) for c in cases]
     # Norms spread over four decades, so unit length reorders the galleries.
     X = rng.normal(size=(150, 6)) * 10.0 ** rng.uniform(-2, 2, size=(150, 1))
@@ -391,6 +406,45 @@ class TestRankingReference:
             assert g.query_id == w.query_id
             assert np.array_equal(g.hits, np.flatnonzero(w.relevant) + 1), g.query_id
             assert g.hits.dtype.kind == "i" and not g.hits.flags.writeable
+
+    @pytest.mark.parametrize("X,cams,idents,queries,normalize", ranking_cases())
+    def test_each_relevant_item_keeps_its_rank(self, X, cams, idents, queries, normalize):
+        # A hit set does not show which relevant item got which rank;
+        # count_ranks' per-item ranks must match the reference order too.
+        m = labeled_points(X, cams, idents, np.random.default_rng(0))
+        idx = build_neighbor_index(m, normalize=normalize)
+        labels = np.unique([m.by_id[tid].identity for tid in idx.ids], return_inverse=True)[1]
+        rows, ptr, targets, want = [], [0], [], []
+        for w in naive_ranking(m, queries=queries, normalize=normalize):
+            rel = sorted((idx.index_of[g], r) for r, g in enumerate(w.gallery_ids, 1)
+                         if w.relevant[r - 1])
+            rows.append(idx.index_of[w.query_id])
+            ptr.append(ptr[-1] + len(rel))
+            targets += [j for j, _ in rel]
+            want += [r for _, r in rel]
+        got = count_ranks(idx, rows, ptr, targets, ident=labels, key=np.sqrt)
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("n_ids,n_cams", [(4, 3), (100, 4)])
+    def test_exact_work_stays_with_the_relevant_items(self, monkeypatch, n_ids, n_cams):
+        # Relevant items are ordered among themselves, not re-checked in the
+        # band, so few identities do not multiply the exact kernel's work.
+        rng = np.random.default_rng(n_ids)
+        X = rng.normal(size=(600, 16))
+        cams = np.r_[np.arange(n_cams), rng.integers(0, n_cams, size=600 - n_cams)]
+        idents = rng.integers(0, n_ids, size=600)
+        m = labeled_points(X, cams, idents, rng)
+        idx = build_neighbor_index(m)
+        pairs = []
+
+        def counting(A, B):
+            pairs.append(len(A) * B.shape[-2])
+            return exact_sq_dists(A, B)
+
+        monkeypatch.setattr(importlib.import_module("reidapt.neighbors"), "exact_sq_dists", counting)
+        r = build_ranking(idx, m)
+        relevant = sum(q.hits.size for q in r.queries)
+        assert relevant > 0 and sum(pairs) <= 1.5 * relevant
 
 
 class TestInterIntraReference:

@@ -248,6 +248,20 @@ class TestDenseReference:
             assert {frozenset(c.members) for c in cs.clusters} == want_clusters, (K, T, k1)
             assert cs.unclustered == want_rest, (K, T, k1)
 
+    def test_ranks_of_repeated_and_shuffled_pairs(self):
+        # Several s per t, repeated pairs, and rows in no particular order.
+        X, cams = stress_cases()[0].values
+        m = point_manifest(X[:90], cams[:90])
+        ranks = dense_index(m)[2]
+        t, s = np.nonzero(ranks)
+        rng = np.random.default_rng(11)
+        pick = rng.choice(len(t), size=400)
+        t, s = t[pick], s[pick]
+        idx = build_neighbor_index(m)
+        assert np.array_equal(idx.ranks(t, s), ranks[t, s])
+        assert idx.ranks([t[0], t[0]], [s[0], s[0]]).tolist() == [ranks[t[0], s[0]]] * 2
+        assert idx.ranks([], []).shape == (0,)
+
     @pytest.mark.parametrize("X,cams", stress_cases())
     def test_heads_only_graph_equals_exact_ranks(self, X, cams):
         # k1 < K, k1 = K and k1 > K
