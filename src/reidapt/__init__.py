@@ -45,7 +45,6 @@ from .adapt import (
     AdaptationReport,
     Checkpoint,
     Embedder,
-    IdentityEmbedder,
     LinearEmbedder,
     MlpEmbedder,
     RoundRecord,

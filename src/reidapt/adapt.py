@@ -24,7 +24,6 @@ from .neighbors import build_neighbor_index, exact_sq_dists
 
 __all__ = [
     "Embedder",
-    "IdentityEmbedder",
     "LinearEmbedder",
     "MlpEmbedder",
     "TrainConfig",
@@ -84,33 +83,6 @@ class Embedder(abc.ABC):
 def _check_dims(*dims: int) -> None:
     if min(dims) < 1:
         raise ValueError(f"embedder dims must be positive, got {dims}")
-
-
-class IdentityEmbedder(Embedder):
-    """Pass-through embedder; useful as a no-op baseline."""
-
-    kind = "identity"
-
-    def __init__(self, dim: int):
-        _check_dims(dim)
-        self.input_dim = dim
-        self.output_dim = dim
-
-    def embed(self, x):
-        arr, single = self._batch(x)
-        if arr.shape[1] != self.input_dim:
-            raise ValueError(f"expected dim {self.input_dim}, got {arr.shape[1]}")
-        return arr[0].copy() if single else arr.copy()
-
-    def param_vector(self):
-        return np.empty(0, dtype=np.float64)
-
-    def set_param_vector(self, params):
-        if np.asarray(params).size != 0:
-            raise ValueError("identity embedder has no parameters")
-
-    def param_grad(self, x, grad_out):
-        return np.empty(0, dtype=np.float64)
 
 
 class LinearEmbedder(Embedder):
@@ -416,9 +388,8 @@ def train_embedder(
         loss, gy = batch_hard_triplet_loss(yhat, labels, cfg.margin)
         grad = out.param_grad(x, gy)
         lr = cfg.learning_rate * cfg.lr_decay**step
-        if params.size:
-            params = params - lr * grad
-            out.set_param_vector(params)
+        params = params - lr * grad
+        out.set_param_vector(params)
         if progress is not None:
             progress(step, loss)
     return out
@@ -481,7 +452,10 @@ def adapt(
     cfg.cluster_cap (reason "cluster-cap") or fewer than two clusters
     (reason "no-clusters"); otherwise the reason is "completed".  With I=0
     the source embedder is returned unchanged alongside an empty report.
+    Raw features (no embedder) have nothing to fine-tune: AdaptationError.
     """
+    if source_embedder is None:
+        raise AdaptationError("adaptation needs an embedder with parameters, not raw features")
     rounds: list[RoundRecord] = []
     e = source_embedder
     early_stop = False
@@ -515,16 +489,19 @@ def adapt(
 #
 # magic "KTE1", then little-endian: u32 kind, u32 input_dim, u32 hidden_dim,
 # u32 output_dim, u64 seed, u32 round_index, u64 n_params, f64 * n_params.
+# Kind 0 ("identity", no parameters) is still read, as raw features.
 
 _CKPT_MAGIC = b"KTE1"
 _CKPT_HEADER = struct.Struct("<4sIIIIQIQ")
-_KIND_CODES = {"identity": 0, "linear": 1, "mlp": 2}
-_CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
+_CODE_KINDS = {0: "identity", 1: "linear", 2: "mlp"}
+_KIND_CODES = {"linear": 1, "mlp": 2}
 
 
 @dataclass(frozen=True)
 class Checkpoint:
-    embedder: Embedder
+    """A loaded KTE1 file; embedder is None for kind 0, which means raw features."""
+
+    embedder: Embedder | None
     seed: int
     round_index: int
 
@@ -579,12 +556,12 @@ def load_checkpoint(path) -> Checkpoint:
     n_bytes = len(blob) - _CKPT_HEADER.size
     if n_bytes != 8 * n_params:
         raise ValueError(f"{path}: expected {n_params} parameters, found {n_bytes} bytes")
+    if kind == "identity":
+        return Checkpoint(embedder=None, seed=seed, round_index=round_index)
     params = np.frombuffer(blob, dtype="<f8", offset=_CKPT_HEADER.size).astype(np.float64)
 
-    if kind == "identity":
-        emb: Embedder = IdentityEmbedder(d_in)
-    elif kind == "linear":
-        emb = LinearEmbedder(np.zeros((d_in, d_out)), np.zeros(d_out))
+    if kind == "linear":
+        emb: Embedder = LinearEmbedder(np.zeros((d_in, d_out)), np.zeros(d_out))
     else:
         emb = MlpEmbedder(
             np.zeros((d_in, d_hid)), np.zeros(d_hid), np.zeros((d_hid, d_out)), np.zeros(d_out)

@@ -92,7 +92,6 @@ def _adapt_config(args, manifest, train: TrainConfig | None = None) -> AdaptConf
         T=T,
         k1=args.k1,
         cluster_cap=getattr(args, "cluster_cap", 850),
-        seed=args.seed,
         connectivity=args.connectivity,
         normalize=args.normalize,
     )

@@ -217,21 +217,22 @@ def _exact_mean(rows: np.ndarray) -> np.ndarray:
     # Compensated per-coordinate summation: exact up to the final rounding,
     # hence independent of frame order.  fsum reads Python floats (tolist)
     # far faster than numpy scalars; the values summed are the same.
+    # A sum past float64's range (fsum raises OverflowError) or of both
+    # infinities (ValueError) has no finite mean: it reads as inf.
     n = rows.shape[0]
-    return np.array([math.fsum(col) / n for col in rows.T.tolist()], dtype=np.float64)
+    try:
+        return np.array([math.fsum(col) / n for col in rows.T.tolist()], dtype=np.float64)
+    except (OverflowError, ValueError):
+        return np.full(rows.shape[1], np.inf)
 
 
 def tracklet_embedding(t: Tracklet) -> np.ndarray:
-    """Mean of the tracklet's frame vectors.
+    """Mean of the tracklet's frame vectors: manifest_embeddings of it alone.
 
     Frame order does not affect the result: each coordinate is reduced with
     compensated summation.
     """
-    if t.n_frames == 0:
-        raise ManifestError(f"tracklet {t.tracklet_id!r} has no frames")
-    if not np.isfinite(t.frames).all():
-        raise ManifestError(f"tracklet {t.tracklet_id!r} contains non-finite values")
-    return _exact_mean(t.frames)
+    return manifest_embeddings(DomainManifest(t.tracklet_id, (t,)))[1][0]
 
 
 def manifest_embeddings(
@@ -241,12 +242,14 @@ def manifest_embeddings(
 ) -> tuple[tuple[str, ...], np.ndarray]:
     """Per-tracklet representations for a whole manifest.
 
-    Each tracklet is represented by the mean of its (optionally embedded)
-    frame vectors.  Tracklets are returned in ascending tracklet_id order,
-    which is the canonical order used by the neighbor index.
+    The one gate from a manifest to representations: the manifest must pass
+    validate_manifest (its cached ``validation``), else ManifestError.  Each
+    tracklet is represented by the mean of its (optionally embedded) frame
+    vectors.  Tracklets are returned in ascending tracklet_id order, which is
+    the canonical order used by the neighbor index.
 
     Args:
-        m: manifest; every tracklet must have at least one finite frame.
+        m: manifest to represent.
         embedder: optional object with an ``embed(x)`` method mapping a
             (n, dim_in) batch to (n, dim_out).  None means raw frames.
         normalize: if True, scale each representation to unit L2 norm
@@ -254,22 +257,31 @@ def manifest_embeddings(
 
     Returns:
         (ids, X): ids sorted ascending, X of shape (len(ids), dim).
+
+    Raises:
+        ManifestError: the manifest is invalid, or a tracklet's mean is not
+            finite in float64 (an embedder or the frame sum overflowed); the
+            message names the first such tracklet in id order.
     """
+    report = m.validation
+    if not report.ok:
+        first = report.violations[0]
+        raise ManifestError(
+            f"manifest {m.name!r} is invalid ({len(report.violations)} violations; "
+            f"first: {first.kind}: {first.message})"
+        )
     order = sorted(m.tracklets, key=lambda t: t.tracklet_id)
-    if not order:
-        raise ManifestError("manifest has no tracklets")
     reps = []
-    for t in order:
-        if t.n_frames == 0:
-            raise ManifestError(f"tracklet {t.tracklet_id!r} has no frames")
-        frames = t.frames if embedder is None else np.asarray(embedder.embed(t.frames))
-        reps.append(_exact_mean(frames))
-    dims = {r.shape[0] for r in reps}
-    if len(dims) != 1:
-        raise ManifestError(f"mixed embedding dims in manifest: {sorted(dims)}")
+    # Overflow shows as a non-finite mean below, not as a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in order:
+            frames = t.frames if embedder is None else np.asarray(embedder.embed(t.frames))
+            reps.append(_exact_mean(frames))
     X = np.vstack(reps)
-    if not np.isfinite(X).all():
-        raise ManifestError("non-finite tracklet representation")
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        tid = order[int(np.argmin(finite))].tracklet_id
+        raise ManifestError(f"tracklet {tid!r}: representation overflows float64")
     if normalize:
         norms = np.linalg.norm(X, axis=1, keepdims=True)
         X = np.where(norms > 0.0, X / np.where(norms == 0.0, 1.0, norms), X)
@@ -335,7 +347,6 @@ class AdaptConfig:
     I: int = 2
     cluster_cap: int = 850
     train: TrainConfig = field(default_factory=TrainConfig)
-    seed: int = 0
     connectivity: str = "weak"
     normalize: bool = False
 
@@ -359,7 +370,7 @@ class AdaptConfig:
                 f"k1={self.k1} is smaller than K={self.K}; an edge s->t is kept iff t is "
                 "within s's first k1 cross-camera neighbors and s within t's first K, "
                 "so each tracklet keeps at most k1 out-edges (weights up to K still survive)",
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__ to the caller
             )
 
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ManifestError
+from .errors import DomainError
 from .model import DomainManifest, manifest_embeddings
 
 _BLOCK = 256
@@ -342,23 +342,16 @@ def _count_block(idx, pos, r, tgt, pos_of, ident, key) -> np.ndarray:
 def build_neighbor_index(m: DomainManifest, embedder=None, normalize: bool = False) -> NeighborIndex:
     """Build the exact cross-camera neighbor index for a manifest.
 
-    The one place a manifest becomes representations: each tracklet's exact
-    mean (optionally embedded, optionally L2-normalized) frame vector, plus
-    camera codes.  Requires a valid manifest spanning at least two cameras.
+    Each tracklet's exact mean (optionally embedded, optionally
+    L2-normalized) frame vector from manifest_embeddings, which validates the
+    manifest, plus camera codes.  The manifest must also span at least two
+    cameras (DomainError).
     """
-    report = m.validation
-    if not report.ok:
-        first = report.violations[0]
-        raise ManifestError(
-            f"manifest {m.name!r} is invalid ({len(report.violations)} violations; "
-            f"first: {first.kind}: {first.message})"
-        )
+    ids, X = manifest_embeddings(m, embedder=embedder, normalize=normalize)
     if len(m.cameras) < 2:
         raise DomainError(
             f"cross-camera neighbors undefined: manifest {m.name!r} has a single camera"
         )
-
-    ids, X = manifest_embeddings(m, embedder=embedder, normalize=normalize)
     cameras = tuple(m.by_id[tid].camera_id for tid in ids)
     codes = np.unique(cameras, return_inverse=True)[1].astype(np.intp)
     order = np.argsort(codes, kind="stable")

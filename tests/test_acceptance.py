@@ -104,7 +104,7 @@ def test_criterion_02_clustering_oracle_equivalence():
         m = random_manifest(rng, max_tracklets=30, max_cameras=4, max_dim=6)
         K = int(rng.integers(1, 4))
         T = int(rng.integers(1, 4))
-        cfg = AdaptConfig(K=K, T=T, seed=0)
+        cfg = AdaptConfig(K=K, T=T)
         cs = cluster(build_neighbor_index(m), cfg)
         got = ({frozenset(c.members) for c in cs.clusters}, frozenset(cs.unclustered))
         want = naive_cluster(m, K=K, T=T, k1=K)
@@ -160,7 +160,7 @@ def test_criterion_04_invariant_suite():
         K = int(rng.integers(1, 4))
         T = int(rng.integers(1, 4))
         k1 = K + int(rng.integers(0, 3))
-        cfg = AdaptConfig(K=K, T=T, k1=k1, seed=0)
+        cfg = AdaptConfig(K=K, T=T, k1=k1)
         idx = build_neighbor_index(m)
         cs = cluster(idx, cfg)
 
@@ -269,7 +269,7 @@ def adaptation_experiment():
         )
         direct = rank1(target, source_emb)
 
-        cfg = AdaptConfig(K=2, T=2, k1=2, I=3, seed=seed, train=train)
+        cfg = AdaptConfig(K=2, T=2, k1=2, I=3, train=train)
         adapted, report = adapt(source_emb, target, cfg)
         post = rank1(target, adapted)
 
@@ -334,7 +334,7 @@ def test_criterion_08_cluster_cap_early_stop():
         )
     )
     cfg = AdaptConfig(
-        K=1, T=1, I=4, cluster_cap=5, seed=0,
+        K=1, T=1, I=4, cluster_cap=5,
         train=TrainConfig(iterations=50, seed=0),
     )
     source = LinearEmbedder.identity(4)

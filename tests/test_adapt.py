@@ -9,8 +9,8 @@ from reidapt import (
     AdaptConfig,
     AdaptationError,
     BatchError,
+    Checkpoint,
     DomainManifest,
-    IdentityEmbedder,
     LinearEmbedder,
     MlpEmbedder,
     SyntheticSpec,
@@ -207,12 +207,6 @@ class TestTripletLossGradient:
 
 
 class TestEmbedders:
-    def test_identity(self):
-        e = IdentityEmbedder(3)
-        x = np.array([[1.0, 2.0, 3.0]])
-        assert np.array_equal(e.embed(x), x)
-        assert e.param_vector().size == 0
-
     def test_linear_forward(self):
         e = LinearEmbedder(np.array([[2.0, 0.0], [0.0, 3.0]]), np.array([1.0, -1.0]))
         out = e.embed(np.array([1.0, 1.0]))
@@ -220,7 +214,6 @@ class TestEmbedders:
 
     @pytest.mark.filterwarnings("error")  # a zero width must fail before 1/sqrt(0) warns
     @pytest.mark.parametrize("make", [
-        pytest.param(lambda rng: IdentityEmbedder(0), id="identity"),
         pytest.param(lambda rng: LinearEmbedder(np.ones((0, 2)), np.ones(2)), id="linear_input"),
         pytest.param(lambda rng: LinearEmbedder(np.ones((3, 0)), np.ones(0)), id="linear_output"),
         pytest.param(lambda rng: LinearEmbedder.random(0, 2, rng), id="linear_random_input"),
@@ -465,7 +458,7 @@ class TestAdapt:
             pts.append(Tracklet(f"b{i}", "B", rng.normal((i + 20) * 50, 0.1, (2, 2))))
         target = DomainManifest("sparse", tuple(pts))
         cfg = AdaptConfig(K=1, T=2, I=2, train=TrainConfig(iterations=5))
-        out, report = adapt(IdentityEmbedder(2), target, cfg)
+        out, report = adapt(LinearEmbedder.identity(2), target, cfg)
         assert report.early_stop is True
         assert report.reason == "no-clusters"
         assert len(report.rounds) == 1
@@ -484,6 +477,13 @@ class TestAdapt:
         assert len(report.rounds) == 2 and report.reason == "completed"
         assert len(calls) == 1 and calls[0] is target
 
+    @pytest.mark.parametrize("rounds", [0, 2])
+    def test_raw_features_rejected_before_any_work(self, rounds):
+        target = generate_synthetic_domain(target_spec(seed=1))
+        with pytest.raises(AdaptationError, match="needs an embedder with parameters"):
+            adapt(None, target, AdaptConfig(I=rounds, train=TrainConfig(iterations=5)))
+        assert "validation" not in vars(target)  # the manifest was never validated
+
     def test_deterministic(self):
         target = generate_synthetic_domain(target_spec(seed=3))
         cfg = AdaptConfig(K=2, T=2, I=2, train=TrainConfig(iterations=10, learning_rate=0.01))
@@ -495,7 +495,6 @@ class TestAdapt:
 
 class TestCheckpoints:
     @pytest.mark.parametrize("make", [
-        lambda rng: IdentityEmbedder(5),
         lambda rng: LinearEmbedder.random(4, 3, rng),
         lambda rng: MlpEmbedder.random(4, 6, 3, rng),
     ])
@@ -513,6 +512,11 @@ class TestCheckpoints:
         assert np.array_equal(ckpt.embedder.param_vector(), e.param_vector())
         x = rng.normal(size=(5, e.input_dim))
         assert np.array_equal(ckpt.embedder.embed(x), e.embed(x))
+
+    def test_identity_kind_loads_as_raw_features(self, tmp_path):
+        path = tmp_path / "raw.kte"
+        path.write_bytes(struct.pack("<4sIIIIQIQ", b"KTE1", 0, 5, 0, 5, 123, 4, 0))
+        assert load_checkpoint(path) == Checkpoint(embedder=None, seed=123, round_index=4)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.kte"

@@ -3,6 +3,7 @@ import importlib
 import json
 import os
 import pkgutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -82,6 +83,9 @@ class TestSynthCommand:
         assert run(argv + ["--out", str(a)]) == 0
         assert run(argv + ["--out", str(b)]) == 0
         assert sha(a) == sha(b)
+        c = tmp_path / "c.jsonl"
+        assert run(["--seed", "8", *argv[2:], "--out", str(c)]) == 0
+        assert sha(c) != sha(a)  # --seed reaches the generator
 
     def test_sidecar_output(self, tmp_path):
         out = tmp_path / "d.jsonl"
@@ -493,6 +497,75 @@ class TestNormalize:
         assert got != (raw_dir / "cluster_distances.csv").read_text().splitlines()
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["clusters"] == len(cs.clusters)
+
+
+class TestRawFeatureCheckpoint:
+    """A kind-0 ("identity") KTE1 file loads as no embedder: raw features."""
+
+    def write(self, tmp_path):
+        manifest = tmp_path / "d.jsonl"
+        assert run(["--seed", "3", "synth", "--out", str(manifest), "--identities", "8",
+                    "--cameras", "3", "--dim", "4", "--noise-sigma", "0.3"]) == 0
+        ckpt = tmp_path / "raw.kte"
+        ckpt.write_bytes(struct.pack("<4sIIIIQIQ", b"KTE1", 0, 4, 0, 4, 9, 1, 0))
+        return manifest, ckpt
+
+    def test_eval_and_cluster_match_no_checkpoint(self, tmp_path, capsys):
+        manifest, ckpt = self.write(tmp_path)
+        capsys.readouterr()
+        printed = []
+        for tag, extra in (("plain", []), ("kind0", ["--checkpoint", str(ckpt)])):
+            common = ["--manifest", str(manifest), *extra]
+            assert run(["eval", "--out-dir", str(tmp_path / tag), *common]) == 0
+            assert run(["cluster", "--out", str(tmp_path / f"{tag}.tsv"), *common]) == 0
+            printed.append(capsys.readouterr())
+        assert printed[0] == printed[1]
+        for name in ("summary.json", "cmc_curve.csv", "cluster_distances.csv"):
+            assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "kind0" / name).read_bytes()
+        assert (tmp_path / "plain.tsv").read_bytes() == (tmp_path / "kind0.tsv").read_bytes()
+
+    def test_adapt_is_one_line_error(self, tmp_path, capsys):
+        manifest, ckpt = self.write(tmp_path)
+        capsys.readouterr()
+        code = run(["adapt", "--checkpoint", str(ckpt), "--manifest", str(manifest),
+                    "--out", str(tmp_path / "a.kte"), "--report", str(tmp_path / "r.json"),
+                    "--iterations", "5"])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: adaptation needs an embedder with parameters, not raw features"
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl", "raw.kte"]
+
+
+class TestOverflowingTracklet:
+    """A valid manifest whose mean overflows fails with one line naming the tracklet."""
+
+    def write(self, tmp_path, b_frames):
+        mk = lambda tid, cam, ident, frames: Tracklet(tid, cam, frames, identity=ident)
+        m = DomainManifest("o", (mk("a", "A", "I1", [[0.0]]), mk("b", "B", "I1", b_frames),
+                                 mk("c", "A", "I2", [[1.0]]), mk("d", "B", "I2", [[1.1]])))
+        manifest = tmp_path / "o.jsonl"
+        write_manifest(m, manifest)
+        return manifest
+
+    @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
+    @pytest.mark.parametrize("command", ["eval", "cluster", "eval_checkpoint"])
+    def test_one_line_error(self, tmp_path, capsys, command):
+        if command == "eval_checkpoint":  # the embedder maps b's frames to +inf and -inf
+            manifest = self.write(tmp_path, [[10.0], [-10.0]])
+            save_checkpoint(tmp_path / "e.kte", LinearEmbedder(np.array([[1e308]]), np.zeros(1)))
+            argv = ["eval", "--checkpoint", str(tmp_path / "e.kte")]
+        else:  # b's frame sum passes float64's range
+            manifest = self.write(tmp_path, [[1.7e308], [1.7e308]])
+            argv = [command]
+        out = tmp_path / "out"
+        argv += ["--out-dir" if command.startswith("eval") else "--out", str(out)]
+        capsys.readouterr()
+        assert run(argv + ["--manifest", str(manifest)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: tracklet 'b': representation overflows float64"
+        ]
+        assert not out.exists()
 
 
 class TestUsageErrors:

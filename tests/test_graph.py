@@ -4,7 +4,6 @@ import pytest
 from reidapt import (
     AdaptConfig,
     DomainManifest,
-    IdentityEmbedder,
     ReciprocalGraph,
     Tracklet,
     build_graph,
@@ -229,11 +228,6 @@ class TestClusterPipeline:
         assert cs.unclustered == {"b3"}
         labels = cs.labels()
         assert labels["b3"] == -1 and labels["a1"] == 0
-
-    def test_identity_embedder_matches_raw(self, toy):
-        cfg = AdaptConfig(K=1, T=1)
-        raw = cluster(build_neighbor_index(toy), cfg)
-        assert cluster(build_neighbor_index(toy, IdentityEmbedder(1)), cfg) == raw
 
     def test_ignores_identity_labels(self):
         # Same geometry, adversarial labels: clustering must not change.

@@ -129,6 +129,32 @@ class TestManifestEmbeddings:
         _, X = manifest_embeddings(m)
         assert np.array_equal(X[0], [3.0, 4.0])
 
+    @pytest.mark.parametrize("tracklets,kind", [
+        pytest.param((), "empty-manifest", id="empty_manifest"),
+        pytest.param((T("a", "c1", [[1.0]]), T("a", "c2", [[2.0]]), T("b", "c1", [[3.0]])),
+                     "duplicate-id", id="duplicate_id"),
+        pytest.param((T("a", "c1", []), T("b", "c2", [[1.0]])), "empty-frames", id="empty_frames"),
+        pytest.param((T("a", "c1", [[1.0]]), T("b", "c2", [[1.0, 2.0]])), "dim-mismatch",
+                     id="dim_mismatch"),
+        pytest.param((T("a", "c1", [[np.inf]]), T("b", "c2", [[1.0]])), "non-finite",
+                     id="non_finite"),
+    ])
+    def test_invalid_manifest_rejected(self, tracklets, kind):
+        with pytest.raises(ManifestError, match=f"manifest 'm' is invalid .*first: {kind}:"):
+            manifest_embeddings(DomainManifest("m", tracklets))
+
+    @pytest.mark.filterwarnings("error")  # an overflow must not also print a numpy warning
+    @pytest.mark.parametrize("frames,embedder", [
+        pytest.param([[1.7e308], [1.7e308]], None, id="frame_sum"),
+        pytest.param([[1.0], [-1.0]], lambda x: x * 1e308 * 10.0, id="embedder_both_signs"),
+        pytest.param([[1e200]], lambda x: x * 1e200, id="embedder_product"),
+    ])
+    def test_overflow_names_the_tracklet(self, frames, embedder):
+        m = DomainManifest("m", (T("a", "c1", [[0.0]]), T("b", "c2", frames)))
+        wrapped = None if embedder is None else type("E", (), {"embed": staticmethod(embedder)})()
+        with pytest.raises(ManifestError, match=r"^tracklet 'b': representation overflows float64$"):
+            manifest_embeddings(m, wrapped)
+
 
 class TestConfigs:
     def test_k1_defaults_to_K(self):
@@ -136,8 +162,9 @@ class TestConfigs:
         assert cfg.k1 == 3
 
     def test_k1_below_K_warns(self):
-        with pytest.warns(UserWarning, match="at most k1 out-edges"):
+        with pytest.warns(UserWarning, match="at most k1 out-edges") as record:
             AdaptConfig(K=2, T=2, k1=1)
+        assert record[0].filename == __file__  # the caller's line, not the dataclass __init__
 
     def test_rejects_K_below_one(self):
         with pytest.raises(ValueError):

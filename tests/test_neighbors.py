@@ -69,6 +69,9 @@ class TestBuildIndex:
         )
         with pytest.raises(ManifestError):
             build_neighbor_index(m)
+        single_camera = DomainManifest("m", (Tracklet("a", "A", [[1.0]]), Tracklet("b", "A", [])))
+        with pytest.raises(ManifestError, match="empty-frames"):  # not DomainError
+            build_neighbor_index(single_camera)
 
     def test_two_tracklets_two_cameras(self):
         m = scalar_manifest([("a", "A", 0.0), ("b", "B", 9.0)])

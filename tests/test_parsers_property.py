@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from reidapt import (
     DomainManifest,
-    IdentityEmbedder,
     LinearEmbedder,
     ManifestError,
     MlpEmbedder,
@@ -89,7 +88,6 @@ def checkpoint_headers(draw):
 
 dims = st.integers(1, 6)  # embedders reject a zero dim; headers still draw them (small)
 embedders = st.one_of(
-    st.builds(IdentityEmbedder, dims),
     st.builds(lambda i, o: LinearEmbedder(np.ones((i, o)), np.ones(o)), dims, dims),
     st.builds(
         lambda i, h, o: MlpEmbedder(np.ones((i, h)), np.ones(h), np.ones((h, o)), np.ones(o)),
@@ -109,6 +107,9 @@ class TestCheckpoint:
         if ckpt is not None:
             _, code, d_in, d_hid, d_out, _, _, n_params = struct.unpack_from("<4sIIIIQIQ", data)
             e = ckpt.embedder
+            if e is None:  # kind 0: raw features, no parameters
+                assert (code, d_hid, len(data)) == (0, 0, 40) and d_in == d_out
+                return
             dims = (e.input_dim, getattr(e, "hidden_dim", 0), e.output_dim)
             assert (e.kind, dims) == (("identity", "linear", "mlp")[code], (d_in, d_hid, d_out))
             assert 40 + 8 * e.param_vector().size == len(data)

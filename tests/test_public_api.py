@@ -10,11 +10,11 @@ import inspect
 import reidapt
 
 SNAPSHOT = """
-AdaptConfig(K: 'int' = 2, T: 'int' = 2, k1: 'int | None' = None, I: 'int' = 2, cluster_cap: 'int' = 850, train: 'TrainConfig' = <factory>, seed: 'int' = 0, connectivity: 'str' = 'weak', normalize: 'bool' = False) -> None
+AdaptConfig(K: 'int' = 2, T: 'int' = 2, k1: 'int | None' = None, I: 'int' = 2, cluster_cap: 'int' = 850, train: 'TrainConfig' = <factory>, connectivity: 'str' = 'weak', normalize: 'bool' = False) -> None
 AdaptationError
 AdaptationReport(rounds: 'tuple[RoundRecord, ...]', early_stop: 'bool', reason: 'str', checkpoint_id: 'str') -> None
 BatchError
-Checkpoint(embedder: 'Embedder', seed: 'int', round_index: 'int') -> None
+Checkpoint(embedder: 'Embedder | None', seed: 'int', round_index: 'int') -> None
 ClusterAssignment(cluster_id: 'int', members: 'frozenset[str]') -> None
 ClusterQuality(labels: 'dict[int, str]', counts: 'dict[str, int]', purity: 'float') -> None
 ClusterSet(clusters: 'tuple[ClusterAssignment, ...]', unclustered: 'frozenset[str]') -> None
@@ -24,7 +24,6 @@ DomainManifest(name: 'str', tracklets: 'tuple[Tracklet, ...]') -> None
 Embedder()
 EvaluationError
 GenerationError
-IdentityEmbedder(dim: 'int')
 LinearEmbedder(weight: 'np.ndarray', bias: 'np.ndarray')
 ManifestError
 MergeError
