@@ -205,8 +205,10 @@ def write_assignments(clusters: ClusterSet, path) -> None:
 
 
 def read_assignments(path) -> ClusterSet:
+    """Read write_assignments output; every tracklet id is non-empty and on one line only."""
     members: dict[int, set[str]] = {}
     unclustered: set[str] = set()
+    line_of: dict[str, int] = {}
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in _numbered_lines(fh, path, ValueError):
             line = line.rstrip("\n")
@@ -219,6 +221,13 @@ def read_assignments(path) -> ClusterSet:
                 raise ValueError(f"{path}:{lineno}: bad assignment line {line!r}") from exc
             if cid < -1:
                 raise ValueError(f"{path}:{lineno}: cluster id must be -1 or non-negative")
+            if not tid:
+                raise ValueError(f"{path}:{lineno}: empty tracklet id")
+            if tid in line_of:
+                raise ValueError(
+                    f"{path}:{lineno}: tracklet {tid!r} already assigned on line {line_of[tid]}"
+                )
+            line_of[tid] = lineno
             if cid == -1:
                 unclustered.add(tid)
             else:

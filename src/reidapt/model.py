@@ -283,7 +283,14 @@ def manifest_embeddings(
         tid = order[int(np.argmin(finite))].tracklet_id
         raise ManifestError(f"tracklet {tid!r}: representation overflows float64")
     if normalize:
-        norms = np.linalg.norm(X, axis=1, keepdims=True)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(X, axis=1, keepdims=True)
+        # A norm that overflows, or underflows to 0 on a nonzero row, is
+        # retaken on the row scaled by its largest |x|.
+        bad = ((~np.isfinite(norms) | (norms == 0.0)) & X.any(axis=1, keepdims=True))[:, 0]
+        if bad.any():
+            X[bad] /= np.abs(X[bad]).max(axis=1, keepdims=True)
+            norms[bad] = np.linalg.norm(X[bad], axis=1, keepdims=True)
         X = np.where(norms > 0.0, X / np.where(norms == 0.0, 1.0, norms), X)
     return tuple(t.tracklet_id for t in order), X
 

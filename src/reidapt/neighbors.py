@@ -8,9 +8,12 @@ asymmetric: if t is s's 1-nearest neighbour while s is only t's 5-nearest
 neighbour, then e(s, t) = 5.
 
 Storage.  The index keeps the ids, integer camera codes, the representations
-X, and for the GEMM a column-centred copy of X with its squared norms: O(n·d).
-No n×n matrix is ever stored; lists and ranks are computed on demand, 256
-rows at a time, so working memory is O(256·n) and results are O(n·k).
+X, and for the GEMM a column-centred copy of X with its squared norms: O(n·d),
+every array indexed by row, ids ascending.  No n×n matrix is ever stored;
+lists and ranks are computed on demand, 256 rows at a time, so working
+memory is O(256·n) and results are O(n·k).  A row's gallery is every
+tracklet whose label differs from its own: the camera code, or for
+evaluation the camera combined with the identity.
 
 Exactness.  Every distance that decides an order comes from one exact
 kernel, exact_sq_dists: coordinate differences, squared and summed by a
@@ -33,8 +36,7 @@ Callers.  A command builds one index and hands it to cluster(),
 build_ranking and inter_intra_distances, so it embeds its manifest once.
 Clustering reads everything it needs from heads().  count_ranks() serves
 build_ranking's hit ranks and ranks(), which gives only the exact edge
-weights of build_graph called without K; k_reciprocal_distance counts one
-exact row per pair instead, which is cheaper for a single pair.
+weights of build_graph called without K and k_reciprocal_distance's rank.
 """
 
 from __future__ import annotations
@@ -80,18 +82,13 @@ def exact_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class NeighborIndex:
-    """Representations and camera codes of one manifest, ids ascending.
-
-    The GEMM side works in camera-major order: position p holds tracklet
-    order[p], so each camera's columns form one slice.
-    """
+    """Representations and camera codes of one manifest, one row per tracklet, ids ascending."""
 
     ids: tuple[str, ...]
     cameras: tuple[str, ...]
     codes: np.ndarray  # integer camera code per tracklet
     X: np.ndarray  # exact representations
-    order: np.ndarray  # tracklets sorted by (camera code, id)
-    Xc: np.ndarray  # X[order] minus its column means, for the GEMM only
+    Xc: np.ndarray  # X minus its column means, for the GEMM only
     sq: np.ndarray  # squared row norms of Xc
     index_of: dict[str, int]
 
@@ -103,8 +100,9 @@ class NeighborIndex:
 
     def neighbor_ids(self, tracklet_id: str) -> tuple[str, ...]:
         """Full cross-camera list for one tracklet, best match first."""
-        other, d2 = self._exact_row(self._lookup(tracklet_id))
-        return tuple(self.ids[j] for j in other[np.argsort(d2, kind="stable")])
+        n = len(self.ids)
+        head = self._sorted_exact(np.array([self._lookup(tracklet_id)]), np.arange(n), n)[0][0]
+        return tuple(self.ids[j] for j in head[head >= 0])
 
     @np.errstate(over="ignore", invalid="ignore")  # overflow only widens the bound
     def heads(self, k: int) -> np.ndarray:
@@ -120,60 +118,59 @@ class NeighborIndex:
         c = min(2 * k + 8, n)
         out = np.empty((n, w), dtype=np.intp)
         for a in range(0, n, _BLOCK):
-            pos = np.arange(a, min(a + _BLOCK, n))
-            rows = self.order[pos]
-            H = self._gemm(pos)
+            rows = np.arange(a, min(a + _BLOCK, n))
+            H = self._gemm(rows)
             cand = np.argpartition(H, c - 1, axis=1)[:, :c]
-            head, d2 = self._sorted_exact(rows, self.order[cand], w)
+            head, d2 = self._sorted_exact(rows, cand, w)
             kth = d2[np.arange(len(rows)), np.minimum(w, n_other[rows]) - 1]
             # Every non-candidate j has exact distance >= H[i, j] + ‖c_i‖² - tol,
             # so a row whose k-th exact distance lies below that for all of
             # them has its whole head among the candidates.
             np.put_along_axis(H, cand, np.inf, axis=1)
-            redo = ~(kth < H.min(axis=1) + self.sq[pos] - self._tol(pos))
+            redo = ~(kth < H.min(axis=1) + self.sq[rows] - self._tol(rows))
             if redo.any():
                 head[redo] = self._sorted_exact(rows[redo], np.arange(n), w)[0]
             out[rows] = head
         return out
 
     def ranks(self, t, s) -> np.ndarray:
-        """Exact 1-based rank of row s[p] in row t[p]'s list (cameras must differ)."""
+        """Exact 1-based rank of row s[p] in row t[p]'s list; a same-camera pair is a DomainError."""
+        t, s = np.asarray(t, dtype=np.intp), np.asarray(s, dtype=np.intp)
+        same = np.flatnonzero(self.codes[t] == self.codes[s])
+        if len(same):
+            ti, si = t[same[0]], s[same[0]]
+            raise DomainError(
+                f"rank distance undefined for same-camera pair ({self.ids[si]!r}, "
+                f"{self.ids[ti]!r}) on camera {self.cameras[si]!r}"
+            )
         n = len(self.ids)
-        pairs, inverse = np.unique(np.asarray(t, dtype=np.intp) * n + s, return_inverse=True)
+        pairs, inverse = np.unique(t * n + s, return_inverse=True)
         rows, targets = np.divmod(pairs, n)
         rows, size = np.unique(rows, return_counts=True)
         return count_ranks(self, rows, np.r_[0, np.cumsum(size)], targets)[inverse.reshape(-1)]
 
-    def _gemm(self, pos: np.ndarray, ident: np.ndarray | None = None) -> np.ndarray:
-        """H = G - ‖c_i‖² from ascending positions pos to every position.
+    def _gemm(self, rows: np.ndarray, label: np.ndarray | None = None) -> np.ndarray:
+        """H = G - ‖c_i‖² from rows to every row, +inf outside each row's gallery.
 
-        G is the GEMM form of the squared distance.  Entries outside a row's
-        gallery are +inf, set one camera slice at a time: the row's camera,
-        or with ident (a label per tracklet) only its camera and label.
+        G is the GEMM form of the squared distance; label is as in _outside.
         """
-        H = (-2.0 * self.Xc[pos]) @ self.Xc.T
+        H = (-2.0 * self.Xc[rows]) @ self.Xc.T
         H += self.sq
-        rows = self.order[pos]
-        cams = self.codes[rows]
-        starts = np.searchsorted(self.codes[self.order], np.arange(self.codes.max() + 2))
-        for cam in np.unique(cams):
-            r0, r1 = np.searchsorted(cams, [cam, cam + 1])
-            cols = slice(starts[cam], starts[cam + 1])
-            if ident is None:
-                H[r0:r1, cols] = np.inf
-            else:
-                H[r0:r1, cols][self._outside(rows[r0:r1], self.order[cols], ident)] = np.inf
+        np.putmask(H, self._outside(rows, np.arange(len(self.ids)), label), np.inf)
         return H
 
-    def _outside(self, rows: np.ndarray, cols: np.ndarray, ident: np.ndarray | None) -> np.ndarray:
-        """Whether cols[j] is outside row rows[i]'s gallery (see _gemm)."""
-        out = self.codes[cols] == self.codes[rows, None]
-        if ident is not None:
-            out &= ident[cols] == ident[rows, None]
-        return out
+    def _outside(self, rows: np.ndarray, cols: np.ndarray,
+                 label: np.ndarray | None = None) -> np.ndarray:
+        """Whether cols[i, j] (or cols[j]) is outside row rows[i]'s gallery.
 
-    def _tol(self, pos: np.ndarray) -> np.ndarray:
-        """Bound on |G[i, j] - exact d2(i, j)| over all j, per position i.
+        A gallery holds the tracklets whose label differs from the row's own;
+        label is one integer per tracklet, the camera code by default.
+        """
+        label = self.codes if label is None else label
+        return label[cols] == label[rows, None]
+
+    def _tol(self, rows: np.ndarray) -> np.ndarray:
+        """Bound on |G[i, j] - exact d2(i, j)| over all j, per row i.
 
         With u = eps/2 and S = ‖c_i‖² + ‖c_j‖² on the centred rows c:
         - the GEMM form errs by at most (2d + 3)·u·S: each squared norm and
@@ -202,7 +199,7 @@ class NeighborIndex:
         that is re-checked exactly, and outside it d2 and sqrt(d2) order
         strictly alike.
         """
-        scale = self.sq[pos] + self.sq.max() + _TINY
+        scale = self.sq[rows] + self.sq.max() + _TINY
         tol = 8.0 * (self.X.shape[1] + 4) * _EPS * scale
         tol[~np.isfinite(4.0 * scale)] = np.inf
         return tol
@@ -216,22 +213,11 @@ class NeighborIndex:
         """
         d2 = exact_sq_dists(self.X[rows], self.X[cols])
         cols = np.broadcast_to(cols, d2.shape)
-        same = self.codes[cols] == self.codes[rows, None]
+        same = self._outside(rows, cols)
         order = np.lexsort((cols, d2, same), axis=-1)[:, :w]
         head = np.take_along_axis(cols, order, axis=-1)
         head[np.take_along_axis(same, order, axis=-1)] = -1
         return head, np.take_along_axis(d2, order, axis=-1)
-
-    def _exact_row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Other-camera indices of row i (ascending) and their exact squared distances."""
-        other = np.flatnonzero(self.codes != self.codes[i])
-        return other, exact_sq_dists(self.X[[i]], self.X[other])[0]
-
-    def _rank_exact(self, t: int, s: int) -> int:
-        """Rank of s in t's list by counting, from one exact row."""
-        other, d2 = self._exact_row(t)
-        ds = d2[np.searchsorted(other, s)]
-        return 1 + int(np.count_nonzero((d2 < ds) | ((d2 == ds) & (other < s))))
 
     def _lookup(self, tracklet_id: str) -> int:
         try:
@@ -250,29 +236,28 @@ def count_ranks(idx: NeighborIndex, rows, ptr, targets, ident: np.ndarray | None
     tracklet) every tracklet but those sharing both its camera and its label.
     It is ordered on (key(d2), id), key defaulting to d2 itself, and a rank
     is 1 plus the number of gallery items before the target.  Rows are taken
-    _BLOCK at a time in camera-major order, so working memory is O(_BLOCK·n)
-    however many targets a row has.
+    _BLOCK at a time, so working memory is O(_BLOCK·n) however many targets
+    a row has.
     """
     rows = np.asarray(rows, dtype=np.intp)
     ptr = np.asarray(ptr, dtype=np.intp)
     targets = np.asarray(targets, dtype=np.intp)
-    pos_of = np.empty_like(idx.order)
-    pos_of[idx.order] = np.arange(len(idx))
+    # 0 <= code < codes.max() + 1, so the label determines (code, ident).
+    label = None if ident is None else idx.codes + (idx.codes.max() + 1) * ident
     size = np.diff(ptr)
     live = np.flatnonzero(size)
-    live = live[np.argsort(pos_of[rows[live]], kind="stable")]
     out = np.empty(len(targets), dtype=np.int64)
     for a in range(0, len(live), _BLOCK):
         blk = live[a : a + _BLOCK]
         r = size[blk]
         flat = np.repeat(ptr[blk] - np.cumsum(r) + r, r) + np.arange(r.sum())
-        out[flat] = _count_block(idx, pos_of[rows[blk]], r, targets[flat], pos_of, ident, key)
+        out[flat] = _count_block(idx, rows[blk], r, targets[flat], label, key)
     return out
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow only widens the bound
-def _count_block(idx, pos, r, tgt, pos_of, ident, key) -> np.ndarray:
-    """count_ranks for rows at ascending positions pos, row i owning r[i] >= 1 of tgt.
+def _count_block(idx, rows, r, tgt, label, key) -> np.ndarray:
+    """count_ranks for rows, row i owning r[i] >= 1 of tgt; label as in _outside.
 
     Targets are ordered exactly among themselves.  Every other gallery item j
     precedes a suffix of its row's targets in (key, id) order; p_j, the
@@ -284,16 +269,16 @@ def _count_block(idx, pos, r, tgt, pos_of, ident, key) -> np.ndarray:
     target's.  A row whose bound is not finite puts its whole gallery in the
     band.
     """
-    X, rows, n, b, w = idx.X, idx.order[pos], len(idx), len(pos), int(r.max())
+    X, n, b, w = idx.X, len(idx), len(rows), int(r.max())
     slot = np.repeat(np.arange(b), r)
     start = np.repeat(np.cumsum(r) - r, r)  # each target's row start in tgt
     col = np.arange(len(tgt)) - start
     D = np.full((b, w), np.inf)  # each row's exact target d2, padded
     D[slot, col] = exact_sq_dists(np.repeat(X[rows], r, axis=0), X[tgt, None])[:, 0]
-    H = idx._gemm(pos, ident)
-    H[slot, pos_of[tgt]] = np.inf  # targets are ordered among themselves below
-    tol = idx._tol(pos)[:, None]
-    base = np.sort(D, axis=1) - idx.sq[pos, None]
+    H = idx._gemm(rows, label)
+    H[slot, tgt] = np.inf  # targets are ordered among themselves below
+    tol = idx._tol(rows)[:, None]
+    base = np.sort(D, axis=1) - idx.sq[rows, None]
     lo = base - tol
     # hi[i, p] is the largest hi of row i's first p thresholds (-inf for none).
     hi = np.c_[np.full(b, -np.inf), base + tol]
@@ -307,16 +292,15 @@ def _count_block(idx, pos, r, tgt, pos_of, ident, key) -> np.ndarray:
             np.add(np.searchsorted(lo[i, : r[i]], H[i], side="right"), (w + 1) * i, out=B[i])
     band = H <= hi.ravel()[B]
     if loose.any():
-        band[loose] = ~idx._outside(rows[loose], idx.order, ident)
-        band[slot, pos_of[tgt]] = False
-    bi, bv = np.divmod(np.flatnonzero(band), n)  # 2-D nonzero is slow
+        band[loose] = ~idx._outside(rows[loose], np.arange(n), label)
+        band[slot, tgt] = False
+    bi, bu = np.divmod(np.flatnonzero(band), n)  # 2-D nonzero is slow
     bins = np.bincount(B.ravel(), minlength=b * (w + 1))
-    bins -= np.bincount(B[bi, bv], minlength=b * (w + 1))
+    bins -= np.bincount(B[bi, bu], minlength=b * (w + 1))
 
     K = D if key is None else key(D)
     by_key = np.argsort(K, axis=1, kind="stable")  # ids ascend in each row: (key, id)
     if len(bi):
-        bu = idx.order[bv]
         d2, step = np.empty(len(bi)), 1 + _DIFF_ELEMENTS // X.shape[1]
         for c in range(0, len(bi), step):  # a wide band is gathered in pieces
             part = slice(c, c + step)
@@ -354,16 +338,14 @@ def build_neighbor_index(m: DomainManifest, embedder=None, normalize: bool = Fal
         )
     cameras = tuple(m.by_id[tid].camera_id for tid in ids)
     codes = np.unique(cameras, return_inverse=True)[1].astype(np.intp)
-    order = np.argsort(codes, kind="stable")
-    Xc = X[order] - X.mean(axis=0)
-    for a in (X, codes, order, Xc):
+    Xc = X - X.mean(axis=0)
+    for a in (X, codes, Xc):
         a.setflags(write=False)
     return NeighborIndex(
         ids=tuple(ids),
         cameras=cameras,
         codes=codes,
         X=X,
-        order=order,
         Xc=Xc,
         sq=np.einsum("ij,ij->i", Xc, Xc),
         index_of={tid: i for i, tid in enumerate(ids)},
@@ -379,11 +361,5 @@ def top_k(idx: NeighborIndex, k: int, tracklet_id: str) -> tuple[str, ...]:
 
 def k_reciprocal_distance(idx: NeighborIndex, s: str, t: str) -> int:
     """Rank of s inside t's cross-camera neighbor list (1-based, asymmetric)."""
-    si = idx._lookup(s)
-    ti = idx._lookup(t)
-    if idx.cameras[si] == idx.cameras[ti]:
-        raise DomainError(
-            f"rank distance undefined for same-camera pair ({s!r}, {t!r}) "
-            f"on camera {idx.cameras[si]!r}"
-        )
-    return idx._rank_exact(ti, si)
+    si, ti = idx._lookup(s), idx._lookup(t)
+    return int(idx.ranks([ti], [si])[0])

@@ -191,6 +191,18 @@ class TestAssignments:
             read_assignments(path)
         assert str(exc.value) == f"{path}:2: cluster id must be -1 or non-negative"
 
+    @pytest.mark.parametrize("text,message", [
+        ("0\ta\n1\ta\n", "2: tracklet 'a' already assigned on line 1"),
+        ("0\tb\n-1\ta\n\n0\ta\n", "4: tracklet 'a' already assigned on line 2"),
+        ("0\ta\n2\t\n", "2: empty tracklet id"),
+    ])
+    def test_duplicate_or_empty_id_names_line(self, tmp_path, text, message):
+        path = tmp_path / "a.tsv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            read_assignments(path)
+        assert str(exc.value) == f"{path}:{message}"
+
     def test_non_utf8_names_line(self, tmp_path):
         path = tmp_path / "a.tsv"
         path.write_bytes(b"0\ta\n1\t\xffb\n")

@@ -7,9 +7,11 @@ from reidapt import (
     AdaptConfig,
     DomainManifest,
     ManifestError,
+    SyntheticSpec,
     Tracklet,
     TrainConfig,
     default_kt,
+    generate_synthetic_domain,
     manifest_embeddings,
     tracklet_embedding,
     validate_manifest,
@@ -123,6 +125,23 @@ class TestManifestEmbeddings:
         _, X = manifest_embeddings(m, normalize=True)
         assert np.allclose(X[0], [0.6, 0.8])
         assert np.array_equal(X[1], [0.0, 0.0])  # zero rows left alone
+
+    @pytest.mark.filterwarnings("error")
+    def test_normalize_rows_whose_norm_overflows_or_underflows(self):
+        rows = [[1e200, 1e200], [1e-200, 1e-200], [1.7e308, -1.7e308], [0.0, 0.0], [1.0, 1.0]]
+        m = DomainManifest("m", tuple(T(f"t{i}", f"c{i % 2}", [r]) for i, r in enumerate(rows)))
+        _, X = manifest_embeddings(m, normalize=True)
+        assert np.allclose(np.abs(X[[0, 1, 2, 4]]), 2**-0.5, rtol=0, atol=2 * np.finfo(float).eps)
+        assert np.array_equal(X[[0, 1]], X[[4, 4]])  # the same bytes as the unscaled [1, 1]
+        assert np.array_equal(X[2], X[4] * [1, -1])
+        assert np.array_equal(X[3], [0.0, 0.0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_normalize_ordinary_rows_divide_by_their_norm(self):
+        m = generate_synthetic_domain(SyntheticSpec(identities=500, cameras=3, dim=16, seed=5))
+        _, X = manifest_embeddings(m)
+        _, Xn = manifest_embeddings(m, normalize=True)
+        assert np.array_equal(Xn, X / np.linalg.norm(X, axis=1, keepdims=True))
 
     def test_default_is_unnormalized(self):
         m = DomainManifest("m", (T("a", "c1", [[3.0, 4.0]]), T("b", "c2", [[6.0, 8.0]])))

@@ -164,6 +164,16 @@ class TestRankDistance:
         with pytest.raises(KeyError):
             k_reciprocal_distance(idx, "a1", "zz")
 
+    def test_ranks_same_camera_pair_rejected(self, toy):
+        idx = build_neighbor_index(toy)
+        a1, a2, b1, b2 = (idx.index_of[tid] for tid in ("a1", "a2", "b1", "b2"))
+        assert idx.ranks([b1], [a1]).tolist() == [1]
+        with pytest.raises(DomainError, match=r"same-camera pair \('a1', 'a2'\) on camera 'A'$"):
+            idx.ranks([a2], [a1])
+        # The first same-camera pair in input order is named, not the first by row.
+        with pytest.raises(DomainError, match=r"\('b2', 'b1'\) on camera 'B'$"):
+            idx.ranks([b1, b1, a2], [a1, b2, a1])
+
 
 class TestOracleAgreement:
     def test_lists_and_ranks_match_naive(self):
