@@ -214,16 +214,53 @@ def validate_manifest(m: DomainManifest) -> ValidationReport:
 
 
 def _exact_mean(rows: np.ndarray) -> np.ndarray:
-    # Compensated per-coordinate summation: exact up to the final rounding,
-    # hence independent of frame order.  fsum reads Python floats (tolist)
-    # far faster than numpy scalars; the values summed are the same.
-    # A sum past float64's range (fsum raises OverflowError) or of both
-    # infinities (ValueError) has no finite mean: it reads as inf.
+    """Correctly rounded mean of each column: math.fsum's sum divided by n.
+
+    The compensated sum is exact up to its final rounding, hence independent
+    of frame order.  fsum reads Python floats (tolist) far faster than numpy
+    scalars; the values summed are the same.  A sum past float64's range
+    (fsum raises OverflowError) or of both infinities (ValueError) has no
+    finite mean: it reads as inf.
+    """
     n = rows.shape[0]
     try:
         return np.array([math.fsum(col) / n for col in rows.T.tolist()], dtype=np.float64)
     except (OverflowError, ValueError):
         return np.full(rows.shape[1], np.inf)
+
+
+def _proven_means(blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(means, proven): each block's column means, and which rows are exact.
+
+    The blocks are stacked once and summed in sequence across all of them,
+    one frame position at a time (longest block first, so the blocks with a
+    frame at position p are a prefix).  Every addition s = a + x records its
+    TwoSum error (a - (s - v)) + (x - v), v = s - a, which is the exact
+    rounding error of s whenever nothing overflowed (Knuth; Ogita, Rump &
+    Oishi 2005), and is inf or nan, never 0, when something did.  A row whose
+    every error term is 0 and whose sum is finite has an exact sum; fsum
+    returns that sum unrounded, so sum / n is _exact_mean's value bit for bit.
+    Sums start from +0.0, as fsum's do, so an exact zero is +0.0.  Rows
+    without the proof are marked False, and their means are meaningless.
+    """
+    n = np.array([len(b) for b in blocks])
+    by_len = np.argsort(-n, kind="stable")
+    ns = n[by_len]
+    start = (np.cumsum(n) - n)[by_len]
+    F = np.concatenate(blocks)
+    S = F[start] + 0.0
+    proven = np.ones(len(n), dtype=bool)
+    for p in range(1, int(ns[0])):
+        a = int(np.searchsorted(-ns, -p))  # blocks longer than p
+        x = F[start[:a] + p]
+        s = S[:a] + x
+        v = s - S[:a]
+        proven[:a] &= ~((S[:a] - (s - v)) + (x - v)).any(axis=1)
+        S[:a] = s
+    means, out = np.empty_like(S), np.empty(len(n), dtype=bool)
+    means[by_len] = S / ns[:, None]
+    out[by_len] = proven & np.isfinite(S).all(axis=1)
+    return means, out
 
 
 def tracklet_embedding(t: Tracklet) -> np.ndarray:
@@ -245,8 +282,12 @@ def manifest_embeddings(
     The one gate from a manifest to representations: the manifest must pass
     validate_manifest (its cached ``validation``), else ManifestError.  Each
     tracklet is represented by the mean of its (optionally embedded) frame
-    vectors.  Tracklets are returned in ascending tracklet_id order, which is
-    the canonical order used by the neighbor index.
+    vectors, correctly rounded: math.fsum of each column divided by the
+    frame count.  Raw frames are summed for all tracklets at once
+    (_proven_means), and a tracklet keeps that sum only where TwoSum proves
+    it exact; the rest, and embedder outputs (whose sums rarely pass), take
+    _exact_mean's fsum.  Tracklets are returned in ascending tracklet_id
+    order, which is the canonical order used by the neighbor index.
 
     Args:
         m: manifest to represent.
@@ -271,13 +312,14 @@ def manifest_embeddings(
             f"first: {first.kind}: {first.message})"
         )
     order = sorted(m.tracklets, key=lambda t: t.tracklet_id)
-    reps = []
     # Overflow shows as a non-finite mean below, not as a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in order:
-            frames = t.frames if embedder is None else np.asarray(embedder.embed(t.frames))
-            reps.append(_exact_mean(frames))
-    X = np.vstack(reps)
+        if embedder is None:
+            X, proven = _proven_means([t.frames for t in order])
+            for i in np.flatnonzero(~proven):
+                X[i] = _exact_mean(order[i].frames)
+        else:
+            X = np.vstack([_exact_mean(np.asarray(embedder.embed(t.frames))) for t in order])
     finite = np.isfinite(X).all(axis=1)
     if not finite.all():
         tid = order[int(np.argmin(finite))].tracklet_id

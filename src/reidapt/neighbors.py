@@ -13,7 +13,10 @@ every array indexed by row, ids ascending.  No n×n matrix is ever stored;
 lists and ranks are computed on demand, 256 rows at a time, so working
 memory is O(256·n) and results are O(n·k).  A row's gallery is every
 tracklet whose label differs from its own: the camera code, or for
-evaluation the camera combined with the identity.
+evaluation the camera combined with the identity.  heads() goes camera by
+camera: it gathers the other cameras' centred rows and norms once, and
+each block of the camera's rows meets only those columns in the GEMM, so
+no same-camera mask is needed and the GEMM is a camera's share smaller.
 
 Exactness.  Every distance that decides an order comes from one exact
 kernel, exact_sq_dists: coordinate differences, squared and summed by a
@@ -24,11 +27,14 @@ one long loop instead of one short loop per pair.  The GEMM form
 ‖a‖² + ‖b‖² − 2a·b only preselects: heads() re-sorts a fixed candidate set
 with the exact kernel and accepts a row only when every non-candidate is
 provably farther than the k-th exact distance (else it redoes the row
-exactly).  count_ranks() ranks given targets by counting, not sorting: it
-orders a row's targets exactly among themselves, counts every other
-gallery item against their exact thresholds with one searchsorted of the
-GEMM row, and re-checks exactly only the items the _tol bound cannot
-place.  Its order key is d2 for ranks() and the rounded distance sqrt(d2)
+exactly).  The candidates are the 2k + 8 smallest GEMM entries, picked by
+chunk minima (_smallest): the c-th smallest chunk minimum bounds the c-th
+smallest entry, so the c chunks with the smallest minima hold every entry
+below that bound, and only their union is partitioned.  count_ranks() ranks
+given targets by counting, not sorting: it orders a row's targets exactly
+among themselves, counts every other gallery item against their exact
+thresholds with one searchsorted of the GEMM row, and re-checks exactly
+only the items the _tol bound cannot place.  Its order key is d2 for ranks() and the rounded distance sqrt(d2)
 for evaluation; _tol shows that the bound covers both.  Every order is
 therefore the one a full exact sort on (key, id) gives.
 
@@ -36,11 +42,13 @@ Callers.  A command builds one index and hands it to cluster(),
 build_ranking and inter_intra_distances, so it embeds its manifest once.
 Clustering reads everything it needs from heads().  count_ranks() serves
 build_ranking's hit ranks and ranks(), which gives only the exact edge
-weights of build_graph called without K and k_reciprocal_distance's rank.
+weights of build_graph called without K.  k_reciprocal_distance, like
+neighbor_ids, sorts one row's whole gallery exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,46 +116,65 @@ class NeighborIndex:
     def heads(self, k: int) -> np.ndarray:
         """First min(k, L) entries of every row's list, padded with -1.
 
-        Returns an (n, min(k, max L)) array of row indices.
+        Returns an (n, min(k, max L)) array of row indices.  Rows are taken
+        one camera at a time, _BLOCK at a time, against a GEMM over the other
+        cameras' columns only.  _smallest picks each row's c = 2k + 8
+        smallest entries from chunk minima; the exact kernel sorts them,
+        and the row stands only if its k-th exact distance is below the
+        least non-candidate entry's lower bound, else the row is redone
+        against every column.  Rows of a camera whose gallery is shorter
+        than the output keep -1 past its end.
         """
         if k < 1:
             raise ValueError("k must be a positive integer")
         n = len(self.ids)
-        n_other = n - np.bincount(self.codes)[self.codes]
-        w = min(k, int(n_other.max()))
-        c = min(2 * k + 8, n)
-        out = np.empty((n, w), dtype=np.intp)
-        for a in range(0, n, _BLOCK):
-            rows = np.arange(a, min(a + _BLOCK, n))
-            H = self._gemm(rows)
-            cand = np.argpartition(H, c - 1, axis=1)[:, :c]
-            head, d2 = self._sorted_exact(rows, cand, w)
-            kth = d2[np.arange(len(rows)), np.minimum(w, n_other[rows]) - 1]
-            # Every non-candidate j has exact distance >= H[i, j] + ‖c_i‖² - tol,
-            # so a row whose k-th exact distance lies below that for all of
-            # them has its whole head among the candidates.
-            np.put_along_axis(H, cand, np.inf, axis=1)
-            redo = ~(kth < H.min(axis=1) + self.sq[rows] - self._tol(rows))
-            if redo.any():
-                head[redo] = self._sorted_exact(rows[redo], np.arange(n), w)[0]
-            out[rows] = head
+        size = np.bincount(self.codes)
+        w = min(k, n - int(size.min()))
+        out = np.full((n, w), -1, dtype=np.intp)
+        for cam in range(len(size)):
+            mine, other = np.flatnonzero(self.codes == cam), np.flatnonzero(self.codes != cam)
+            XoT, sqo = self.Xc[other].T, self.sq[other]
+            c, width = min(2 * k + 8, len(other)), min(w, len(other))
+            for a in range(0, len(mine), _BLOCK):
+                rows = mine[a : a + _BLOCK]
+                H = (-2.0 * self.Xc[rows]) @ XoT
+                H += sqo
+                cand, rest = _smallest(H, c)
+                head, d2 = self._sorted_exact(rows, other[cand], w)
+                kth = d2[:, width - 1]
+                # Every non-candidate j has exact distance >= H[i, j] + ‖c_i‖² - tol,
+                # so a row whose k-th exact distance lies below that for all of
+                # them has its whole head among the candidates.
+                redo = ~(kth < rest + self.sq[rows] - self._tol(rows))
+                if redo.any():
+                    head[redo] = self._sorted_exact(rows[redo], np.arange(n), width)[0]
+                out[rows, :width] = head
         return out
 
     def ranks(self, t, s) -> np.ndarray:
-        """Exact 1-based rank of row s[p] in row t[p]'s list; a same-camera pair is a DomainError."""
+        """Exact 1-based rank of row s[p] in row t[p]'s list; a same-camera pair is a DomainError.
+
+        A row outside [0, n) is an IndexError: negative rows do not count from the end.
+        """
         t, s = np.asarray(t, dtype=np.intp), np.asarray(s, dtype=np.intp)
+        n = len(self.ids)
+        for name, v in (("t", t), ("s", s)):
+            bad = (v < 0) | (v >= n)
+            if bad.any():
+                raise IndexError(f"{name} row {int(v[bad][0])} is outside [0, {n})")
         same = np.flatnonzero(self.codes[t] == self.codes[s])
         if len(same):
-            ti, si = t[same[0]], s[same[0]]
-            raise DomainError(
-                f"rank distance undefined for same-camera pair ({self.ids[si]!r}, "
-                f"{self.ids[ti]!r}) on camera {self.cameras[si]!r}"
-            )
-        n = len(self.ids)
+            raise self._same_camera(t[same[0]], s[same[0]])
         pairs, inverse = np.unique(t * n + s, return_inverse=True)
         rows, targets = np.divmod(pairs, n)
         rows, size = np.unique(rows, return_counts=True)
         return count_ranks(self, rows, np.r_[0, np.cumsum(size)], targets)[inverse.reshape(-1)]
+
+    def _same_camera(self, t: int, s: int) -> DomainError:
+        return DomainError(
+            f"rank distance undefined for same-camera pair ({self.ids[s]!r}, "
+            f"{self.ids[t]!r}) on camera {self.cameras[s]!r}"
+        )
 
     def _gemm(self, rows: np.ndarray, label: np.ndarray | None = None) -> np.ndarray:
         """H = G - ‖c_i‖² from rows to every row, +inf outside each row's gallery.
@@ -224,6 +251,35 @@ class NeighborIndex:
             return self.index_of[tracklet_id]
         except KeyError:
             raise KeyError(f"unknown tracklet id {tracklet_id!r}") from None
+
+
+def _smallest(H: np.ndarray, c: int):
+    """(cand, rest): columns of c <= H.shape[1] smallest entries of each row
+    of H, and the least entry of each row outside them (inf if none).
+
+    A row is split into nc >= c strided chunks of f columns (chunk j holds
+    columns j, j + nc, ...; the < f tail columns past f·nc belong to no
+    chunk).  The c smallest chunk minima are c distinct entries, so the c-th
+    smallest entry is at most the c-th smallest chunk minimum v, and every
+    entry below v lies in a chunk whose minimum is below v, which is one of
+    the c kept chunks.  The kept chunks plus the tail therefore hold every
+    entry below v and at least c entries at or below it, so their c smallest
+    are c smallest of the row.  rest is the least of the other chunks'
+    minima and the union's leftovers.  A row under 8c columns has f = 1:
+    one column per chunk, a plain argpartition.
+    """
+    b, m = H.shape
+    f = max(1, math.isqrt(m // (4 * c)))  # about the fastest f at c = 10..50, m = 7000
+    nc = m // f
+    mins = H[:, : f * nc].reshape(b, f, nc).min(axis=1)
+    kept = np.argpartition(mins, c - 1, axis=1)[:, :c]
+    cols = (kept[:, :, None] + nc * np.arange(f)).reshape(b, c * f)
+    cols = np.hstack([cols, np.broadcast_to(np.arange(f * nc, m), (b, m - f * nc))])
+    vals = np.take_along_axis(H, cols, axis=1)
+    pick = np.argpartition(vals, c - 1, axis=1)[:, :c]
+    np.put_along_axis(vals, pick, np.inf, axis=1)
+    np.put_along_axis(mins, kept, np.inf, axis=1)
+    return np.take_along_axis(cols, pick, axis=1), np.minimum(vals.min(axis=1), mins.min(axis=1))
 
 
 def count_ranks(idx: NeighborIndex, rows, ptr, targets, ident: np.ndarray | None = None,
@@ -362,4 +418,9 @@ def top_k(idx: NeighborIndex, k: int, tracklet_id: str) -> tuple[str, ...]:
 def k_reciprocal_distance(idx: NeighborIndex, s: str, t: str) -> int:
     """Rank of s inside t's cross-camera neighbor list (1-based, asymmetric)."""
     si, ti = idx._lookup(s), idx._lookup(t)
-    return int(idx.ranks([ti], [si])[0])
+    if idx.codes[si] == idx.codes[ti]:
+        raise idx._same_camera(ti, si)
+    # One row's full exact sort, as neighbor_ids makes it: far cheaper for
+    # a single pair than ranks(), whose per-call set-up dominates.
+    head = idx._sorted_exact(np.array([ti]), np.arange(len(idx)), len(idx))[0][0]
+    return int(np.flatnonzero(head == si)[0]) + 1

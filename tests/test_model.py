@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reidapt import model
 from reidapt import (
     AdaptConfig,
     DomainManifest,
+    LinearEmbedder,
     ManifestError,
     SyntheticSpec,
     Tracklet,
@@ -16,6 +20,8 @@ from reidapt import (
     tracklet_embedding,
     validate_manifest,
 )
+
+from oracles import mean_vector
 
 
 def T(tid, cam, frames, identity=None):
@@ -76,7 +82,7 @@ class TestTrackletEmbedding:
             e1, e2 = tracklet_embedding(t1), tracklet_embedding(t2)
             assert np.array_equal(e1, e2)
             oracle = [math.fsum(frames[:, j]) / n for j in range(d)]
-            assert np.max(np.abs(e1 - oracle)) <= 1e-12 * max(1.0, np.abs(oracle).max())
+            assert e1.tobytes() == np.array(oracle).tobytes()  # correctly rounded, not close
 
 
 class TestValidateManifest:
@@ -173,6 +179,77 @@ class TestManifestEmbeddings:
         wrapped = None if embedder is None else type("E", (), {"embed": staticmethod(embedder)})()
         with pytest.raises(ManifestError, match=r"^tracklet 'b': representation overflows float64$"):
             manifest_embeddings(m, wrapped)
+
+
+grid_values = st.integers(-(2**20), 2**20).map(lambda v: v * 2.0**-10)  # sums are exact
+float32_values = st.floats(-1e6, 1e6, width=32)
+float64_values = st.floats(-1e6, 1e6)
+# In this frame order every sum is inexact: 1e16 + 1.0 rounds.
+SPECIAL = {"spread": [1e-300, 1.0], "cancel": [1e16, 1.0, -1e16]}
+
+
+@st.composite
+def mixed_manifests(draw):
+    """(manifest, rows whose sum is surely exact, rows whose sum surely is not)."""
+    d = draw(st.integers(1, 3))
+    kinds = ["grid", "cancel"] + draw(st.lists(st.sampled_from(
+        ["grid", "float32", "single", "zeros", "spread", "cancel", "float64"]), max_size=6))
+    tracklets = []
+    for i, kind in enumerate(kinds):
+        if kind in SPECIAL:
+            frames = np.repeat(np.array(SPECIAL[kind])[:, None], d, axis=1)
+        else:
+            values = {"grid": grid_values, "float32": float32_values,
+                      "zeros": st.just(-0.0)}.get(kind, float64_values)  # fsum gives +0.0
+            n = 1 if kind == "single" else draw(st.integers(1, 6))
+            row = st.lists(values, min_size=d, max_size=d)
+            frames = draw(st.lists(row, min_size=n, max_size=n))
+        tracklets.append(T(f"t{i:02d}", f"c{i % 2}", frames))
+    shuffled = draw(st.permutations(tracklets))
+    exact = sum(k in ("grid", "single", "zeros") for k in kinds)
+    inexact = sum(k in SPECIAL for k in kinds)
+    return DomainManifest("m", tuple(shuffled)), exact, inexact
+
+
+class TestProvenMeans:
+    """Summed means proven exact, and the fsum fallback, equal math.fsum bit for bit."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(mixed_manifests())
+    def test_bytes_equal_fsum_on_both_paths(self, case):
+        m, exact, inexact = case
+        embedder = LinearEmbedder.random(m.dim, 2, np.random.default_rng(0))
+        calls, exact_mean = [], model._exact_mean
+
+        def counted(rows):
+            calls.append(len(rows))
+            return exact_mean(rows)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "_exact_mean", counted)
+            ids, X = manifest_embeddings(m)
+            assert inexact <= len(calls) <= len(ids) - exact  # both paths ran
+            calls.clear()
+            _, E = manifest_embeddings(m, embedder)
+            assert len(calls) == len(ids)  # embedder outputs always take fsum
+        for i, tid in enumerate(ids):
+            t = m.by_id[tid]
+            assert X[i].tobytes() == np.array(mean_vector(t)).tobytes(), tid
+            embedded = T(tid, t.camera_id, embedder.embed(t.frames))
+            assert E[i].tobytes() == np.array(mean_vector(embedded)).tobytes(), tid
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("big", [
+        pytest.param([[1.7e308], [1.7e308]], id="sum_overflows"),
+        pytest.param([[1.7e308], [1.7e308], [-1.7e308]], id="partial_sum_overflows"),
+        pytest.param([[-1e308], [-1e308], [1.0]], id="negative_overflow"),
+    ])
+    def test_overflow_names_first_tracklet_in_id_order(self, big):
+        fine = [[1.0], [2.0], [4.0]]
+        m = DomainManifest("m", (T("e", "c1", big), T("a", "c2", fine), T("c", "c1", big),
+                                 T("b", "c2", [[1e16], [1.0], [-1e16]])))
+        with pytest.raises(ManifestError, match=r"^tracklet 'c': representation overflows float64$"):
+            manifest_embeddings(m)
 
 
 class TestConfigs:

@@ -16,7 +16,7 @@ from reidapt import (
     top_k,
 )
 
-from reidapt.neighbors import _DIFF_ELEMENTS, exact_sq_dists
+from reidapt.neighbors import _DIFF_ELEMENTS, _smallest, exact_sq_dists
 
 from oracles import (
     dense_cluster,
@@ -174,6 +174,17 @@ class TestRankDistance:
         with pytest.raises(DomainError, match=r"\('b2', 'b1'\) on camera 'B'$"):
             idx.ranks([b1, b1, a2], [a1, b2, a1])
 
+    def test_ranks_reject_rows_outside_the_index(self):
+        m = scalar_manifest([("t0", "a", 0.0), ("t1", "b", 1.0), ("t2", "a", 3.0),
+                             ("t3", "b", 7.0), ("t4", "a", 15.0)])
+        idx = build_neighbor_index(m)
+        assert idx.ranks([0], [3]).tolist() == [2]
+        # Row -2 would wrap to row 3, and the pair code t * n + s to another pair.
+        for t, s, msg in (([0], [-2], "s row -2"), ([-1], [1], "t row -1"),
+                          ([0, 0], [1, 5], "s row 5"), ([5], [0], "t row 5")):
+            with pytest.raises(IndexError, match=rf"^{msg} is outside \[0, 5\)$"):
+                idx.ranks(t, s)
+
 
 class TestOracleAgreement:
     def test_lists_and_ranks_match_naive(self):
@@ -232,6 +243,12 @@ def stress_cases():
         pytest.param(rng.normal(size=(40, 2)), np.r_[0, 0, np.ones(38, dtype=int)], id="short_lists"),
         pytest.param(rng.normal(size=(600, 16)), cams(600, 4), id="multi_block_600"),
         pytest.param(rng.normal(size=(80, 5)) * 1e160, cams(80), id="overflow_1e160"),
+        # Big enough that heads() selects candidates by chunk minima at k = 7.
+        pytest.param(rng.integers(0, 8, size=(1200, 3)).astype(float), cams(1200),
+                     id="chunk_grid_ties"),
+        pytest.param(rng.normal(size=(1200, 6)), np.repeat([0, 1, 2], [2, 500, 698]),
+                     id="chunk_unequal_cameras"),
+        pytest.param(rng.normal(size=(1200, 5)) * 1e160, cams(1200), id="chunk_overflow_1e160"),
     ]
 
 
@@ -312,6 +329,18 @@ class TestDenseReference:
         assert heads.shape == (5, 3)
         assert heads[0].tolist() == [2, 3, 4]
         assert heads[2].tolist() == [1, 0, -1]
+
+    @pytest.mark.parametrize("m,c", [(12, 12), (40, 12), (700, 12), (5000, 22), (6750, 48)])
+    def test_chunk_candidates_are_c_smallest(self, m, c):
+        # Integer entries tie often, also across chunk borders.
+        rng = np.random.default_rng(m)
+        H = rng.integers(0, 60, size=(64, m)).astype(float)
+        H[:4] = 7.0  # whole rows of ties
+        want = np.sort(H, axis=1)
+        cand, rest = _smallest(H, c)
+        assert all(len(set(row)) == c for row in cand.tolist())
+        assert np.array_equal(np.sort(np.take_along_axis(H, cand, axis=1), axis=1), want[:, :c])
+        assert np.array_equal(rest, want[:, c] if c < m else np.full(64, np.inf))
 
     def test_heads_bad_k(self, toy):
         with pytest.raises(ValueError):
