@@ -195,7 +195,14 @@ def read_manifest(path, sidecar=None, name=None) -> DomainManifest:
 
 
 def write_assignments(clusters: ClusterSet, path) -> None:
-    """Write cluster assignments, clusters first (by id), then unclustered as -1."""
+    """Write cluster assignments, clusters first (by id), then unclustered as -1.
+
+    An id with a tab or line break could not be read back: ValueError, before any file opens.
+    """
+    ids = [*(t for c in clusters.clusters for t in c.members), *clusters.unclustered]
+    bad = sorted(t for t in ids if "\t" in t or "\n" in t or "\r" in t)
+    if bad:
+        raise ValueError(f"tracklet id {bad[0]!r}: assignments cannot store a tab or line break")
     with atomic_write(path) as fh:
         for c in sorted(clusters.clusters, key=lambda c: c.cluster_id):
             for tid in sorted(c.members):

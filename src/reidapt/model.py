@@ -28,12 +28,12 @@ def _as_frame_matrix(frames) -> np.ndarray:
             arr = np.array(frames, dtype=np.float64)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ManifestError(f"frames are not a rectangular numeric array: {exc}") from exc
-        if arr.size == 0:
-            arr = arr.reshape(0, 0)
-        if arr.ndim != 2:
-            raise ManifestError(
-                f"frames must be a sequence of equal-length vectors, got shape {arr.shape}"
-            )
+    if arr.size == 0:  # no frames, or frames of dimension 0: both are empty-frames
+        arr = arr.reshape(0, 0)
+    if arr.ndim != 2:
+        raise ManifestError(
+            f"frames must be a sequence of equal-length vectors, got shape {arr.shape}"
+        )
     arr.setflags(write=False)
     return arr
 
@@ -301,8 +301,8 @@ def manifest_embeddings(
 
     Raises:
         ManifestError: the manifest is invalid, or a tracklet's mean is not
-            finite in float64 (an embedder or the frame sum overflowed); the
-            message names the first such tracklet in id order.
+            finite in float64 (NaN, or an embedder or the frame sum
+            overflowed); the message names the first such tracklet in id order.
     """
     report = m.validation
     if not report.ok:
@@ -322,8 +322,9 @@ def manifest_embeddings(
             X = np.vstack([_exact_mean(np.asarray(embedder.embed(t.frames))) for t in order])
     finite = np.isfinite(X).all(axis=1)
     if not finite.all():
-        tid = order[int(np.argmin(finite))].tracklet_id
-        raise ManifestError(f"tracklet {tid!r}: representation overflows float64")
+        i = int(np.argmin(finite))
+        what = "is NaN" if np.isnan(X[i]).any() else "overflows float64"
+        raise ManifestError(f"tracklet {order[i].tracklet_id!r}: representation {what}")
     if normalize:
         with np.errstate(over="ignore"):
             norms = np.linalg.norm(X, axis=1, keepdims=True)

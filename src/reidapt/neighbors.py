@@ -7,12 +7,13 @@ distance e(s, t) is the position of s inside t's list; it is deliberately
 asymmetric: if t is s's 1-nearest neighbour while s is only t's 5-nearest
 neighbour, then e(s, t) = 5.
 
-Storage.  The index keeps the ids, integer camera codes, the representations
-X, and for the GEMM a column-centred copy of X with its squared norms: O(n·d),
-every array indexed by row, ids ascending.  No n×n matrix is ever stored;
-lists and ranks are computed on demand, 256 rows at a time, so working
-memory is O(256·n) and results are O(n·k).  A row's gallery is every
-tracklet whose label differs from its own: the camera code, or for
+Storage.  An index is given strictly ascending ids, their cameras and the
+representations X, and derives the rest once: a read-only float64 copy of
+X, camera codes, the id-to-row map, and for the GEMM X column-centred with
+its squared norms, all O(n·d) and indexed by row.  No n×n matrix is ever
+stored: lists and ranks are computed on demand, 256 rows at a time, so
+working memory is O(256·n) and results are O(n·k).  A row's gallery is
+every tracklet whose label differs from its own: the camera code, or for
 evaluation the camera combined with the identity.  heads() goes camera by
 camera: it gathers the other cameras' centred rows and norms once, and
 each block of the camera's rows meets only those columns in the GEMM, so
@@ -42,14 +43,16 @@ Callers.  A command builds one index and hands it to cluster(),
 build_ranking and inter_intra_distances, so it embeds its manifest once.
 Clustering reads everything it needs from heads().  count_ranks() serves
 build_ranking's hit ranks and ranks(), which gives only the exact edge
-weights of build_graph called without K.  k_reciprocal_distance, like
-neighbor_ids, sorts one row's whole gallery exactly.
+weights of build_graph called without K.  Exact sorts take gallery
+columns only: heads() a camera's other cameras, and _row (which serves
+neighbor_ids and k_reciprocal_distance) one row's whole gallery.  Only
+count_ranks masks, by label.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -90,15 +93,38 @@ def exact_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class NeighborIndex:
-    """Representations and camera codes of one manifest, one row per tracklet, ids ascending."""
+    """Representations and camera codes of one manifest, one row per tracklet.
+
+    Takes n >= 1 strictly ascending ids, their cameras (at least two distinct)
+    and X of shape (n, d >= 1), else ValueError; keeps a read-only float64 X.
+    """
 
     ids: tuple[str, ...]
     cameras: tuple[str, ...]
-    codes: np.ndarray  # integer camera code per tracklet
     X: np.ndarray  # exact representations
-    Xc: np.ndarray  # X minus its column means, for the GEMM only
-    sq: np.ndarray  # squared row norms of Xc
-    index_of: dict[str, int]
+    codes: np.ndarray = field(init=False)  # integer camera code per tracklet
+    Xc: np.ndarray = field(init=False)  # X minus its column means, for the GEMM only
+    sq: np.ndarray = field(init=False)  # squared row norms of Xc
+    index_of: dict[str, int] = field(init=False)
+
+    def __post_init__(self):
+        ids, cameras, X = tuple(self.ids), tuple(self.cameras), np.array(self.X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] == 0 or not len(ids) == len(cameras) == len(X) > 0:
+            raise ValueError(f"need n >= 1 ids, n cameras and X of shape (n, d >= 1): got "
+                             f"{len(ids)} ids, {len(cameras)} cameras, X of shape {X.shape}")
+        for a, b in zip(ids, ids[1:]):
+            if not a < b:
+                raise ValueError(f"ids must be strictly ascending: {b!r} follows {a!r}")
+        codes = np.unique(cameras, return_inverse=True)[1].astype(np.intp)
+        if not codes.any():  # no row would have a gallery
+            raise DomainError(f"cross-camera neighbors undefined: all on camera {cameras[0]!r}")
+        Xc = X - X.mean(axis=0)
+        for a in (X, codes, Xc):
+            a.setflags(write=False)
+        for name, value in dict(ids=ids, cameras=cameras, X=X, codes=codes, Xc=Xc,
+                                sq=np.einsum("ij,ij->i", Xc, Xc),
+                                index_of={tid: i for i, tid in enumerate(ids)}).items():
+            object.__setattr__(self, name, value)
 
     def __len__(self):
         return len(self.ids)
@@ -108,9 +134,7 @@ class NeighborIndex:
 
     def neighbor_ids(self, tracklet_id: str) -> tuple[str, ...]:
         """Full cross-camera list for one tracklet, best match first."""
-        n = len(self.ids)
-        head = self._sorted_exact(np.array([self._lookup(tracklet_id)]), np.arange(n), n)[0][0]
-        return tuple(self.ids[j] for j in head[head >= 0])
+        return tuple(self.ids[j] for j in self._row(self._lookup(tracklet_id)))
 
     @np.errstate(over="ignore", invalid="ignore")  # overflow only widens the bound
     def heads(self, k: int) -> np.ndarray:
@@ -122,8 +146,8 @@ class NeighborIndex:
         smallest entries from chunk minima; the exact kernel sorts them,
         and the row stands only if its k-th exact distance is below the
         least non-candidate entry's lower bound, else the row is redone
-        against every column.  Rows of a camera whose gallery is shorter
-        than the output keep -1 past its end.
+        exactly over the same other-camera columns.  Rows of a camera whose
+        gallery is shorter than the output keep -1 past its end.
         """
         if k < 1:
             raise ValueError("k must be a positive integer")
@@ -140,14 +164,14 @@ class NeighborIndex:
                 H = (-2.0 * self.Xc[rows]) @ XoT
                 H += sqo
                 cand, rest = _smallest(H, c)
-                head, d2 = self._sorted_exact(rows, other[cand], w)
+                head, d2 = self._sorted_exact(rows, other[cand], width)
                 kth = d2[:, width - 1]
                 # Every non-candidate j has exact distance >= H[i, j] + ‖c_i‖² - tol,
                 # so a row whose k-th exact distance lies below that for all of
                 # them has its whole head among the candidates.
                 redo = ~(kth < rest + self.sq[rows] - self._tol(rows))
                 if redo.any():
-                    head[redo] = self._sorted_exact(rows[redo], np.arange(n), width)[0]
+                    head[redo] = self._sorted_exact(rows[redo], other, width)[0]
                 out[rows, :width] = head
         return out
 
@@ -175,26 +199,6 @@ class NeighborIndex:
             f"rank distance undefined for same-camera pair ({self.ids[s]!r}, "
             f"{self.ids[t]!r}) on camera {self.cameras[s]!r}"
         )
-
-    def _gemm(self, rows: np.ndarray, label: np.ndarray | None = None) -> np.ndarray:
-        """H = G - ‖c_i‖² from rows to every row, +inf outside each row's gallery.
-
-        G is the GEMM form of the squared distance; label is as in _outside.
-        """
-        H = (-2.0 * self.Xc[rows]) @ self.Xc.T
-        H += self.sq
-        np.putmask(H, self._outside(rows, np.arange(len(self.ids)), label), np.inf)
-        return H
-
-    def _outside(self, rows: np.ndarray, cols: np.ndarray,
-                 label: np.ndarray | None = None) -> np.ndarray:
-        """Whether cols[i, j] (or cols[j]) is outside row rows[i]'s gallery.
-
-        A gallery holds the tracklets whose label differs from the row's own;
-        label is one integer per tracklet, the camera code by default.
-        """
-        label = self.codes if label is None else label
-        return label[cols] == label[rows, None]
 
     def _tol(self, rows: np.ndarray) -> np.ndarray:
         """Bound on |G[i, j] - exact d2(i, j)| over all j, per row i.
@@ -231,20 +235,21 @@ class NeighborIndex:
         tol[~np.isfinite(4.0 * scale)] = np.inf
         return tol
 
-    def _sorted_exact(self, rows: np.ndarray, cols: np.ndarray, w: int):
-        """First w of cols per row in (other camera first, distance, id) order.
+    def _row(self, i: int) -> np.ndarray:
+        """Row i's whole list: the rows of its gallery in exact (d2, id) order."""
+        other = np.flatnonzero(self.codes != self.codes[i])
+        return self._sorted_exact(np.array([i]), other, len(other))[0][0]
 
-        cols is one index row per row, or a single row shared by all of them.
-        Returns (head, d2): same-camera entries of head are -1, and d2 holds
-        the exact squared distances in head order.
+    def _sorted_exact(self, rows: np.ndarray, cols: np.ndarray, w: int):
+        """(head, d2): the first w of cols per row in exact (d2, id) order, and their d2.
+
+        cols, gallery columns only, is one index row per row or one row shared
+        by all; a lower column is a lower id, so ties on d2 go to it.
         """
         d2 = exact_sq_dists(self.X[rows], self.X[cols])
         cols = np.broadcast_to(cols, d2.shape)
-        same = self._outside(rows, cols)
-        order = np.lexsort((cols, d2, same), axis=-1)[:, :w]
-        head = np.take_along_axis(cols, order, axis=-1)
-        head[np.take_along_axis(same, order, axis=-1)] = -1
-        return head, np.take_along_axis(d2, order, axis=-1)
+        order = np.lexsort((cols, d2), axis=-1)[:, :w]
+        return np.take_along_axis(cols, order, axis=-1), np.take_along_axis(d2, order, axis=-1)
 
     def _lookup(self, tracklet_id: str) -> int:
         try:
@@ -295,11 +300,9 @@ def count_ranks(idx: NeighborIndex, rows, ptr, targets, ident: np.ndarray | None
     _BLOCK at a time, so working memory is O(_BLOCK·n) however many targets
     a row has.
     """
-    rows = np.asarray(rows, dtype=np.intp)
-    ptr = np.asarray(ptr, dtype=np.intp)
-    targets = np.asarray(targets, dtype=np.intp)
+    rows, ptr, targets = (np.asarray(a, dtype=np.intp) for a in (rows, ptr, targets))
     # 0 <= code < codes.max() + 1, so the label determines (code, ident).
-    label = None if ident is None else idx.codes + (idx.codes.max() + 1) * ident
+    label = idx.codes if ident is None else idx.codes + (idx.codes.max() + 1) * ident
     size = np.diff(ptr)
     live = np.flatnonzero(size)
     out = np.empty(len(targets), dtype=np.int64)
@@ -313,7 +316,8 @@ def count_ranks(idx: NeighborIndex, rows, ptr, targets, ident: np.ndarray | None
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow only widens the bound
 def _count_block(idx, rows, r, tgt, label, key) -> np.ndarray:
-    """count_ranks for rows, row i owning r[i] >= 1 of tgt; label as in _outside.
+    """count_ranks for rows, row i owning r[i] >= 1 of tgt, with row i's gallery
+    every tracklet whose label differs from label[rows[i]].
 
     Targets are ordered exactly among themselves.  Every other gallery item j
     precedes a suffix of its row's targets in (key, id) order; p_j, the
@@ -331,7 +335,9 @@ def _count_block(idx, rows, r, tgt, label, key) -> np.ndarray:
     col = np.arange(len(tgt)) - start
     D = np.full((b, w), np.inf)  # each row's exact target d2, padded
     D[slot, col] = exact_sq_dists(np.repeat(X[rows], r, axis=0), X[tgt, None])[:, 0]
-    H = idx._gemm(rows, label)
+    H = (-2.0 * idx.Xc[rows]) @ idx.Xc.T
+    H += idx.sq
+    np.putmask(H, label == label[rows, None], np.inf)
     H[slot, tgt] = np.inf  # targets are ordered among themselves below
     tol = idx._tol(rows)[:, None]
     base = np.sort(D, axis=1) - idx.sq[rows, None]
@@ -348,7 +354,7 @@ def _count_block(idx, rows, r, tgt, label, key) -> np.ndarray:
             np.add(np.searchsorted(lo[i, : r[i]], H[i], side="right"), (w + 1) * i, out=B[i])
     band = H <= hi.ravel()[B]
     if loose.any():
-        band[loose] = ~idx._outside(rows[loose], np.arange(n), label)
+        band[loose] = label != label[rows[loose], None]
         band[slot, tgt] = False
     bi, bu = np.divmod(np.flatnonzero(band), n)  # 2-D nonzero is slow
     bins = np.bincount(B.ravel(), minlength=b * (w + 1))
@@ -384,7 +390,7 @@ def build_neighbor_index(m: DomainManifest, embedder=None, normalize: bool = Fal
 
     Each tracklet's exact mean (optionally embedded, optionally
     L2-normalized) frame vector from manifest_embeddings, which validates the
-    manifest, plus camera codes.  The manifest must also span at least two
+    manifest, and its camera.  The manifest must also span at least two
     cameras (DomainError).
     """
     ids, X = manifest_embeddings(m, embedder=embedder, normalize=normalize)
@@ -392,20 +398,7 @@ def build_neighbor_index(m: DomainManifest, embedder=None, normalize: bool = Fal
         raise DomainError(
             f"cross-camera neighbors undefined: manifest {m.name!r} has a single camera"
         )
-    cameras = tuple(m.by_id[tid].camera_id for tid in ids)
-    codes = np.unique(cameras, return_inverse=True)[1].astype(np.intp)
-    Xc = X - X.mean(axis=0)
-    for a in (X, codes, Xc):
-        a.setflags(write=False)
-    return NeighborIndex(
-        ids=tuple(ids),
-        cameras=cameras,
-        codes=codes,
-        X=X,
-        Xc=Xc,
-        sq=np.einsum("ij,ij->i", Xc, Xc),
-        index_of={tid: i for i, tid in enumerate(ids)},
-    )
+    return NeighborIndex(ids, tuple(m.by_id[tid].camera_id for tid in ids), X)
 
 
 def top_k(idx: NeighborIndex, k: int, tracklet_id: str) -> tuple[str, ...]:
@@ -420,7 +413,5 @@ def k_reciprocal_distance(idx: NeighborIndex, s: str, t: str) -> int:
     si, ti = idx._lookup(s), idx._lookup(t)
     if idx.codes[si] == idx.codes[ti]:
         raise idx._same_camera(ti, si)
-    # One row's full exact sort, as neighbor_ids makes it: far cheaper for
-    # a single pair than ranks(), whose per-call set-up dominates.
-    head = idx._sorted_exact(np.array([ti]), np.arange(len(idx)), len(idx))[0][0]
-    return int(np.flatnonzero(head == si)[0]) + 1
+    # For one pair, one row's exact sort is far cheaper than ranks()' set-up.
+    return int(np.flatnonzero(idx._row(ti) == si)[0]) + 1

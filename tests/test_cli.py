@@ -190,6 +190,21 @@ class TestClusterCommand:
         assert len(err) == 1 and err[0].startswith(f"error: {manifest}:2: "), err
         assert not (tmp_path / "x.tsv").exists()
 
+    @pytest.mark.parametrize("ch", ["\t", "\n", "\r"], ids=["tab", "newline", "return"])
+    def test_id_assignments_cannot_store_fails_cleanly(self, tmp_path, capsys, ch):
+        mk = lambda tid, cam, x: Tracklet(tid, cam, [[x]])
+        m = DomainManifest("m", (mk("a", "A", 0.0), mk(f"b{ch}1", "B", 0.1),
+                                 mk("c", "A", 5.0), mk("d", "B", 5.1)))
+        manifest, out = tmp_path / "m.jsonl", tmp_path / "x.tsv"
+        write_manifest(m, manifest)
+        assert read_manifest(manifest).by_id[f"b{ch}1"]  # a valid id in JSON
+        code = run(["cluster", "--manifest", str(manifest), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: tracklet id {f'b{ch}1'!r}: assignments cannot store a tab or line break"
+        ]
+        assert list(tmp_path.iterdir()) == [manifest]
+
 
 class TestTrainAndAdapt:
     def make_domains(self, tmp_path):
@@ -393,6 +408,26 @@ class TestCheckpointInputDim:
             f"error: {ckpt}: embedder takes 64-d frames, {manifest} has 3-d frames"
         ]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl", "wide.kte"]
+
+
+class TestZeroDimFrames:
+    @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
+    @pytest.mark.parametrize("command", ["cluster", "eval"])
+    def test_dim0_sidecar_is_empty_frames(self, tmp_path, capsys, command):
+        manifest, sidecar = tmp_path / "m.jsonl", tmp_path / "m.ktf"
+        write_feature_sidecar(sidecar, np.zeros((6, 0)))
+        manifest.write_text("".join(
+            json.dumps({"tracklet_id": f"t{i}", "camera_id": "AB"[i % 2], "identity": f"I{i // 2}",
+                        "frames_ref": {"offset": i, "count": 1}}) + "\n"
+            for i in range(6)
+        ))
+        out = tmp_path / "out"
+        argv = [command, "--manifest", str(manifest), "--sidecar", str(sidecar),
+                "--out-dir" if command == "eval" else "--out", str(out)]
+        assert run(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "empty-frames" in err[0], err
+        assert not out.exists()
 
 
 class TestZeroDimEmbedder:

@@ -178,6 +178,19 @@ class TestAssignments:
         write_assignments(cs, path)
         assert read_assignments(path) == cs
 
+    @pytest.mark.parametrize("ch", ["\t", "\n", "\r"], ids=["tab", "newline", "return"])
+    @pytest.mark.parametrize("where", ["clustered", "unclustered"])
+    def test_id_that_cannot_read_back_rejected_before_writing(self, tmp_path, ch, where):
+        bad = f"t{ch}0"
+        members, unclustered = {"a"}, {"z"}
+        (members if where == "clustered" else unclustered).add(bad)
+        cs = ClusterSet((ClusterAssignment(0, frozenset(members)),), frozenset(unclustered))
+        with pytest.raises(ValueError) as exc:
+            write_assignments(cs, tmp_path / "a.tsv")
+        assert str(exc.value) == (f"tracklet id {bad!r}: "
+                                  "assignments cannot store a tab or line break")
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_line_rejected(self, tmp_path):
         path = tmp_path / "a.tsv"
         path.write_text("zero\ta\n")

@@ -40,6 +40,13 @@ class TestTracklet:
         with pytest.raises(ValueError):
             t.frames[0, 0] = 9.0
 
+    def test_zero_dim_frames_are_no_frames(self):
+        # Frames of dimension 0 hold nothing, inline or as an ndarray (a dim-0 sidecar).
+        inline, sidecar = T("a", "c", [[]]), T("a", "c", np.zeros((3, 0)))
+        assert inline.frames.shape == sidecar.frames.shape == (0, 0)
+        report = validate_manifest(DomainManifest("m", (sidecar, T("b", "d", [[1.0]]))))
+        assert report.kinds() == {"empty-frames": 1}
+
     def test_ragged_frames_rejected(self):
         with pytest.raises(ManifestError):
             T("a", "c", [[1.0, 2.0], [3.0]])
@@ -179,6 +186,14 @@ class TestManifestEmbeddings:
         wrapped = None if embedder is None else type("E", (), {"embed": staticmethod(embedder)})()
         with pytest.raises(ManifestError, match=r"^tracklet 'b': representation overflows float64$"):
             manifest_embeddings(m, wrapped)
+
+    @pytest.mark.filterwarnings("error")
+    def test_nan_names_the_tracklet_as_nan(self):
+        # fsum of NaN is NaN: nothing overflowed, so the message must not say so.
+        m = DomainManifest("m", (T("b", "c1", [[0.0]]), T("a", "c2", [[1.0]])))
+        nan = LinearEmbedder(np.array([[np.nan]]), np.zeros(1))
+        with pytest.raises(ManifestError, match=r"^tracklet 'a': representation is NaN$"):
+            manifest_embeddings(m, nan)
 
 
 grid_values = st.integers(-(2**20), 2**20).map(lambda v: v * 2.0**-10)  # sums are exact

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from reidapt import (
     build_neighbor_index,
     cluster,
     k_reciprocal_distance,
+    manifest_embeddings,
     threshold_graph,
     top_k,
 )
@@ -104,6 +107,53 @@ class TestBuildIndex:
             cam = m.by_id[tid].camera_id
             expect = {t.tracklet_id for t in m.tracklets if t.camera_id != cam}
             assert set(idx.neighbor_ids(tid)) == expect
+
+
+class TestConstructor:
+    def test_equals_build_neighbor_index(self):
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            m = random_manifest(rng, max_tracklets=20, max_dim=4)
+            built = build_neighbor_index(m)
+            ids, X = manifest_embeddings(m)
+            idx = NeighborIndex(list(ids), [m.by_id[tid].camera_id for tid in ids], X)
+            for f in dataclasses.fields(NeighborIndex):
+                got, want = getattr(idx, f.name), getattr(built, f.name)
+                if isinstance(want, np.ndarray):
+                    assert got.dtype == want.dtype and got.shape == want.shape, f.name
+                    assert got.tobytes() == want.tobytes(), f.name
+                else:
+                    assert type(got) is type(want) and got == want, f.name
+
+    def test_derived_arrays_read_only_and_caller_x_untouched(self, toy):
+        built = build_neighbor_index(toy)
+        X = np.array(built.X)
+        idx = NeighborIndex(built.ids, built.cameras, X)
+        for a in (idx.X, idx.codes, idx.Xc):
+            assert not a.flags.writeable
+        assert X.flags.writeable
+        X[0, 0] = 99.0
+        assert idx.X[0, 0] == built.X[0, 0]
+        assert idx.neighbor_ids("a1") == ("b1", "b2", "b3")
+
+    @pytest.mark.parametrize("ids,cameras,X,message", [
+        pytest.param(("b", "a"), ("A", "B"), [[0.0], [1.0]], "strictly ascending: 'a' follows 'b'",
+                     id="unsorted_ids"),
+        pytest.param(("a", "a"), ("A", "B"), [[0.0], [1.0]], "strictly ascending: 'a' follows 'a'",
+                     id="duplicate_ids"),
+        pytest.param(("a", "b"), ("A",), [[0.0], [1.0]], "1 cameras", id="cameras_short"),
+        pytest.param(("a", "b"), ("A", "B"), [[0.0]], "X of shape (1, 1)", id="x_short"),
+        pytest.param(("a", "b"), ("A", "B"), [0.0, 1.0], "X of shape (2,)", id="x_1d"),
+        pytest.param(("a", "b"), ("A", "B"), np.zeros((2, 0)), "X of shape (2, 0)",
+                     id="x_no_columns"),
+        pytest.param((), (), np.zeros((0, 1)), "got 0 ids", id="empty"),
+        pytest.param(("a", "b"), ("A", "A"), [[0.0], [1.0]], "all on camera 'A'",
+                     id="one_camera"),  # a DomainError, which is a ValueError
+    ])
+    def test_bad_input_rejected(self, ids, cameras, X, message):
+        with pytest.raises(ValueError) as exc:
+            NeighborIndex(ids, cameras, X)
+        assert message in str(exc.value)
 
 
 class TestTopK:

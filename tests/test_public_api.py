@@ -30,7 +30,7 @@ MergeError
 MergePolicy(min_identities: 'int' = 201, require_cross_camera: 'bool' = True, exclusion_list: 'frozenset[str]' = <factory>, namespace_ids: 'bool' = True) -> None
 MergeReport(sources: 'tuple[SourceSummary, ...]', identities: 'int', images: 'int', cameras: 'int', tracklets: 'int') -> None
 MlpEmbedder(W1, b1, W2, b2)
-NeighborIndex(ids: 'tuple[str, ...]', cameras: 'tuple[str, ...]', codes: 'np.ndarray', X: 'np.ndarray', Xc: 'np.ndarray', sq: 'np.ndarray', index_of: 'dict[str, int]') -> None
+NeighborIndex(ids: 'tuple[str, ...]', cameras: 'tuple[str, ...]', X: 'np.ndarray') -> None
 QueryRanking(query_id: 'str', hits: 'np.ndarray') -> None
 RankingResult(queries: 'tuple[QueryRanking, ...]') -> None
 ReciprocalGraph(vertices: 'tuple[str, ...]', src: 'np.ndarray', dst: 'np.ndarray', weight: 'np.ndarray') -> None
