@@ -4,11 +4,16 @@ The adaptation loop alternates two steps on an unlabeled target domain:
 cluster the tracklets with the current embedder, then fine-tune the embedder
 with a batch-hard triplet loss using cluster ids as pseudo-labels.  Each
 round warm-starts from the previous round's parameters.
+
+An Embedder is one affine layer (kind "linear") or two with tanh between
+them (kind "mlp").  Its parameters lie flat in one layout, W1, b1[, W2, b2],
+which _layout derives from (input_dim, hidden_dim, output_dim) with
+hidden_dim 0 for one layer.  Training steps, checkpoints and checkpoint ids
+all read that layout, and a KTE1 kind code is the layer count.
 """
 
 from __future__ import annotations
 
-import abc
 import copy
 import hashlib
 import struct
@@ -39,33 +44,103 @@ __all__ = [
     "checkpoint_id",
 ]
 
+# Indexed by layer count, which is also the KTE1 kind code.
+_KINDS = ("identity", "linear", "mlp")
 
-class Embedder(abc.ABC):
-    """Deterministic differentiable map from feature space to embedding space.
 
-    Implementations carry a flat parameter vector so optimizers and
-    checkpoints do not care about the architecture.
+def _layout(input_dim: int, hidden_dim: int, output_dim: int) -> list[tuple]:
+    """Per layer, (start, w_stop, stop, W shape) in the flat parameter vector.
+
+    Layer i's W is params[start:w_stop] and its b is params[w_stop:stop];
+    hidden_dim 0 means one layer.  Pure integer arithmetic, so a checkpoint
+    header can be checked against it before any array exists.
+    """
+    dims = (input_dim, hidden_dim, output_dim) if hidden_dim else (input_dim, output_dim)
+    layout, stop = [], 0
+    for rows, cols in zip(dims, dims[1:]):
+        w_stop = stop + rows * cols
+        layout.append((stop, w_stop, w_stop + cols, (rows, cols)))
+        stop = w_stop + cols
+    return layout
+
+
+def _split(params: np.ndarray, layout) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Fresh (W, b) of each layer, cut from a flat vector by its layout."""
+    return [
+        (params[start:w_stop].reshape(shape).copy(), params[w_stop:stop].copy())
+        for start, w_stop, stop, shape in layout
+    ]
+
+
+def _check_dims(*dims: int) -> None:
+    if min(dims) < 1:
+        raise ValueError(f"embedder dims must be positive, got {dims}")
+
+
+class Embedder:
+    """One or two affine layers: y = x @ W1 + b1, or tanh(x @ W1 + b1) @ W2 + b2.
+
+    Embedder(W1, b1[, W2, b2]) copies the arrays.  kind is "linear" or "mlp"
+    by layer count, and hidden_dim is W1's width for two layers, 0 for one.
+    param_vector lists W1, b1[, W2, b2] flat, so optimizers and checkpoints
+    do not care about the architecture.
     """
 
-    kind: str = "abstract"
-    input_dim: int
-    output_dim: int
+    def __init__(self, *arrays):
+        if len(arrays) not in (2, 4):
+            raise ValueError(f"an embedder takes arrays W1, b1[, W2, b2], got {len(arrays)}")
+        arrays = [np.array(a, dtype=np.float64) for a in arrays]
+        shapes = [a.shape for a in arrays]
+        if any(len(s) != 2 for s in shapes[::2]):
+            raise ValueError(f"layer weights must be 2-D, got shapes {shapes}")
+        dims = (shapes[0][0], *(s[1] for s in shapes[::2]))
+        _check_dims(*dims)
+        self.input_dim, self.output_dim = dims[0], dims[-1]
+        self.hidden_dim = dims[1] if len(dims) == 3 else 0
+        self.kind = _KINDS[len(arrays) // 2]
+        self._layout = _layout(self.input_dim, self.hidden_dim, self.output_dim)
+        if shapes != [s for *_, (rows, cols) in self._layout for s in ((rows, cols), (cols,))]:
+            raise ValueError(f"inconsistent layer shapes {shapes}")
+        self._layers = list(zip(arrays[::2], arrays[1::2]))
 
-    @abc.abstractmethod
+    def _layer_inputs(self, arr: np.ndarray) -> list[np.ndarray]:
+        """Each layer's input: arr, then tanh of each hidden pre-activation."""
+        hs = [arr]
+        for W, b in self._layers[:-1]:
+            hs.append(np.tanh(hs[-1] @ W + b))
+        return hs
+
     def embed(self, x: np.ndarray) -> np.ndarray:
         """Map (n, input_dim) -> (n, output_dim); a single vector maps to a vector."""
+        arr, single = self._batch(x)
+        W, b = self._layers[-1]
+        y = self._layer_inputs(arr)[-1] @ W + b
+        return y[0] if single else y
 
-    @abc.abstractmethod
     def param_vector(self) -> np.ndarray:
         """Copy of all parameters as a flat float64 vector."""
+        return np.concatenate([a.ravel() for layer in self._layers for a in layer])
 
-    @abc.abstractmethod
     def set_param_vector(self, params: np.ndarray) -> None:
         """Load parameters from a flat vector (inverse of param_vector)."""
+        params = np.asarray(params, dtype=np.float64)
+        size = self._layout[-1][2]
+        if params.shape != (size,):
+            raise ValueError(f"expected {size} parameters, got {params.shape}")
+        self._layers = _split(params, self._layout)
 
-    @abc.abstractmethod
     def param_grad(self, x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
         """Flat gradient of sum(embed(x) * grad_out) w.r.t. the parameters."""
+        arr, _ = self._batch(x)
+        g = np.asarray(grad_out, dtype=np.float64)
+        hs = self._layer_inputs(arr)
+        grads: list[np.ndarray] = []
+        for i in reversed(range(len(self._layers))):
+            h = hs[i]
+            grads[:0] = [(h.T @ g).ravel(), g.sum(axis=0)]
+            if i:
+                g = (g @ self._layers[i][0].T) * (1.0 - h * h)
+        return np.concatenate(grads)
 
     def clone(self) -> "Embedder":
         return copy.deepcopy(self)
@@ -80,26 +155,11 @@ class Embedder(abc.ABC):
         return arr, False
 
 
-def _check_dims(*dims: int) -> None:
-    if min(dims) < 1:
-        raise ValueError(f"embedder dims must be positive, got {dims}")
-
-
 class LinearEmbedder(Embedder):
-    """Affine map y = x @ W + b."""
-
-    kind = "linear"
+    """Affine map y = x @ W + b: an Embedder with one layer."""
 
     def __init__(self, weight: np.ndarray, bias: np.ndarray):
-        W = np.array(weight, dtype=np.float64)
-        b = np.array(bias, dtype=np.float64)
-        if W.ndim != 2 or b.ndim != 1 or b.shape[0] != W.shape[1]:
-            raise ValueError(f"inconsistent shapes: W {W.shape}, b {b.shape}")
-        _check_dims(*W.shape)
-        self.W = W
-        self.b = b
-        self.input_dim = W.shape[0]
-        self.output_dim = W.shape[1]
+        super().__init__(weight, bias)
 
     @classmethod
     def identity(cls, dim: int) -> "LinearEmbedder":
@@ -111,52 +171,12 @@ class LinearEmbedder(Embedder):
         W = rng.normal(0.0, 1.0 / np.sqrt(input_dim), size=(input_dim, output_dim))
         return cls(W, np.zeros(output_dim))
 
-    def embed(self, x):
-        arr, single = self._batch(x)
-        y = arr @ self.W + self.b
-        return y[0] if single else y
-
-    def param_vector(self):
-        return np.concatenate([self.W.ravel(), self.b])
-
-    def set_param_vector(self, params):
-        params = np.asarray(params, dtype=np.float64)
-        n_w = self.W.size
-        if params.shape != (n_w + self.b.size,):
-            raise ValueError(f"expected {n_w + self.b.size} parameters, got {params.shape}")
-        self.W = params[:n_w].reshape(self.W.shape).copy()
-        self.b = params[n_w:].copy()
-
-    def param_grad(self, x, grad_out):
-        arr, _ = self._batch(x)
-        g = np.asarray(grad_out, dtype=np.float64)
-        dW = arr.T @ g
-        db = g.sum(axis=0)
-        return np.concatenate([dW.ravel(), db])
-
 
 class MlpEmbedder(Embedder):
     """Two-layer perceptron y = tanh(x @ W1 + b1) @ W2 + b2."""
 
-    kind = "mlp"
-
     def __init__(self, W1, b1, W2, b2):
-        self.W1 = np.array(W1, dtype=np.float64)
-        self.b1 = np.array(b1, dtype=np.float64)
-        self.W2 = np.array(W2, dtype=np.float64)
-        self.b2 = np.array(b2, dtype=np.float64)
-        if (
-            self.W1.ndim != 2
-            or self.W2.ndim != 2
-            or self.W1.shape[1] != self.W2.shape[0]
-            or self.b1.shape != (self.W1.shape[1],)
-            or self.b2.shape != (self.W2.shape[1],)
-        ):
-            raise ValueError("inconsistent MLP shapes")
-        _check_dims(*self.W1.shape, self.W2.shape[1])
-        self.input_dim = self.W1.shape[0]
-        self.hidden_dim = self.W1.shape[1]
-        self.output_dim = self.W2.shape[1]
+        super().__init__(W1, b1, W2, b2)
 
     @classmethod
     def random(
@@ -166,38 +186,6 @@ class MlpEmbedder(Embedder):
         W1 = rng.normal(0.0, 1.0 / np.sqrt(input_dim), size=(input_dim, hidden_dim))
         W2 = rng.normal(0.0, 1.0 / np.sqrt(hidden_dim), size=(hidden_dim, output_dim))
         return cls(W1, np.zeros(hidden_dim), W2, np.zeros(output_dim))
-
-    def embed(self, x):
-        arr, single = self._batch(x)
-        y = np.tanh(arr @ self.W1 + self.b1) @ self.W2 + self.b2
-        return y[0] if single else y
-
-    def param_vector(self):
-        return np.concatenate(
-            [self.W1.ravel(), self.b1, self.W2.ravel(), self.b2]
-        )
-
-    def set_param_vector(self, params):
-        params = np.asarray(params, dtype=np.float64)
-        sizes = [self.W1.size, self.b1.size, self.W2.size, self.b2.size]
-        if params.shape != (sum(sizes),):
-            raise ValueError(f"expected {sum(sizes)} parameters, got {params.shape}")
-        chunks = np.split(params, np.cumsum(sizes)[:-1])
-        self.W1 = chunks[0].reshape(self.W1.shape).copy()
-        self.b1 = chunks[1].copy()
-        self.W2 = chunks[2].reshape(self.W2.shape).copy()
-        self.b2 = chunks[3].copy()
-
-    def param_grad(self, x, grad_out):
-        arr, _ = self._batch(x)
-        g = np.asarray(grad_out, dtype=np.float64)
-        h = np.tanh(arr @ self.W1 + self.b1)
-        dW2 = h.T @ g
-        db2 = g.sum(axis=0)
-        gh = (g @ self.W2.T) * (1.0 - h * h)
-        dW1 = arr.T @ gh
-        db1 = gh.sum(axis=0)
-        return np.concatenate([dW1.ravel(), db1, dW2.ravel(), db2])
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -433,8 +421,7 @@ def checkpoint_id(embedder: Embedder) -> str:
     """Short content hash identifying an embedder's kind, shape and weights."""
     h = hashlib.sha256()
     h.update(embedder.kind.encode())
-    hidden = getattr(embedder, "hidden_dim", 0)
-    h.update(struct.pack("<III", embedder.input_dim, hidden, embedder.output_dim))
+    h.update(struct.pack("<III", embedder.input_dim, embedder.hidden_dim, embedder.output_dim))
     h.update(np.ascontiguousarray(embedder.param_vector()).tobytes())
     return h.hexdigest()[:16]
 
@@ -489,12 +476,12 @@ def adapt(
 #
 # magic "KTE1", then little-endian: u32 kind, u32 input_dim, u32 hidden_dim,
 # u32 output_dim, u64 seed, u32 round_index, u64 n_params, f64 * n_params.
-# Kind 0 ("identity", no parameters) is still read, as raw features.
+# The kind code is the layer count: 0 identity, 1 linear, 2 mlp.  hidden_dim
+# is 0 unless there are two layers, and the parameters follow the one
+# layout of _layout.  Kind 0 (no parameters) is still read, as raw features.
 
 _CKPT_MAGIC = b"KTE1"
 _CKPT_HEADER = struct.Struct("<4sIIIIQIQ")
-_CODE_KINDS = {0: "identity", 1: "linear", 2: "mlp"}
-_KIND_CODES = {"linear": 1, "mlp": 2}
 
 
 @dataclass(frozen=True)
@@ -507,18 +494,20 @@ class Checkpoint:
 
 
 def save_checkpoint(path, embedder: Embedder, seed: int = 0, round_index: int = 0) -> None:
-    """Serialize an embedder (with provenance seed and round index) to disk."""
-    try:
-        code = _KIND_CODES[embedder.kind]
-    except KeyError:
-        raise ValueError(f"cannot checkpoint embedder kind {embedder.kind!r}") from None
+    """Serialize an embedder (with provenance seed and round index) to disk.
+
+    A seed or round index the header cannot hold is a ValueError, raised
+    before the file is opened.
+    """
+    for name, value, bits in (("seed", seed, 64), ("round_index", round_index, 32)):
+        if not 0 <= value < 1 << bits:
+            raise ValueError(f"checkpoint {name} must be in 0..2**{bits}-1, got {value}")
     params = np.ascontiguousarray(embedder.param_vector(), dtype=np.float64)
-    hidden = getattr(embedder, "hidden_dim", 0)
     header = _CKPT_HEADER.pack(
         _CKPT_MAGIC,
-        code,
+        _KINDS.index(embedder.kind),
         embedder.input_dim,
-        hidden,
+        embedder.hidden_dim,
         embedder.output_dim,
         seed,
         round_index,
@@ -537,20 +526,17 @@ def load_checkpoint(path) -> Checkpoint:
     magic, code, d_in, d_hid, d_out, seed, round_index, n_params = _CKPT_HEADER.unpack_from(blob)
     # The header is checked against its kind before any array exists, so a
     # small file cannot declare dims that allocate a large one.
-    kind = _CODE_KINDS.get(code)
-    if kind is None:
+    if code >= len(_KINDS):
         raise ValueError(f"{path}: unknown embedder kind code {code}")
+    kind = _KINDS[code]
     if kind != "mlp" and d_hid != 0:
         raise ValueError(f"{path}: {kind} checkpoint declares hidden_dim {d_hid}, expected 0")
     if kind == "identity" and d_out != d_in:
         raise ValueError(f"{path}: identity checkpoint maps {d_in} to {d_out} dims")
     if 0 in (d_in, d_out) or (kind == "mlp" and d_hid == 0):
         raise ValueError(f"{path}: {kind} checkpoint declares a zero dim ({d_in}, {d_hid}, {d_out})")
-    expected = {
-        "identity": 0,
-        "linear": d_in * d_out + d_out,
-        "mlp": d_in * d_hid + d_hid + d_hid * d_out + d_out,
-    }[kind]
+    layout = _layout(d_in, d_hid, d_out)
+    expected = layout[-1][2] if code else 0
     if n_params != expected:
         raise ValueError(f"{path}: {kind} dims imply {expected} parameters, header says {n_params}")
     n_bytes = len(blob) - _CKPT_HEADER.size
@@ -558,13 +544,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise ValueError(f"{path}: expected {n_params} parameters, found {n_bytes} bytes")
     if kind == "identity":
         return Checkpoint(embedder=None, seed=seed, round_index=round_index)
-    params = np.frombuffer(blob, dtype="<f8", offset=_CKPT_HEADER.size).astype(np.float64)
-
-    if kind == "linear":
-        emb: Embedder = LinearEmbedder(np.zeros((d_in, d_out)), np.zeros(d_out))
-    else:
-        emb = MlpEmbedder(
-            np.zeros((d_in, d_hid)), np.zeros(d_hid), np.zeros((d_hid, d_out)), np.zeros(d_out)
-        )
-    emb.set_param_vector(params)
+    params = np.frombuffer(blob, dtype="<f8", offset=_CKPT_HEADER.size)
+    arrays = [a for layer in _split(params, layout) for a in layer]
+    emb = (LinearEmbedder, MlpEmbedder)[code - 1](*arrays)
     return Checkpoint(embedder=emb, seed=seed, round_index=round_index)

@@ -25,15 +25,7 @@ from .adapt import (
     save_checkpoint,
     train_embedder,
 )
-from .errors import (
-    AdaptationError,
-    BatchError,
-    DomainError,
-    EvaluationError,
-    GenerationError,
-    ManifestError,
-    MergeError,
-)
+from .errors import AdaptationError, GenerationError
 from .evaluate import build_ranking, classify_clusters, cmc, inter_intra_distances, mean_average_precision
 from .graph import cluster
 from .model import AdaptConfig, SOURCE_ITERATIONS, TrainConfig, default_kt
@@ -383,18 +375,8 @@ _COMMANDS = {
     "eval": _cmd_eval,
 }
 
-_USER_ERRORS = (
-    ManifestError,
-    DomainError,
-    BatchError,
-    AdaptationError,
-    MergeError,
-    GenerationError,
-    EvaluationError,
-    ValueError,
-    KeyError,
-    OSError,
-)
+# Every other library error subclasses ValueError.
+_USER_ERRORS = (ValueError, KeyError, OSError, AdaptationError, GenerationError)
 
 
 def run(argv=None) -> int:

@@ -60,10 +60,27 @@ class ReciprocalGraph:
 
 @dataclass(frozen=True)
 class ClusterSet:
-    """Clusters plus the ids that did not make it into any cluster."""
+    """Clusters plus the ids that did not make it into any cluster.
+
+    Cluster ids are distinct, and each tracklet id sits in one cluster or
+    in unclustered, never in two places: a ValueError names the first
+    repeat otherwise.
+    """
 
     clusters: tuple[ClusterAssignment, ...]
     unclustered: frozenset[str]
+
+    def __post_init__(self):
+        cluster_ids: set[int] = set()
+        seen: set[str] = set()
+        for c in self.clusters:
+            if c.cluster_id in cluster_ids:
+                raise ValueError(f"cluster id {c.cluster_id} appears twice")
+            cluster_ids.add(c.cluster_id)
+        for members in [c.members for c in self.clusters] + [self.unclustered]:
+            if not seen.isdisjoint(members):
+                raise ValueError(f"tracklet {min(seen.intersection(members))!r} is assigned twice")
+            seen.update(members)
 
     def __len__(self):
         return len(self.clusters)

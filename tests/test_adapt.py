@@ -11,6 +11,7 @@ from reidapt import (
     BatchError,
     Checkpoint,
     DomainManifest,
+    Embedder,
     LinearEmbedder,
     MlpEmbedder,
     SyntheticSpec,
@@ -221,10 +222,68 @@ class TestEmbedders:
                                              np.ones(2)), id="mlp_hidden"),
         pytest.param(lambda rng: MlpEmbedder.random(3, 0, 2, rng), id="mlp_random_hidden"),
         pytest.param(lambda rng: MlpEmbedder.random(3, 4, 0, rng), id="mlp_random_output"),
+        pytest.param(lambda rng: Embedder(np.ones((0, 2)), np.ones(2)), id="base_input"),
+        pytest.param(lambda rng: Embedder(np.ones((3, 4)), np.ones(4), np.ones((4, 0)),
+                                          np.ones(0)), id="base_output"),
     ])
     def test_zero_dim_rejected(self, make):
         with pytest.raises(ValueError, match="embedder dims must be positive"):
             make(np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 6])
+    def test_array_count_rejected(self, n):
+        with pytest.raises(ValueError, match=rf"takes arrays W1, b1\[, W2, b2\], got {n}"):
+            Embedder(*[np.ones((2, 2))] * n)
+
+    @pytest.mark.parametrize("arrays", [
+        pytest.param(((3,), (3,)), id="vector_weight"),
+        pytest.param(((3, 2), (3,)), id="bias_width"),
+        pytest.param(((3, 2), (1, 2)), id="matrix_bias"),
+        pytest.param(((3, 4), (4,), (5, 2), (2,)), id="layer_join"),
+        pytest.param(((3, 4), (2,), (4, 2), (2,)), id="hidden_bias"),
+        pytest.param(((3, 4), (4,), (4, 2), (4,)), id="output_bias"),
+        pytest.param(((3, 4), (4,), (4,), (2,)), id="vector_second_weight"),
+    ])
+    def test_mismatched_shapes_rejected(self, arrays):
+        with pytest.raises(ValueError, match="layer"):
+            Embedder(*(np.ones(shape) for shape in arrays))
+
+    def test_kind_and_hidden_dim_follow_the_layer_count(self):
+        one = Embedder(np.ones((3, 2)), np.ones(2))
+        two = Embedder(np.ones((3, 5)), np.ones(5), np.ones((5, 2)), np.ones(2))
+        assert (one.kind, one.input_dim, one.hidden_dim, one.output_dim) == ("linear", 3, 0, 2)
+        assert (two.kind, two.input_dim, two.hidden_dim, two.output_dim) == ("mlp", 3, 5, 2)
+
+    @pytest.mark.parametrize("arch", ["linear", "mlp"])
+    def test_arithmetic_matches_written_out_form(self, arch):
+        # The training oracle calls embed and param_grad itself, so their
+        # arithmetic is pinned here, bit for bit, against the expressions
+        # written out.
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(9, 4))
+        if arch == "linear":
+            W1, b1 = rng.normal(size=(4, 3)), rng.normal(size=3)
+            e = LinearEmbedder(W1, b1)
+            y = x @ W1 + b1
+            g = rng.normal(size=y.shape)
+            grads = [x.T @ g, g.sum(axis=0)]
+        else:
+            W1, b1 = rng.normal(size=(4, 6)), rng.normal(size=6)
+            W2, b2 = rng.normal(size=(6, 3)), rng.normal(size=3)
+            e = MlpEmbedder(W1, b1, W2, b2)
+            y = np.tanh(x @ W1 + b1) @ W2 + b2
+            g = rng.normal(size=y.shape)
+            h = np.tanh(x @ W1 + b1)
+            dW2 = h.T @ g
+            db2 = g.sum(axis=0)
+            gh = (g @ W2.T) * (1.0 - h * h)
+            grads = [x.T @ gh, gh.sum(axis=0), dW2, db2]
+        want = np.concatenate([a.ravel() for a in grads])
+        reloaded = e.clone()
+        reloaded.set_param_vector(e.param_vector())
+        for emb in (e, reloaded):
+            assert emb.embed(x).tobytes() == y.tobytes()
+            assert emb.param_grad(x, g).tobytes() == want.tobytes()
 
     def test_param_roundtrip(self):
         rng = np.random.default_rng(1)
@@ -506,12 +565,40 @@ class TestCheckpoints:
         ckpt = load_checkpoint(path)
         assert ckpt.seed == 123
         assert ckpt.round_index == 2
+        assert type(ckpt.embedder) is type(e)
         assert ckpt.embedder.kind == e.kind
+        assert ckpt.embedder.hidden_dim == e.hidden_dim
         assert ckpt.embedder.input_dim == e.input_dim
         assert ckpt.embedder.output_dim == e.output_dim
         assert np.array_equal(ckpt.embedder.param_vector(), e.param_vector())
         x = rng.normal(size=(5, e.input_dim))
         assert np.array_equal(ckpt.embedder.embed(x), e.embed(x))
+
+    @pytest.mark.parametrize("n_arrays,cls", [(2, LinearEmbedder), (4, MlpEmbedder)])
+    def test_base_class_saves_and_loads_as_its_kind(self, tmp_path, n_arrays, cls):
+        rng = np.random.default_rng(13)
+        shapes = [(4, 5), (5,), (5, 3), (3,)] if n_arrays == 4 else [(4, 3), (3,)]
+        e = Embedder(*(rng.normal(size=s) for s in shapes))
+        path = tmp_path / "e.kte"
+        save_checkpoint(path, e)
+        loaded = load_checkpoint(path).embedder
+        assert type(loaded) is cls
+        assert loaded.param_vector().tobytes() == e.param_vector().tobytes()
+
+    @pytest.mark.parametrize("field,value", [
+        ("seed", -1), ("seed", 1 << 64), ("round_index", -1), ("round_index", 1 << 32),
+    ])
+    def test_header_field_out_of_range_rejected(self, tmp_path, field, value):
+        with pytest.raises(ValueError, match=rf"checkpoint {field} must be in 0\.\.2\*\*"):
+            save_checkpoint(tmp_path / "e.kte", LinearEmbedder.identity(2), **{field: value})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_largest_header_fields_roundtrip(self, tmp_path):
+        path = tmp_path / "e.kte"
+        save_checkpoint(path, LinearEmbedder.identity(2), seed=(1 << 64) - 1,
+                        round_index=(1 << 32) - 1)
+        ckpt = load_checkpoint(path)
+        assert (ckpt.seed, ckpt.round_index) == ((1 << 64) - 1, (1 << 32) - 1)
 
     def test_identity_kind_loads_as_raw_features(self, tmp_path):
         path = tmp_path / "raw.kte"

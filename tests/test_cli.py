@@ -272,6 +272,28 @@ class TestTrainAndAdapt:
         assert outs[0] == outs[1]
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("command", ["train-source", "adapt"])
+    def test_seed_beyond_u64_is_one_line_error(self, tmp_path, capsys, command):
+        # KTE1 stores the seed as a u64: the checkpoint is refused before
+        # anything is written, not after a struct.error traceback.
+        src, tgt = self.make_domains(tmp_path)
+        ckpt = tmp_path / "src.kte"
+        assert run(["train-source", "--manifest", str(src), "--out", str(ckpt),
+                    "--iterations", "5", "--lr", "0.01"]) == 0
+        before = sorted(tmp_path.iterdir())
+        out = tmp_path / "out.kte"
+        args = {
+            "train-source": ["--manifest", str(src), "--iterations", "5"],
+            "adapt": ["--checkpoint", str(ckpt), "--manifest", str(tgt),
+                      "--rounds", "1", "--iterations", "5"],
+        }[command]
+        capsys.readouterr()
+        code = run(["--seed", str(1 << 64), command, "--out", str(out), "--lr", "0.01", *args])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: checkpoint seed must be in"), err
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_mlp_architecture(self, tmp_path):
         src, _ = self.make_domains(tmp_path)
         ckpt = tmp_path / "mlp.kte"

@@ -13,6 +13,8 @@ from reidapt import (
     connected_subgraphs,
     threshold_graph,
 )
+from reidapt.graph import ClusterSet
+from reidapt.model import ClusterAssignment
 
 from oracles import (
     bfs_components,
@@ -216,6 +218,19 @@ class TestClusterSet:
         cs = cluster_set([frozenset({"a"}), frozenset({"b"})], 1)
         assert cs.clusters == ()
         assert cs.unclustered == {"a", "b"}
+
+    @pytest.mark.parametrize("clusters,unclustered,repeat", [
+        pytest.param([(0, {"a", "b"}), (1, {"a", "c"})], {"d"}, "tracklet 'a'", id="two_clusters"),
+        pytest.param([(0, {"a", "b"})], {"b", "c"}, "tracklet 'b'", id="cluster_and_unclustered"),
+        pytest.param([(0, {"a", "b"}), (0, {"c", "d"})], set(), "cluster id 0", id="cluster_id"),
+    ])
+    def test_repeats_rejected(self, clusters, unclustered, repeat):
+        # A repeated tracklet would be counted twice by n_tracklets and
+        # clustered_fraction; a repeated cluster id would merge two clusters
+        # on the assignments round trip.
+        assignments = tuple(ClusterAssignment(i, frozenset(m)) for i, m in clusters)
+        with pytest.raises(ValueError, match=repeat):
+            ClusterSet(assignments, frozenset(unclustered))
 
 
 class TestClusterPipeline:

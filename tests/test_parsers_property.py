@@ -110,7 +110,7 @@ class TestCheckpoint:
             if e is None:  # kind 0: raw features, no parameters
                 assert (code, d_hid, len(data)) == (0, 0, 40) and d_in == d_out
                 return
-            dims = (e.input_dim, getattr(e, "hidden_dim", 0), e.output_dim)
+            dims = (e.input_dim, e.hidden_dim, e.output_dim)
             assert (e.kind, dims) == (("identity", "linear", "mlp")[code], (d_in, d_hid, d_out))
             assert 40 + 8 * e.param_vector().size == len(data)
 

@@ -21,7 +21,7 @@ ClusterSet(clusters: 'tuple[ClusterAssignment, ...]', unclustered: 'frozenset[st
 DISTRACTOR_LABELS
 DomainError
 DomainManifest(name: 'str', tracklets: 'tuple[Tracklet, ...]') -> None
-Embedder()
+Embedder(*arrays)
 EvaluationError
 GenerationError
 LinearEmbedder(weight: 'np.ndarray', bias: 'np.ndarray')
