@@ -493,15 +493,24 @@ class Checkpoint:
     round_index: int
 
 
+_CKPT_FIELD_BITS = {"seed": 64, "round_index": 32}
+
+
+def check_checkpoint_field(name: str, value: int) -> None:
+    """ValueError unless value fits the header's unsigned field name ("seed" or "round_index")."""
+    bits = _CKPT_FIELD_BITS[name]
+    if not 0 <= value < 1 << bits:
+        raise ValueError(f"checkpoint {name} must be in 0..2**{bits}-1, got {value}")
+
+
 def save_checkpoint(path, embedder: Embedder, seed: int = 0, round_index: int = 0) -> None:
     """Serialize an embedder (with provenance seed and round index) to disk.
 
     A seed or round index the header cannot hold is a ValueError, raised
     before the file is opened.
     """
-    for name, value, bits in (("seed", seed, 64), ("round_index", round_index, 32)):
-        if not 0 <= value < 1 << bits:
-            raise ValueError(f"checkpoint {name} must be in 0..2**{bits}-1, got {value}")
+    check_checkpoint_field("seed", seed)
+    check_checkpoint_field("round_index", round_index)
     params = np.ascontiguousarray(embedder.param_vector(), dtype=np.float64)
     header = _CKPT_HEADER.pack(
         _CKPT_MAGIC,

@@ -20,6 +20,7 @@ from .adapt import (
     LinearEmbedder,
     MlpEmbedder,
     adapt as run_adapt,
+    check_checkpoint_field,
     identity_clusters,
     load_checkpoint,
     save_checkpoint,
@@ -215,6 +216,7 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_train_source(args) -> int:
+    check_checkpoint_field("seed", args.seed)  # the checkpoint records it: refuse before any work
     m = io_mod.read_manifest(args.manifest, sidecar=args.sidecar)
     dim = m.dim
     out_dim = args.embed_dim if args.embed_dim is not None else dim
@@ -244,6 +246,7 @@ def _cmd_train_source(args) -> int:
 
 
 def _cmd_adapt(args) -> int:
+    check_checkpoint_field("seed", args.seed)  # the checkpoint records it: refuse before any work
     ckpt = load_checkpoint(args.checkpoint)
     m = io_mod.read_manifest(args.manifest, sidecar=args.sidecar)
     _check_input_dim(ckpt.embedder, m, args)

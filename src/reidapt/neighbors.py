@@ -7,12 +7,13 @@ distance e(s, t) is the position of s inside t's list; it is deliberately
 asymmetric: if t is s's 1-nearest neighbour while s is only t's 5-nearest
 neighbour, then e(s, t) = 5.
 
-Storage.  An index is given strictly ascending ids, their cameras and the
+Storage.  An index is given strictly ascending ids, their cameras and finite
 representations X, and derives the rest once: a read-only float64 copy of
-X, camera codes, the id-to-row map, and for the GEMM X column-centred with
-its squared norms, all O(n·d) and indexed by row.  No n×n matrix is ever
-stored: lists and ranks are computed on demand, 256 rows at a time, so
-working memory is O(256·n) and results are O(n·k).  A row's gallery is
+X, camera codes, the id-to-row map, and for the GEMM the float32 matrix Xc
+(X column-centred and scaled by one power of two) with its squared norms,
+all O(n·d) and indexed by row.  No n×n matrix is ever stored: lists and
+ranks are computed on demand, 256 rows at a time, so working memory is
+O(256·n) and results are O(n·k).  A row's gallery is
 every tracklet whose label differs from its own: the camera code, or for
 evaluation the camera combined with the identity.  heads() goes camera by
 camera: it gathers the other cameras' centred rows and norms once, and
@@ -25,19 +26,24 @@ fixed einsum, so it does not depend on BLAS threading.  The differences are
 taken from A's rows repeated once per row of B, minus B in place: each
 element rounds exactly as in the broadcast A[:, None, :] - B, but NumPy runs
 one long loop instead of one short loop per pair.  The GEMM form
-‖a‖² + ‖b‖² − 2a·b only preselects: heads() re-sorts a fixed candidate set
-with the exact kernel and accepts a row only when every non-candidate is
-provably farther than the k-th exact distance (else it redoes the row
-exactly).  The candidates are the 2k + 8 smallest GEMM entries, picked by
-chunk minima (_smallest): the c-th smallest chunk minimum bounds the c-th
-smallest entry, so the c chunks with the smallest minima hold every entry
-below that bound, and only their union is partitioned.  count_ranks() ranks
-given targets by counting, not sorting: it orders a row's targets exactly
-among themselves, counts every other gallery item against their exact
-thresholds with one searchsorted of the GEMM row, and re-checks exactly
-only the items the _tol bound cannot place.  Its order key is d2 for ranks() and the rounded distance sqrt(d2)
-for evaluation; _tol shows that the bound covers both.  Every order is
-therefore the one a full exact sort on (key, id) gives.
+‖a‖² + ‖b‖² − 2a·b only preselects, in float32 on Xc: the centred X times
+2^scale_exp, the power of two that brings its largest entry into [1/2, 1),
+so no input overflows or underflows float32 wholesale.  Its precision only
+sets how many items are re-checked, never an order, and every comparison
+with an exact distance is made in float64.  heads() re-sorts a fixed
+candidate set with the exact kernel and accepts a row only when every
+non-candidate is provably farther than the k-th exact distance (else it
+redoes the row exactly).  The candidates are the 2k + 8 smallest GEMM
+entries, picked by chunk minima (_smallest): the c-th smallest chunk minimum
+bounds the c-th smallest entry, so the c chunks with the smallest minima
+hold every entry below that bound, and only their union is partitioned.
+count_ranks() ranks given targets by counting, not sorting: it orders a
+row's targets exactly among themselves, counts every other gallery item
+against their exact thresholds with one searchsorted of the GEMM row, and
+re-checks exactly only the items the _tol bound cannot place.  Its order
+key is d2 for ranks() and the rounded distance sqrt(d2) for evaluation;
+_tol is the one bound for both, and shows that it covers both.  Every order
+is therefore the one a full exact sort on (key, id) gives.
 
 Callers.  A command builds one index and hands it to cluster(),
 build_ranking and inter_intra_distances, so it embeds its manifest once.
@@ -62,8 +68,8 @@ from .model import DomainManifest, manifest_embeddings
 _BLOCK = 256
 # Elements of one coordinate-difference tensor in the exact kernel (2 MB).
 _DIFF_ELEMENTS = 1 << 18
-_EPS = np.finfo(np.float64).eps
-_TINY = np.finfo(np.float64).tiny
+_EPS32 = np.finfo(np.float32).eps
+_SUBNORMAL = np.finfo(np.float64).smallest_subnormal
 
 
 def exact_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -96,15 +102,18 @@ class NeighborIndex:
     """Representations and camera codes of one manifest, one row per tracklet.
 
     Takes n >= 1 strictly ascending ids, their cameras (at least two distinct)
-    and X of shape (n, d >= 1), else ValueError; keeps a read-only float64 X.
+    and finite X of shape (n, d >= 1), else ValueError; keeps a read-only
+    float64 X.
     """
 
     ids: tuple[str, ...]
     cameras: tuple[str, ...]
     X: np.ndarray  # exact representations
     codes: np.ndarray = field(init=False)  # integer camera code per tracklet
-    Xc: np.ndarray = field(init=False)  # X minus its column means, for the GEMM only
-    sq: np.ndarray = field(init=False)  # squared row norms of Xc
+    # float32 GEMM matrix: X minus its column means, times 2**scale_exp, rounded.
+    Xc: np.ndarray = field(init=False)
+    sq: np.ndarray = field(init=False)  # squared row norms of Xc, rounded to float32
+    scale_exp: int = field(init=False)  # brings Xc's largest |entry| into [1/2, 1)
     index_of: dict[str, int] = field(init=False)
 
     def __post_init__(self):
@@ -115,14 +124,21 @@ class NeighborIndex:
         for a, b in zip(ids, ids[1:]):
             if not a < b:
                 raise ValueError(f"ids must be strictly ascending: {b!r} follows {a!r}")
+        bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+        if len(bad):
+            raise ValueError(f"X row {bad[0]} ({ids[bad[0]]!r}) is not finite")
         codes = np.unique(cameras, return_inverse=True)[1].astype(np.intp)
         if not codes.any():  # no row would have a gallery
             raise DomainError(f"cross-camera neighbors undefined: all on camera {cameras[0]!r}")
         Xc = X - X.mean(axis=0)
-        for a in (X, codes, Xc):
+        scale_exp = -int(np.frexp(np.abs(Xc).max())[1])  # 0 when Xc is all zero
+        Xc = np.ldexp(Xc, scale_exp, out=Xc).astype(np.float32)
+        # Float64 squares of float32 entries are exact; only the sum and the cast round.
+        sq = np.einsum("ij,ij->i", Xc, Xc, dtype=np.float64).astype(np.float32)
+        for a in (X, codes, Xc, sq):
             a.setflags(write=False)
-        for name, value in dict(ids=ids, cameras=cameras, X=X, codes=codes, Xc=Xc,
-                                sq=np.einsum("ij,ij->i", Xc, Xc),
+        for name, value in dict(ids=ids, cameras=cameras, X=X, codes=codes, Xc=Xc, sq=sq,
+                                scale_exp=scale_exp,
                                 index_of={tid: i for i, tid in enumerate(ids)}).items():
             object.__setattr__(self, name, value)
 
@@ -141,8 +157,8 @@ class NeighborIndex:
         """First min(k, L) entries of every row's list, padded with -1.
 
         Returns an (n, min(k, max L)) array of row indices.  Rows are taken
-        one camera at a time, _BLOCK at a time, against a GEMM over the other
-        cameras' columns only.  _smallest picks each row's c = 2k + 8
+        one camera at a time, _BLOCK at a time, against a float32 GEMM over
+        the other cameras' columns only.  _smallest picks each row's c = 2k + 8
         smallest entries from chunk minima; the exact kernel sorts them,
         and the row stands only if its k-th exact distance is below the
         least non-candidate entry's lower bound, else the row is redone
@@ -165,11 +181,11 @@ class NeighborIndex:
                 H += sqo
                 cand, rest = _smallest(H, c)
                 head, d2 = self._sorted_exact(rows, other[cand], width)
-                kth = d2[:, width - 1]
-                # Every non-candidate j has exact distance >= H[i, j] + ‖c_i‖² - tol,
+                kth = np.ldexp(d2[:, width - 1], 2 * self.scale_exp)
+                # Every non-candidate j has exact distance, scaled, >= H[i, j] + sq[i] - tol,
                 # so a row whose k-th exact distance lies below that for all of
                 # them has its whole head among the candidates.
-                redo = ~(kth < rest + self.sq[rows] - self._tol(rows))
+                redo = ~(kth < rest.astype(np.float64) + self.sq[rows] - self._tol(rows))
                 if redo.any():
                     head[redo] = self._sorted_exact(rows[redo], other, width)[0]
                 out[rows, :width] = head
@@ -201,38 +217,57 @@ class NeighborIndex:
         )
 
     def _tol(self, rows: np.ndarray) -> np.ndarray:
-        """Bound on |G[i, j] - exact d2(i, j)| over all j, per row i.
+        """Bound on |G[i, j] - 2^(2·scale_exp)·d2(i, j)| over all j, per row i.
 
-        With u = eps/2 and S = ‖c_i‖² + ‖c_j‖² on the centred rows c:
-        - the GEMM form errs by at most (2d + 3)·u·S: each squared norm and
-          the dot product by γ_d = d·u/(1 - d·u) of S (any summation order,
-          FMA or not, since |c_i·c_j| <= S/2), plus one rounding each for
-          the sum and the difference, whose magnitudes stay below 2S;
-        - centring rounds each coordinate once, moving ‖c_i − c_j‖² from
-          ‖x_i − x_j‖² by at most about 4·u·S;
-        - the exact kernel rounds each difference, square and sum, so it is
-          within (d + 2)·u of ‖x_i − x_j‖² <= 2S.
-        The total, about (4d + 11)·u·S = (2d + 5.5)·eps·S, is bounded by
-        8·(d + 4)·eps·S with ample margin, which also absorbs the few
-        roundings (of magnitude <= 3S) made when comparing against it;
-        S <= ‖c_i‖² + max ‖c‖².  Underflow adds at most half the smallest
-        subnormal per operation, which the added smallest normal number
-        covers (8·(d + 4)·2^-1074).  Nothing in the GEMM form exceeds 2S, so
-        while 4S is finite nothing overflowed; otherwise the bound is
-        infinite and the row is settled by the exact kernel alone.
+        G[i, j] = H[i, j] + sq[i], with H the float32 GEMM entry −2·y_i·y_j +
+        sq[j] on the rows y of Xc, and d2 the exact kernel's float64 value.
+        The bound is in these scaled units: callers scale d2 by np.ldexp and
+        compare in float64.  With u = 2^-24 (float32's unit roundoff),
+        σ = ‖y_i‖² + ‖y_j‖² and S = sq[i] + max sq, so σ <= (1 + 2u)·S:
+        - rounding s·c to float32 (s = 2^scale_exp, c the centred rows) moves
+          each entry by at most u of itself, so ‖y_i − y_j‖² is within about
+          4u·σ of s²·‖c_i − c_j‖²;
+        - sq is the float64 sum of exact float64 squares, rounded once to
+          float32: within about u·σ for the pair;
+        - the float32 dot product errs by at most γ_d·Σ|2·y_ik·y_jk| <= γ_d·σ,
+          γ_d = d·u/(1 − d·u), in any summation order, FMA or not (Higham
+          2002, §3.1);
+        - the float32 add of sq[j] rounds a value of magnitude <= 2σ: 2u·σ;
+        - undoing the scale is exact, since np.ldexp rounds only on underflow;
+        - centring moves ‖c_i − c_j‖² from ‖x_i − x_j‖² by about 4·2^-53·σ/s²,
+          the exact kernel is within (d + 2)·2^-53·2σ/s², and the float64
+          comparison rounds a few values of magnitude <= 3σ once each: about
+          (2d + 20)·2^-53·σ in scaled units, below u·σ while d < 2^27.
+        The total is about (d + 8)·u·σ <= (d + 9)·u·S, and the bound
+        8·(d + 4)·u·S = 4·(d + 4)·eps32·S is at least four times that, which
+        also absorbs the second-order terms while d < 2^20.
 
         The margin also covers ordering on the rounded distance sqrt(d2):
         if two exact d2 values a <= b round to one distance r, both roots
-        lie within u·r of r, so b - a <= 4u·r² ≈ 2·eps·b <= 4·eps·S (d2 is
-        at most 2S up to the centring term).  The GEMM error plus that gap,
-        about (2d + 9.5)·eps·S, stays below 8·(d + 4)·eps·S >= 40·eps·S, so
-        an item whose root may collide with a threshold's lies in the band
-        that is re-checked exactly, and outside it d2 and sqrt(d2) order
-        strictly alike.
+        lie within 2^-53·r of r, so b - a <= 2^-51·b, under 2^-48·σ when
+        scaled, which the margin holds beside the GEMM error.  So an item
+        whose root may collide with a threshold's lies in the band that is
+        re-checked exactly, and outside it d2 and sqrt(d2) order strictly
+        alike.
+
+        Underflow.  Unless Xc is zero (and every error with it), its largest
+        entry is at least 1/2, so S >= 1/4.  A float32 rounding errs by at most
+        2^-126 beyond its relative error, even flushed to zero; fewer than
+        10d + 3 such errors, each weighted at most 4 (entries are at most 1),
+        reach G, far below u·S.  A float64 scaled value or comparison errs by
+        at most 2^-1075 beyond its relative error, again far below u·S.
+        Before scaling, centring and the exact kernel subtract and add
+        exactly when the result is subnormal, and the kernel's d squares err
+        by at most half the smallest subnormal each, which the added
+        4·(d + 4)·2^-1074·s² covers.
+        Overflow: no float32 value exceeds 4d, and the kernel's values stay
+        below 2S/s² (up to rounding), so while 4S/s² is finite nothing
+        overflowed; otherwise the bound is infinite and the row is settled by
+        the exact kernel alone.
         """
-        scale = self.sq[rows] + self.sq.max() + _TINY
-        tol = 8.0 * (self.X.shape[1] + 4) * _EPS * scale
-        tol[~np.isfinite(4.0 * scale)] = np.inf
+        S = self.sq[rows].astype(np.float64) + self.sq.max()
+        tol = 4.0 * (self.X.shape[1] + 4) * (_EPS32 * S + np.ldexp(_SUBNORMAL, 2 * self.scale_exp))
+        tol[~np.isfinite(np.ldexp(4.0 * S, -2 * self.scale_exp))] = np.inf
         return tol
 
     def _row(self, i: int) -> np.ndarray:
@@ -321,8 +356,9 @@ def _count_block(idx, rows, r, tgt, label, key) -> np.ndarray:
 
     Targets are ordered exactly among themselves.  Every other gallery item j
     precedes a suffix of its row's targets in (key, id) order; p_j, the
-    number of targets before j, comes from one searchsorted of the GEMM row
-    against the row's thresholds ds - ‖c_i‖² - tol, sorted by d2.  Below a
+    number of targets before j, comes from one searchsorted of the float32
+    GEMM row against the row's float64 thresholds ds - sq[i] - tol, with ds
+    the targets' exact d2 scaled by 2^(2·scale_exp) and sorted.  Below a
     threshold's band [lo, hi] j surely precedes that target and above it
     surely follows, so j needs the exact kernel only inside a band; _tol
     shows that the bands also hold every item whose key may tie with a
@@ -340,7 +376,8 @@ def _count_block(idx, rows, r, tgt, label, key) -> np.ndarray:
     np.putmask(H, label == label[rows, None], np.inf)
     H[slot, tgt] = np.inf  # targets are ordered among themselves below
     tol = idx._tol(rows)[:, None]
-    base = np.sort(D, axis=1) - idx.sq[rows, None]
+    # Thresholds in the GEMM's scaled units, in float64; float32 H is cast exactly to meet them.
+    base = np.ldexp(np.sort(D, axis=1), 2 * idx.scale_exp) - idx.sq[rows, None].astype(np.float64)
     lo = base - tol
     # hi[i, p] is the largest hi of row i's first p thresholds (-inf for none).
     hi = np.c_[np.full(b, -np.inf), base + tol]

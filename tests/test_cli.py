@@ -294,6 +294,29 @@ class TestTrainAndAdapt:
         assert len(err) == 1 and err[0].startswith("error: checkpoint seed must be in"), err
         assert sorted(tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    @pytest.mark.parametrize("command", ["train-source", "adapt"])
+    def test_seed_out_of_range_refused_before_training(self, tmp_path, capsys, monkeypatch,
+                                                       command, seed):
+        src, tgt = self.make_domains(tmp_path)
+        ckpt = tmp_path / "src.kte"
+        assert run(["train-source", "--manifest", str(src), "--out", str(ckpt),
+                    "--iterations", "5", "--lr", "0.01"]) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("training started before the seed was checked")
+
+        for name in ("reidapt.cli", "reidapt.adapt"):  # reidapt.adapt is also a function
+            monkeypatch.setattr(importlib.import_module(name), "train_embedder", refuse)
+        args = {
+            "train-source": ["--manifest", str(src)],
+            "adapt": ["--checkpoint", str(ckpt), "--manifest", str(tgt), "--rounds", "1"],
+        }[command]
+        capsys.readouterr()
+        assert run(["--seed", str(seed), command, "--out", str(tmp_path / "out.kte"), *args]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: checkpoint seed must be in 0..2**64-1, got {seed}"]
+
     def test_mlp_architecture(self, tmp_path):
         src, _ = self.make_domains(tmp_path)
         ckpt = tmp_path / "mlp.kte"

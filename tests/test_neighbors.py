@@ -1,8 +1,13 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import reidapt
 from reidapt import (
     AdaptConfig,
     DomainError,
@@ -149,6 +154,10 @@ class TestConstructor:
         pytest.param((), (), np.zeros((0, 1)), "got 0 ids", id="empty"),
         pytest.param(("a", "b"), ("A", "A"), [[0.0], [1.0]], "all on camera 'A'",
                      id="one_camera"),  # a DomainError, which is a ValueError
+        pytest.param(("a", "b", "c"), ("A", "B", "A"), [[0.0, 1.0], [2.0, np.nan], [np.nan, 0.0]],
+                     "X row 1 ('b') is not finite", id="x_nan"),
+        pytest.param(("a", "b"), ("A", "B"), [[-np.inf], [1.0]], "X row 0 ('a') is not finite",
+                     id="x_inf"),
     ])
     def test_bad_input_rejected(self, ids, cameras, X, message):
         with pytest.raises(ValueError) as exc:
@@ -285,7 +294,7 @@ def stress_cases():
         c[:k] = np.arange(k)
         return c
 
-    return [
+    cases = [
         pytest.param(rng.normal(size=(150, 8)) + 1e6, cams(150), id="offset_1e6"),
         pytest.param(rng.integers(0, 3, size=(150, 3)).astype(float), cams(150), id="integer_ties"),
         pytest.param(np.full((60, 4), 3.7), cams(60), id="all_identical"),
@@ -299,7 +308,21 @@ def stress_cases():
         pytest.param(rng.normal(size=(1200, 6)), np.repeat([0, 1, 2], [2, 500, 698]),
                      id="chunk_unequal_cameras"),
         pytest.param(rng.normal(size=(1200, 5)) * 1e160, cams(1200), id="chunk_overflow_1e160"),
+        # Three groups of 50 points, distinct multiples of 1e-9 apart: within a
+        # group the float32 GEMM cannot order neighbours, so rows are redone.
+        pytest.param(np.repeat(rng.normal(size=(3, 4)), 50, axis=0)
+                     + rng.permutation(600).reshape(150, 4) * 1e-9, cams(150), id="below_float32"),
     ]
+    # One set, outside float32's range unless Xc is scaled by a power of two.
+    well_separated, c = rng.normal(size=(300, 4)), cams(300)
+    return cases + [pytest.param(well_separated * 2.0**140, c, id="scaled_2p140"),
+                    pytest.param(well_separated * 2.0**-140, c, id="scaled_2m140")]
+
+
+def stress_case(name):
+    """(X, cams) of the stress case with that id."""
+    (case,) = [p for p in stress_cases() if p.id == name]
+    return case.values
 
 
 class TestDenseReference:
@@ -395,6 +418,57 @@ class TestDenseReference:
     def test_heads_bad_k(self, toy):
         with pytest.raises(ValueError):
             build_neighbor_index(toy).heads(0)
+
+    @pytest.mark.parametrize("case,redone", [
+        ("below_float32", True),  # the case exercises the exact redo
+        ("scaled_2p140", False),  # scaling keeps every GEMM entry in float32 range
+        ("scaled_2m140", False),
+    ])
+    def test_heads_redo_rows(self, monkeypatch, case, redone):
+        idx = build_neighbor_index(point_manifest(*stress_case(case)))
+        real, redo = NeighborIndex._sorted_exact, []
+
+        def counted(self, rows, cols, w):
+            if cols.ndim == 1:  # rows redone over their whole gallery, not a candidate re-sort
+                redo.append(len(rows))
+            return real(self, rows, cols, w)
+
+        monkeypatch.setattr(NeighborIndex, "_sorted_exact", counted)
+        for k in (1, 2, 3, 7):
+            idx.heads(k)
+        assert (sum(redo) > 0) == redone, redo
+
+
+_THREADS_CHILD = """
+import sys
+from pathlib import Path
+import numpy as np
+from reidapt import NeighborIndex
+
+d = Path(sys.argv[1])
+X, cams = np.load(d / "X.npy"), np.load(d / "cams.npy")
+idx = NeighborIndex([f"t{i:04d}" for i in range(len(X))], [f"c{c}" for c in cams], X)
+t, s = np.nonzero(idx.codes[:, None] != idx.codes)
+np.savez(sys.argv[2], heads=idx.heads(7), ranks=idx.ranks(t, s))
+"""
+
+
+def test_outputs_independent_of_blas_threads(tmp_path):
+    # threadpoolctl may be missing, so each thread count gets its own process.
+    X, cams = stress_case("chunk_grid_ties")
+    np.save(tmp_path / "X.npy", X)
+    np.save(tmp_path / "cams.npy", cams)
+    src = str(Path(reidapt.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        out = tmp_path / f"threads{threads}.npz"
+        subprocess.run([sys.executable, "-c", _THREADS_CHILD, str(tmp_path), str(out)],
+                       env=env, check=True, timeout=300)
+        with np.load(out) as f:
+            outs.append((f["heads"].tobytes(), f["ranks"].tobytes()))
+    assert outs[0] == outs[1]
 
 
 class TestExactKernel:
