@@ -362,10 +362,8 @@ def _cmd_eval(args) -> int:
                 fh.write(f"{k},{v:.6f}\n")
         with io_mod.atomic_write(out / "cluster_distances.csv") as fh:
             fh.write("kind,distance\n")
-            for d in intra:
-                fh.write(f"intra,{d:.6f}\n")
-            for d in inter:
-                fh.write(f"inter,{d:.6f}\n")
+            for kind, values in (("intra", intra), ("inter", inter)):
+                fh.write((f"{kind},%.6f\n" * len(values)) % tuple(values))
     return 0
 
 

@@ -16,6 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _tasks
 from .errors import ManifestError
 
 
@@ -229,6 +230,7 @@ def _exact_mean(rows: np.ndarray) -> np.ndarray:
         return np.full(rows.shape[1], np.inf)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # errstate is per thread; overflow fails the proof
 def _proven_means(blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """(means, proven): each block's column means, and which rows are exact.
 
@@ -283,11 +285,12 @@ def manifest_embeddings(
     validate_manifest (its cached ``validation``), else ManifestError.  Each
     tracklet is represented by the mean of its (optionally embedded) frame
     vectors, correctly rounded: math.fsum of each column divided by the
-    frame count.  Raw frames are summed for all tracklets at once
-    (_proven_means), and a tracklet keeps that sum only where TwoSum proves
-    it exact; the rest, and embedder outputs (whose sums rarely pass), take
-    _exact_mean's fsum.  Tracklets are returned in ascending tracklet_id
-    order, which is the canonical order used by the neighbor index.
+    frame count.  Raw frames are summed by _proven_means in W contiguous
+    chunks of tracklets, one task per thread (W from _tasks.workers()), and
+    a tracklet keeps that sum only where TwoSum proves it exact; the rest,
+    and embedder outputs (whose sums rarely pass), take _exact_mean's fsum.
+    Tracklets are returned in ascending tracklet_id order, which is the
+    canonical order used by the neighbor index.
 
     Args:
         m: manifest to represent.
@@ -315,7 +318,13 @@ def manifest_embeddings(
     # Overflow shows as a non-finite mean below, not as a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
         if embedder is None:
-            X, proven = _proven_means([t.frames for t in order])
+            # W contiguous chunks in id order, one task each: a row's sums
+            # never depend on the other rows summed with it.
+            workers = _tasks.workers()
+            step = max(1, -(-len(order) // workers))
+            chunks = [[t.frames for t in order[a : a + step]] for a in range(0, len(order), step)]
+            parts = _tasks.run(_proven_means, chunks, workers)
+            X, proven = (np.concatenate(p) for p in zip(*parts))
             for i in np.flatnonzero(~proven):
                 X[i] = _exact_mean(order[i].frames)
         else:

@@ -8,17 +8,22 @@ asymmetric: if t is s's 1-nearest neighbour while s is only t's 5-nearest
 neighbour, then e(s, t) = 5.
 
 Storage.  An index is given strictly ascending ids, their cameras and finite
-representations X, and derives the rest once: a read-only float64 copy of
-X, camera codes, the id-to-row map, and for the GEMM the float32 matrix Xc
-(X column-centred and scaled by one power of two) with its squared norms,
-all O(n·d) and indexed by row.  No n×n matrix is ever stored: lists and
-ranks are computed on demand, 256 rows at a time, so working memory is
-O(256·n) and results are O(n·k).  A row's gallery is
-every tracklet whose label differs from its own: the camera code, or for
-evaluation the camera combined with the identity.  heads() goes camera by
-camera: it gathers the other cameras' centred rows and norms once, and
-each block of the camera's rows meets only those columns in the GEMM, so
-no same-camera mask is needed and the GEMM is a camera's share smaller.
+representations X, and derives the rest once: a read-only float64 copy of X,
+camera codes, the id-to-row map, and for the GEMM the float32 matrix Xc (X
+minus its column midranges, which cannot overflow for finite X, and scaled
+by one power of two) with its squared norms, all O(n·d) and indexed by row.
+No n×n matrix is ever stored: lists and ranks are computed on demand in
+blocks of 256 // W rows, each block one task on one of W threads, so at most
+256 rows are in flight in total, working memory is O(256·n) and results are
+O(n·k).  W = max(1, cpus // BLAS threads), the BLAS count read from
+OPENBLAS_NUM_THREADS, then OMP_NUM_THREADS, else all CPUs
+(_tasks.workers()): an unpinned BLAS gives W = 1, and a block writes only
+its own rows, so no output depends on W.  A row's gallery is every tracklet
+whose label differs from its own: the camera code, or for evaluation the
+camera combined with the identity.  heads() goes camera by camera: it
+gathers the other cameras' centred rows and norms once, and each block of
+the camera's rows meets only those columns in the GEMM, so no same-camera
+mask is needed and the GEMM is a camera's share smaller.
 
 Exactness.  Every distance that decides an order comes from one exact
 kernel, exact_sq_dists: coordinate differences, squared and summed by a
@@ -62,6 +67,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _tasks
 from .errors import DomainError
 from .model import DomainManifest, manifest_embeddings
 
@@ -110,7 +116,7 @@ class NeighborIndex:
     cameras: tuple[str, ...]
     X: np.ndarray  # exact representations
     codes: np.ndarray = field(init=False)  # integer camera code per tracklet
-    # float32 GEMM matrix: X minus its column means, times 2**scale_exp, rounded.
+    # float32 GEMM matrix: X minus its column midranges, times 2**scale_exp, rounded.
     Xc: np.ndarray = field(init=False)
     sq: np.ndarray = field(init=False)  # squared row norms of Xc, rounded to float32
     scale_exp: int = field(init=False)  # brings Xc's largest |entry| into [1/2, 1)
@@ -130,7 +136,9 @@ class NeighborIndex:
         codes = np.unique(cameras, return_inverse=True)[1].astype(np.intp)
         if not codes.any():  # no row would have a gallery
             raise DomainError(f"cross-camera neighbors undefined: all on camera {cameras[0]!r}")
-        Xc = X - X.mean(axis=0)
+        # Any finite centre serves _tol; unlike the mean, the midrange cannot
+        # overflow for finite X, and neither can X minus it.
+        Xc = X - (X.max(axis=0) / 2 + X.min(axis=0) / 2)
         scale_exp = -int(np.frexp(np.abs(Xc).max())[1])  # 0 when Xc is all zero
         Xc = np.ldexp(Xc, scale_exp, out=Xc).astype(np.float32)
         # Float64 squares of float32 entries are exact; only the sum and the cast round.
@@ -152,18 +160,20 @@ class NeighborIndex:
         """Full cross-camera list for one tracklet, best match first."""
         return tuple(self.ids[j] for j in self._row(self._lookup(tracklet_id)))
 
-    @np.errstate(over="ignore", invalid="ignore")  # overflow only widens the bound
     def heads(self, k: int) -> np.ndarray:
         """First min(k, L) entries of every row's list, padded with -1.
 
         Returns an (n, min(k, max L)) array of row indices.  Rows are taken
-        one camera at a time, _BLOCK at a time, against a float32 GEMM over
-        the other cameras' columns only.  _smallest picks each row's c = 2k + 8
-        smallest entries from chunk minima; the exact kernel sorts them,
-        and the row stands only if its k-th exact distance is below the
-        least non-candidate entry's lower bound, else the row is redone
-        exactly over the same other-camera columns.  Rows of a camera whose
-        gallery is shorter than the output keep -1 past its end.
+        one camera at a time, in blocks of _BLOCK // W rows (W from
+        _tasks.workers()), each block a task on one of W threads against a
+        float32 GEMM over the other cameras' columns only.  _smallest picks
+        each row's c = 2k + 8 smallest entries from chunk minima; the exact
+        kernel sorts them, and the row stands only if its k-th exact
+        distance is below the least non-candidate entry's lower bound, else
+        the row is redone exactly over the same other-camera columns.  A
+        block writes only its own rows, so the output does not depend on W.
+        Rows of a camera whose gallery is shorter than the output keep -1
+        past its end.
         """
         if k < 1:
             raise ValueError("k must be a positive integer")
@@ -171,12 +181,16 @@ class NeighborIndex:
         size = np.bincount(self.codes)
         w = min(k, n - int(size.min()))
         out = np.full((n, w), -1, dtype=np.intp)
+        workers = _tasks.workers()
+        step = max(1, _BLOCK // workers)  # at most _BLOCK rows in flight
         for cam in range(len(size)):
             mine, other = np.flatnonzero(self.codes == cam), np.flatnonzero(self.codes != cam)
             XoT, sqo = self.Xc[other].T, self.sq[other]
             c, width = min(2 * k + 8, len(other)), min(w, len(other))
-            for a in range(0, len(mine), _BLOCK):
-                rows = mine[a : a + _BLOCK]
+
+            # errstate is per thread.  Overflow only widens the bound.
+            @np.errstate(over="ignore", invalid="ignore")
+            def block(rows):
                 H = (-2.0 * self.Xc[rows]) @ XoT
                 H += sqo
                 cand, rest = _smallest(H, c)
@@ -189,6 +203,8 @@ class NeighborIndex:
                 if redo.any():
                     head[redo] = self._sorted_exact(rows[redo], other, width)[0]
                 out[rows, :width] = head
+
+            _tasks.run(block, [mine[a : a + step] for a in range(0, len(mine), step)], workers)
         return out
 
     def ranks(self, t, s) -> np.ndarray:
@@ -234,9 +250,11 @@ class NeighborIndex:
           2002, §3.1);
         - the float32 add of sq[j] rounds a value of magnitude <= 2σ: 2u·σ;
         - undoing the scale is exact, since np.ldexp rounds only on underflow;
-        - centring moves ‖c_i − c_j‖² from ‖x_i − x_j‖² by about 4·2^-53·σ/s²,
-          the exact kernel is within (d + 2)·2^-53·2σ/s², and the float64
-          comparison rounds a few values of magnitude <= 3σ once each: about
+        - centring (c = x − m rounded, for any finite centre m whose x − m
+          stays finite: the proof never uses which m it is) moves
+          ‖c_i − c_j‖² from ‖x_i − x_j‖² by about 4·2^-53·σ/s², the exact
+          kernel is within (d + 2)·2^-53·2σ/s², and the float64 comparison
+          rounds a few values of magnitude <= 3σ once each: about
           (2d + 20)·2^-53·σ in scaled units, below u·σ while d < 2^27.
         The total is about (d + 8)·u·σ <= (d + 9)·u·S, and the bound
         8·(d + 4)·u·S = 4·(d + 4)·eps32·S is at least four times that, which
@@ -332,8 +350,9 @@ def count_ranks(idx: NeighborIndex, rows, ptr, targets, ident: np.ndarray | None
     tracklet) every tracklet but those sharing both its camera and its label.
     It is ordered on (key(d2), id), key defaulting to d2 itself, and a rank
     is 1 plus the number of gallery items before the target.  Rows are taken
-    _BLOCK at a time, so working memory is O(_BLOCK·n) however many targets
-    a row has.
+    in blocks of _BLOCK // W, each block a task on one of W threads
+    (_tasks.workers()) that writes only its own targets' slots, so working
+    memory is O(_BLOCK·n) however many targets a row has.
     """
     rows, ptr, targets = (np.asarray(a, dtype=np.intp) for a in (rows, ptr, targets))
     # 0 <= code < codes.max() + 1, so the label determines (code, ident).
@@ -341,11 +360,15 @@ def count_ranks(idx: NeighborIndex, rows, ptr, targets, ident: np.ndarray | None
     size = np.diff(ptr)
     live = np.flatnonzero(size)
     out = np.empty(len(targets), dtype=np.int64)
-    for a in range(0, len(live), _BLOCK):
-        blk = live[a : a + _BLOCK]
+    workers = _tasks.workers()
+    step = max(1, _BLOCK // workers)
+
+    def block(blk):
         r = size[blk]
         flat = np.repeat(ptr[blk] - np.cumsum(r) + r, r) + np.arange(r.sum())
         out[flat] = _count_block(idx, rows[blk], r, targets[flat], label, key)
+
+    _tasks.run(block, [live[a : a + step] for a in range(0, len(live), step)], workers)
     return out
 
 

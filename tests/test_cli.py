@@ -128,22 +128,27 @@ class TestClusterCommand:
 
     def test_assignments_independent_of_blas_threads(self, tmp_path):
         # GEMM distances only preselect neighbors; exact re-checks decide, so
-        # the BLAS pool size cannot change the output.
+        # the BLAS pool size cannot change the output.  It does set the
+        # neighbor-block threads, cpus // BLAS threads: on two CPUs, 2 against 1.
         manifest = tmp_path / "d.jsonl"
         assert run(["--seed", "5", "synth", "--out", str(manifest), "--identities", "250",
                     "--cameras", "4", "--dim", "32"]) == 0
         src = str(Path(reidapt.__file__).resolve().parents[1])
+        names = ("assignments.tsv", "summary.json", "cmc_curve.csv", "cluster_distances.csv")
         outs = []
         for threads in ("1", "2"):
-            out = tmp_path / f"threads{threads}.tsv"
+            out = tmp_path / f"threads{threads}"
+            out.mkdir()
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                        MKL_NUM_THREADS=threads,
                        PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-            subprocess.run([sys.executable, "-m", "reidapt.cli", "cluster", "--manifest",
-                            str(manifest), "--out", str(out)], env=env, check=True,
-                           capture_output=True)
-            outs.append(out.read_bytes())
-        assert len(outs[0].splitlines()) == len(read_manifest(manifest))
+            for argv in (["cluster", "--manifest", str(manifest), "--out",
+                          str(out / "assignments.tsv")],
+                         ["eval", "--manifest", str(manifest), "--out-dir", str(out)]):
+                subprocess.run([sys.executable, "-m", "reidapt.cli", *argv], env=env, check=True,
+                               capture_output=True)
+            outs.append([(out / name).read_bytes() for name in names])
+        assert len(outs[0][0].splitlines()) == len(read_manifest(manifest))
         assert outs[0] == outs[1]
 
     def test_missing_manifest_fails_cleanly(self, tmp_path, capsys):

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from reidapt import (
     Tracklet,
     build_graph,
     build_neighbor_index,
+    build_ranking,
     cluster,
     k_reciprocal_distance,
     manifest_embeddings,
@@ -24,6 +26,7 @@ from reidapt import (
     top_k,
 )
 
+from reidapt import _tasks
 from reidapt.neighbors import _DIFF_ELEMENTS, _smallest, exact_sq_dists
 
 from oracles import (
@@ -437,6 +440,107 @@ class TestDenseReference:
         for k in (1, 2, 3, 7):
             idx.heads(k)
         assert (sum(redo) > 0) == redone, redo
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("X,cams", [
+    # The column sum overflows float64.
+    pytest.param([[1.7e308], [1.6e308], [0.0], [1e300]], "ABAB", id="sum_overflows"),
+    # The mean is finite, but x minus the mean is not.
+    pytest.param([[1.7e308], [-1.7e308], [-1.7e308]], "ABA", id="difference_overflows"),
+])
+def test_centre_of_finite_x_cannot_overflow(X, cams):
+    ids = "abcd"[: len(X)]
+    idx = NeighborIndex(list(ids), list(cams), X)
+    assert np.isfinite(idx.Xc).all()
+    m = DomainManifest("huge", tuple(Tracklet(i, c, [x]) for i, c, x in zip(ids, cams, X)))
+    with np.errstate(over="ignore"):  # the oracle's distances overflow to inf and tie on id
+        lists, ranks = dense_index(m)[1:]
+    for k in (1, 2, 3):
+        heads = idx.heads(k)
+        for i, lst in enumerate(lists):
+            assert heads[i][heads[i] >= 0].tolist() == lst[:k].tolist(), (k, i)
+    t, s = np.nonzero(ranks)
+    assert np.array_equal(idx.ranks(t, s), ranks[t, s])
+
+
+class TestWorkerThreads:
+    """Row blocks and mean chunks on W threads give the W = 1 bytes."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", ["chunk_grid_ties", "chunk_unequal_cameras",
+                                      "chunk_overflow_1e160", "overflow_1e160", "scaled_2p140",
+                                      "scaled_2m140", "below_float32"])
+    def test_outputs_independent_of_worker_count(self, monkeypatch, case):
+        X, cams = stress_case(case)
+        points = DomainManifest("points", tuple(
+            Tracklet(f"t{i:04d}", f"c{c}", X[i : i + 1], identity=f"p{i % 29}")
+            for i, c in enumerate(cams)))
+        # One to three frames per tracklet: some sums are proven exact, some fall back.
+        frames = DomainManifest("frames", tuple(
+            Tracklet(f"t{i:04d}", f"c{c}", X[i : i + 1 + i % 3]) for i, c in enumerate(cams)))
+        idx = build_neighbor_index(points)
+        t, s = np.nonzero(idx.codes[:, None] != idx.codes)
+
+        outs = []
+        for w in (1, 2, 3):
+            monkeypatch.setattr(_tasks, "workers", lambda: w)
+            outs.append([*(idx.heads(k).tobytes() for k in (1, 2, 7)),
+                         idx.ranks(t, s).tobytes(),
+                         b"|".join(q.hits.tobytes() for q in build_ranking(idx, points).queries),
+                         manifest_embeddings(frames)[1].tobytes()])
+        assert outs[0] == outs[1] == outs[2]
+
+    def test_task_error_is_raised_after_every_thread_ends(self, monkeypatch):
+        monkeypatch.setattr(_tasks, "workers", lambda: 2)
+        idx = build_neighbor_index(point_manifest(*stress_case("chunk_grid_ties")))
+        real, calls = NeighborIndex._sorted_exact, []
+
+        def failing(self, rows, cols, w):
+            calls.append(len(rows))
+            if len(calls) == 2:
+                raise ArithmeticError("second task")
+            return real(self, rows, cols, w)
+
+        monkeypatch.setattr(NeighborIndex, "_sorted_exact", failing)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError, match="second task"):
+            idx.heads(2)
+        assert threading.active_count() == before
+
+    def test_one_worker_or_one_item_starts_no_thread(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no thread may start")
+
+        monkeypatch.setattr(threading, "Thread", refuse)
+        assert _tasks.run(lambda x: x * x, [1, 2, 3], 1) == [1, 4, 9]
+        assert _tasks.run(lambda x: x * x, [5], 4) == [25]
+        assert _tasks.run(lambda x: x * x, [], 4) == []
+
+    @pytest.mark.parametrize("env,want", [
+        ({}, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 1),
+        ({"OMP_NUM_THREADS": "1"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),  # OpenBLAS's own first
+        ({"OPENBLAS_NUM_THREADS": "0"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "x"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 2),
+    ])
+    def test_worker_count_rule(self, monkeypatch, env, want):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert _tasks.workers() == want
+
+    def test_worker_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert _tasks.workers() == 4
 
 
 _THREADS_CHILD = """
