@@ -17,7 +17,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -401,20 +401,7 @@ class AdaptationReport:
     checkpoint_id: str
 
     def to_dict(self) -> dict:
-        return {
-            "rounds": [
-                {
-                    "round_index": r.round_index,
-                    "cluster_count": r.cluster_count,
-                    "clustered_fraction": r.clustered_fraction,
-                    "losses": list(r.losses),
-                }
-                for r in self.rounds
-            ],
-            "early_stop": self.early_stop,
-            "reason": self.reason,
-            "checkpoint_id": self.checkpoint_id,
-        }
+        return asdict(self)
 
 
 def checkpoint_id(embedder: Embedder) -> str:

@@ -34,16 +34,6 @@ from .neighbors import NeighborIndex, build_neighbor_index
 from .synth import MergePolicy, SyntheticSpec, generate_synthetic_domain, merge_domains
 
 
-def _set_threads(n: int | None) -> None:
-    if n is None:
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        raise ValueError("--threads requires threadpoolctl, which is not installed") from None
-    threadpool_limits(limits=n)
-
-
 def _add_train_flags(p: argparse.ArgumentParser, default_iterations: int) -> None:
     p.add_argument("--iterations", type=int, default=default_iterations)
     p.add_argument("--batch-p", type=int, default=8, help="clusters per batch")
@@ -101,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cross-camera tracklet clustering and unsupervised domain adaptation.",
     )
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=None, help="cap BLAS thread pools")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic labeled domain")
@@ -387,7 +376,6 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _set_threads(args.threads)
         return _COMMANDS[args.command](args)
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

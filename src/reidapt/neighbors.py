@@ -42,13 +42,14 @@ redoes the row exactly).  The candidates are the 2k + 8 smallest GEMM
 entries, picked by chunk minima (_smallest): the c-th smallest chunk minimum
 bounds the c-th smallest entry, so the c chunks with the smallest minima
 hold every entry below that bound, and only their union is partitioned.
-count_ranks() ranks given targets by counting, not sorting: it orders a
-row's targets exactly among themselves, counts every other gallery item
-against their exact thresholds with one searchsorted of the GEMM row, and
-re-checks exactly only the items the _tol bound cannot place.  Its order
-key is d2 for ranks() and the rounded distance sqrt(d2) for evaluation;
-_tol is the one bound for both, and shows that it covers both.  Every order
-is therefore the one a full exact sort on (key, id) gives.
+count_ranks() ranks given targets by counting, not by an exact sort: it
+orders a row's targets exactly among themselves, sorts the row's float32
+GEMM entries once, and with two searchsorted calls per target counts the
+items surely before its exact threshold and the band the _tol bound cannot
+place.  Only band items are re-checked exactly, each (row, item) once.
+Its order key is d2 for ranks() and the rounded distance sqrt(d2) for
+evaluation; _tol is the one bound for both, and shows that it covers both.
+Every order is therefore the one a full exact sort on (key, id) gives.
 
 Callers.  A command builds one index and hands it to cluster(),
 build_ranking and inter_intra_distances, so it embeds its manifest once.
@@ -351,8 +352,10 @@ def count_ranks(idx: NeighborIndex, rows, ptr, targets, ident: np.ndarray | None
     It is ordered on (key(d2), id), key defaulting to d2 itself, and a rank
     is 1 plus the number of gallery items before the target.  Rows are taken
     in blocks of _BLOCK // W, each block a task on one of W threads
-    (_tasks.workers()) that writes only its own targets' slots, so working
-    memory is O(_BLOCK·n) however many targets a row has.
+    (_tasks.workers()) that writes only its own targets' slots.  A block
+    sorts its rows' GEMM entries once and gathers at most _BLOCK // W of
+    them again at a time for band items, so working memory is O(_BLOCK·n)
+    however many targets a row has.
     """
     rows, ptr, targets = (np.asarray(a, dtype=np.intp) for a in (rows, ptr, targets))
     # 0 <= code < codes.max() + 1, so the label determines (code, ident).
@@ -377,72 +380,76 @@ def _count_block(idx, rows, r, tgt, label, key) -> np.ndarray:
     """count_ranks for rows, row i owning r[i] >= 1 of tgt, with row i's gallery
     every tracklet whose label differs from label[rows[i]].
 
-    Targets are ordered exactly among themselves.  Every other gallery item j
-    precedes a suffix of its row's targets in (key, id) order; p_j, the
-    number of targets before j, comes from one searchsorted of the float32
-    GEMM row against the row's float64 thresholds ds - sq[i] - tol, with ds
-    the targets' exact d2 scaled by 2^(2·scale_exp) and sorted.  Below a
-    threshold's band [lo, hi] j surely precedes that target and above it
-    surely follows, so j needs the exact kernel only inside a band; _tol
-    shows that the bands also hold every item whose key may tie with a
-    target's.  A row whose bound is not finite puts its whole gallery in the
-    band.
+    A target's rank is 1 plus its position among its row's targets in (key,
+    id) order plus the other gallery items before it.  Those are counted on
+    the row's float32 GEMM entries, sorted once.  With ds the target's exact
+    d2 scaled by 2^(2·scale_exp), an item below lo = ds - sq[i] - tol surely
+    precedes the target and one above hi = ds - sq[i] + tol surely follows,
+    so two searchsorted calls count the items below its band [lo, hi] and in
+    it.  _tol shows that the band also holds every item whose key may tie
+    with the target's.  A row's targets with one d2 form a run, which shares
+    its band and key; each band item meets the exact kernel once, in the
+    first run of its row whose band holds it, and is compared on (key, id)
+    once per run.  A row whose bound is not finite puts its whole gallery in
+    every band.
     """
     X, n, b, w = idx.X, len(idx), len(rows), int(r.max())
-    slot = np.repeat(np.arange(b), r)
-    start = np.repeat(np.cumsum(r) - r, r)  # each target's row start in tgt
-    col = np.arange(len(tgt)) - start
+    slot, end = np.repeat(np.arange(b), r), np.cumsum(r)
+    col = np.arange(len(tgt)) - np.repeat(end - r, r)
     D = np.full((b, w), np.inf)  # each row's exact target d2, padded
     D[slot, col] = exact_sq_dists(np.repeat(X[rows], r, axis=0), X[tgt, None])[:, 0]
+    K = D if key is None else key(D)
+    # Ids ascend along a row, so a stable sort on the key places each target in (key, id)
+    # order, and one on d2 lists the targets in (row, d2) order, along which bands ascend.
+    rank = 1 + np.argsort(np.argsort(K, axis=1, kind="stable"), axis=1)[slot, col]
+    srt = np.repeat(end - r, r) + np.argsort(D, axis=1, kind="stable")[slot, col]
+    d2, K, tol = D[slot, col], K[slot, col], idx._tol(rows)
+    loose = ~np.isfinite(tol)
     H = (-2.0 * idx.Xc[rows]) @ idx.Xc.T
     H += idx.sq
-    np.putmask(H, label == label[rows, None], np.inf)
-    H[slot, tgt] = np.inf  # targets are ordered among themselves below
-    tol = idx._tol(rows)[:, None]
-    # Thresholds in the GEMM's scaled units, in float64; float32 H is cast exactly to meet them.
-    base = np.ldexp(np.sort(D, axis=1), 2 * idx.scale_exp) - idx.sq[rows, None].astype(np.float64)
-    lo = base - tol
-    # hi[i, p] is the largest hi of row i's first p thresholds (-inf for none).
-    hi = np.c_[np.full(b, -np.inf), base + tol]
-    loose = ~np.isfinite(hi[np.arange(b), r])
-    # Row i's bins are (w + 1)·i + p; bin r[i] ("before no target") is unused.
-    B = np.empty(H.shape, dtype=np.intp)
-    for i in range(b):
-        if loose[i]:
-            B[i] = (w + 1) * i + r[i]
-        else:
-            np.add(np.searchsorted(lo[i, : r[i]], H[i], side="right"), (w + 1) * i, out=B[i])
-    band = H <= hi.ravel()[B]
-    if loose.any():
-        band[loose] = label != label[rows[loose], None]
-        band[slot, tgt] = False
-    bi, bu = np.divmod(np.flatnonzero(band), n)  # 2-D nonzero is slow
-    bins = np.bincount(B.ravel(), minlength=b * (w + 1))
-    bins -= np.bincount(B[bi, bu], minlength=b * (w + 1))
+    H[loose] = 0  # meets the thresholds -inf and inf below
+    H[label == label[rows, None]] = np.nan  # NaN sorts last and lies in no band
+    H[slot, tgt] = np.nan  # targets are ordered among themselves above
+    # Thresholds in the GEMM's scaled units, in float64; float32 H converts exactly to meet them.
+    base = np.ldexp(d2, 2 * idx.scale_exp) - idx.sq[rows[slot]].astype(np.float64)
+    lo, hi = base - tol[slot], base + tol[slot]
+    lo[loose[slot]], hi[loose[slot]] = -np.inf, np.inf
+    before, width = np.empty(len(tgt), dtype=np.int64), np.empty(len(tgt), dtype=np.int64)
+    for s, a, z in zip(np.sort(H, axis=1), end - r, end):
+        s = s.astype(np.float64)  # exact, so the float32 order holds
+        before[a:z] = s.searchsorted(lo[a:z])
+        width[a:z] = s.searchsorted(hi[a:z], side="right")
+    width -= before
 
-    K = D if key is None else key(D)
-    by_key = np.argsort(K, axis=1, kind="stable")  # ids ascend in each row: (key, id)
-    if len(bi):
-        d2, step = np.empty(len(bi)), 1 + _DIFF_ELEMENTS // X.shape[1]
-        for c in range(0, len(bi), step):  # a wide band is gathered in pieces
-            part = slice(c, c + step)
-            d2[part] = exact_sq_dists(X[rows[bi[part]]], X[bu[part], None])[:, 0]
-        # One (row, key, id) order over band items and their rows' targets
-        # gives each band item its p.
-        has = np.bincount(bi, minlength=b) > 0
-        mine = has[slot]
-        order = np.lexsort((np.r_[bu, tgt[mine]],
-                            np.r_[d2 if key is None else key(d2), K[slot[mine], col[mine]]],
-                            np.r_[bi, slot[mine]]))
-        is_tgt = order >= len(bi)
-        row = bi[order[~is_tgt]]
-        p = np.cumsum(is_tgt)[~is_tgt] - np.r_[0, np.cumsum(np.where(has, r, 0))][row]
-        bins += np.bincount((w + 1) * row + p, minlength=b * (w + 1))
-    # before[i, k]: gallery items, targets aside, that precede row i's k-th target.
-    before = np.cumsum(bins.reshape(b, w + 1), axis=1)
-    out = np.empty(len(tgt), dtype=np.int64)
-    out[start + by_key[slot, col]] = 1 + col + before[slot, col]
-    return out
+    # Band targets in (row, d2) order, the run each belongs to, and each run's first target.
+    bt = srt[width[srt] > 0]
+    head = np.ones(len(bt), dtype=bool)
+    head[1:] = (slot[bt[1:]] != slot[bt[:-1]]) | (d2[bt[1:]] != d2[bt[:-1]])
+    run, lead = np.cumsum(head) - 1, bt[head]
+    # An item lies in a contiguous span of its row's runs; the first is the one whose
+    # band holds it above the previous run's hi.
+    above = np.r_[-np.inf, np.where(slot[lead[1:]] == slot[lead[:-1]], hi[lead[:-1]], -np.inf)]
+    E = np.empty((b, n))  # E[i, j]: the key of band pair (i, j), once computed
+    step = 1 + _DIFF_ELEMENTS // X.shape[1]
+    for c in range(0, len(lead), b):  # at most b GEMM rows gathered at a time
+        g = lead[c : c + b]
+        G = H[slot[g]]
+        # The chunk's band pairs, by run, then id; 2-D nonzero is slow.
+        gi, j = np.divmod(np.flatnonzero((G >= lo[g, None]) & (G <= hi[g, None])), n)
+        i, first = slot[g[gi]], np.flatnonzero(G[gi, j] > above[c + gi])
+        for a in range(0, len(first), step):  # a wide band is gathered in pieces
+            p = first[a : a + step]
+            e = exact_sq_dists(X[rows[i[p]]], X[j[p], None])[:, 0]
+            E[i[p], j[p]] = e if key is None else key(e)
+        # A target's band items before it: those below its key, and those on it with lower ids.
+        e, k = E[i, j], K[g[gi]]
+        less = np.bincount(gi[e < k], minlength=len(g))
+        tied = gi[e == k] * n + j[e == k]  # ascending
+        a, z = np.searchsorted(run, [c, c + len(g)])
+        t, loc = bt[a:z], run[a:z] - c
+        before[t] += less[loc] + np.searchsorted(tied, loc * n + tgt[t])
+        before[t] -= np.searchsorted(tied, loc * n)
+    return rank + before
 
 
 def build_neighbor_index(m: DomainManifest, embedder=None, normalize: bool = False) -> NeighborIndex:

@@ -11,7 +11,7 @@ per identity, a per-camera affine distortion, i.i.d. Gaussian frame noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -67,18 +67,7 @@ class MergeReport:
 
     def to_dict(self) -> dict:
         return {
-            "sources": [
-                {
-                    "source": s.source,
-                    "included": s.included,
-                    "reason": s.reason,
-                    "identities": s.identities,
-                    "images": s.images,
-                    "cameras": s.cameras,
-                    "tracklets": s.tracklets,
-                }
-                for s in self.sources
-            ],
+            "sources": [asdict(s) for s in self.sources],
             "merged": {
                 "identities": self.identities,
                 "images": self.images,

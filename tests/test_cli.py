@@ -659,13 +659,3 @@ class TestUsageErrors:
 
     def test_unknown_flag_is_usage_error(self):
         assert run(["synth", "--bogus", "1"]) == 2
-
-    def test_threads_without_threadpoolctl_fails(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import now fails
-        out = tmp_path / "d.jsonl"
-        code = run(["--threads", "1", "synth", "--out", str(out), "--identities", "4"])
-        assert code == 1
-        assert capsys.readouterr().err.splitlines() == [
-            "error: --threads requires threadpoolctl, which is not installed"
-        ]
-        assert not out.exists()

@@ -446,6 +446,35 @@ class TestRankingReference:
         relevant = sum(q.hits.size for q in r.queries)
         assert relevant > 0 and sum(pairs) <= 1.5 * relevant
 
+    @pytest.mark.parametrize("points", ["identical", "integer_grid", "below_float32"])
+    def test_exact_work_stays_bounded_on_ties(self, monkeypatch, points):
+        # Tied points put much of a gallery in the band of every relevant
+        # item of a query, yet each (query, item) pair meets the exact
+        # kernel at most once.  Below float32's resolution, a query's
+        # relevant items have distinct d2 but overlapping bands.
+        rng = np.random.default_rng(13)
+        X = {"identical": lambda: np.full((600, 16), 3.7),
+             "integer_grid": lambda: rng.integers(0, 3, size=(600, 3)).astype(float),
+             "below_float32": lambda: np.repeat(rng.normal(size=(3, 4)), 200, axis=0)
+             + rng.permutation(2400).reshape(600, 4) * 1e-9}[points]()
+        cams = np.r_[np.arange(4), rng.integers(0, 4, size=596)]
+        idents = rng.integers(0, 100, size=600)
+        m = labeled_points(X, cams, idents, rng)
+        idx = build_neighbor_index(m)
+        pairs = []
+
+        def counting(A, B):
+            pairs.append(len(A) * B.shape[-2])
+            return exact_sq_dists(A, B)
+
+        monkeypatch.setattr(importlib.import_module("reidapt.neighbors"), "exact_sq_dists", counting)
+        r = build_ranking(idx, m)
+        relevant = sum(q.hits.size for q in r.queries)
+        # Every tracklet queries; its gallery drops its own (camera, identity) group.
+        label = cams * 100 + idents
+        gallery = len(X) ** 2 - (np.bincount(label)[label]).sum()
+        assert relevant > 0 and sum(pairs) <= relevant + gallery
+
 
 class TestInterIntraReference:
     @pytest.mark.parametrize("scale,offset", [(1.0, 0.0), (1e3, 1e6)])

@@ -558,7 +558,7 @@ np.savez(sys.argv[2], heads=idx.heads(7), ranks=idx.ranks(t, s))
 
 
 def test_outputs_independent_of_blas_threads(tmp_path):
-    # threadpoolctl may be missing, so each thread count gets its own process.
+    # BLAS reads its thread count at start-up, so each count gets its own process.
     X, cams = stress_case("chunk_grid_ties")
     np.save(tmp_path / "X.npy", X)
     np.save(tmp_path / "cams.npy", cams)
