@@ -24,7 +24,7 @@ import numpy as np
 from .errors import AdaptationError, BatchError, ManifestError
 from .graph import ClusterSet, cluster
 from .io import atomic_write
-from .model import AdaptConfig, ClusterAssignment, DomainManifest, TrainConfig
+from .model import AdaptConfig, ClusterAssignment, DomainManifest, TrainConfig, stack_frames
 from .neighbors import build_neighbor_index, exact_sq_dists
 
 __all__ = [
@@ -302,25 +302,23 @@ def identity_clusters(m: DomainManifest) -> ClusterSet:
 def _frame_pools(clusters: ClusterSet, m: DomainManifest):
     """(frames, starts, sizes): every member frame in one array, cluster by cluster.
 
-    Clusters come in cluster-id order and members in id order; cluster i's
-    frames are rows starts[i] .. starts[i] + sizes[i] of frames.
+    Clusters come in cluster-id order and members in id order (stack_frames);
+    cluster i's frames are rows starts[i] .. starts[i] + sizes[i] of frames.
     """
-    rows, sizes = [], []
+    members, first = [], []
     for c in sorted(clusters.clusters, key=lambda c: c.cluster_id):
         if not c.members:
             raise AdaptationError(f"cluster {c.cluster_id} has no members")
-        size = 0
+        first.append(len(members))
         for tid in sorted(c.members):
             t = m.by_id.get(tid)
             if t is None:
                 raise AdaptationError(f"cluster member {tid!r} not present in manifest {m.name!r}")
             if t.n_frames == 0:
                 raise AdaptationError(f"cluster member {tid!r} has no frames")
-            rows.append(t.frames)
-            size += t.n_frames
-        sizes.append(size)
-    sizes = np.array(sizes, dtype=np.intp)
-    return np.concatenate(rows, axis=0), np.cumsum(sizes) - sizes, sizes
+            members.append(t)
+    frames, start, n = stack_frames(members)
+    return frames, start[first], np.add.reduceat(n, first)
 
 
 def train_embedder(

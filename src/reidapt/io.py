@@ -1,15 +1,17 @@
 """On-disk formats: manifest JSONL, feature sidecar, assignment TSV.
 
 Manifest: UTF-8 JSON lines, one tracklet per line with keys tracklet_id,
-camera_id, identity (string or null) and either "frames" (array of arrays)
-or "frames_ref" ({"offset", "count"} rows in a binary sidecar).
+camera_id, identity (string or null) and either "frames" (array of arrays
+of JSON numbers) or "frames_ref" ({"offset", "count"} rows in a binary
+sidecar).  A bad record fails as "<path>:<line>: ...", a manifest-level
+violation as "<path> is invalid (<count> violations; first: ...)".
 
 Sidecar: magic "KTF1", u32 row count, u32 dim, then row-major little-endian
 float32 rows.
 
 Assignments: "<cluster_id>\t<tracklet_id>" lines, -1 for unclustered.
 
-Queries: one tracklet id per line, blank lines ignored.
+Queries: one tracklet id per line, each id once, blank lines ignored.
 
 Every writer goes through atomic_write, so a failed write leaves the old file
 (or none) in place, never a truncated one.
@@ -28,7 +30,7 @@ import numpy as np
 
 from .errors import ManifestError
 from .graph import ClusterSet
-from .model import ClusterAssignment, DomainManifest, Tracklet
+from .model import ClusterAssignment, DomainManifest, Tracklet, stack_frames
 
 _SIDECAR_MAGIC = b"KTF1"
 _SIDECAR_HEADER = struct.Struct("<4sII")
@@ -82,22 +84,17 @@ def read_feature_sidecar(path) -> np.ndarray:
 def write_manifest(m: DomainManifest, path, sidecar=None) -> None:
     """Write a manifest as JSON lines; frames go to `sidecar` if given.
 
-    Inline JSON frames round-trip float64 exactly.  The sidecar stores
-    float32, so routing frames there is lossy unless the values are already
-    float32-representable.
+    Inline JSON frames round-trip float64 exactly.  The sidecar holds float32
+    rows laid out by stack_frames (frames_ref is a tracklet's start and n), so
+    it is lossy unless the values are already float32-representable.
     """
     path = Path(path)
     if sidecar is not None:
-        stacked = (
-            np.concatenate([t.frames for t in m.tracklets], axis=0)
-            if m.tracklets
-            else np.empty((0, 0))
-        )
-        write_feature_sidecar(sidecar, stacked)
+        F, start, n = stack_frames(m.tracklets)
+        write_feature_sidecar(sidecar, F)
 
     with atomic_write(path) as fh:
-        offset = 0
-        for t in m.tracklets:
+        for i, t in enumerate(m.tracklets):
             rec: dict = {
                 "tracklet_id": t.tracklet_id,
                 "camera_id": t.camera_id,
@@ -106,8 +103,7 @@ def write_manifest(m: DomainManifest, path, sidecar=None) -> None:
             if sidecar is None:
                 rec["frames"] = t.frames.tolist()
             else:
-                rec["frames_ref"] = {"offset": offset, "count": t.n_frames}
-                offset += t.n_frames
+                rec["frames_ref"] = {"offset": int(start[i]), "count": int(n[i])}
             fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
 
@@ -186,11 +182,7 @@ def read_manifest(path, sidecar=None, name=None) -> DomainManifest:
                 raise ManifestError(f"{path}:{lineno}: {exc}") from exc
 
     m = DomainManifest(name=name if name is not None else path.stem, tracklets=tuple(tracklets))
-    report = m.validation
-    if not report.ok:
-        lines = "; ".join(f"{v.kind}: {v.message}" for v in report.violations[:5])
-        more = "" if len(report.violations) <= 5 else f" (+{len(report.violations) - 5} more)"
-        raise ManifestError(f"{path}: invalid manifest: {lines}{more}")
+    m.validation.check(str(path))
     return m
 
 
@@ -247,8 +239,8 @@ def read_assignments(path) -> ClusterSet:
 
 
 def read_queries(path, known) -> list[str]:
-    """Query ids in file order; a non-UTF-8 line or an id not in `known` names its line."""
-    queries = []
+    """Query ids in file order; a non-UTF-8 line, an unknown or a repeated id names its line."""
+    line_of: dict[str, int] = {}
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in _numbered_lines(fh, path, ValueError):
             tid = line.strip()
@@ -256,8 +248,12 @@ def read_queries(path, known) -> list[str]:
                 continue
             if tid not in known:
                 raise ValueError(f"{path}:{lineno}: unknown query tracklet id {tid!r}")
-            queries.append(tid)
-    return queries
+            if tid in line_of:
+                raise ValueError(
+                    f"{path}:{lineno}: query {tid!r} already listed on line {line_of[tid]}"
+                )
+            line_of[tid] = lineno
+    return list(line_of)
 
 
 def write_json(obj: dict, path) -> None:

@@ -13,6 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -21,20 +22,23 @@ from .errors import ManifestError
 
 
 def _as_frame_matrix(frames) -> np.ndarray:
-    """Normalize raw frame data to a read-only (n_frames, dim) float64 array."""
-    if isinstance(frames, np.ndarray) and frames.dtype == np.float64 and frames.ndim == 2:
-        arr = frames.copy()
-    else:
-        try:
-            arr = np.array(frames, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ManifestError(f"frames are not a rectangular numeric array: {exc}") from exc
+    """Normalize raw frame data to a read-only (n_frames, dim) float64 array of numbers."""
+    try:
+        arr = np.array(frames, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ManifestError(f"frames are not a rectangular numeric array: {exc}") from exc
     if arr.size == 0:  # no frames, or frames of dimension 0: both are empty-frames
         arr = arr.reshape(0, 0)
     if arr.ndim != 2:
         raise ManifestError(
             f"frames must be a sequence of equal-length vectors, got shape {arr.shape}"
         )
+    if not (isinstance(frames, np.ndarray) and frames.dtype.kind in "iuf"):
+        # numpy would read "1.5", True and None as numbers.  frames is 2-D here.
+        values = frames.flat if isinstance(frames, np.ndarray) else chain.from_iterable(frames)
+        for t in set(map(type, values)):
+            if t is bool or not issubclass(t, (int, float, np.integer, np.floating)):
+                raise ManifestError(f"frame values must be numbers, found {t.__name__}")
     arr.setflags(write=False)
     return arr
 
@@ -172,6 +176,15 @@ class ValidationReport:
             out[v.kind] = out.get(v.kind, 0) + 1
         return out
 
+    def check(self, what: str, error=ManifestError) -> None:
+        """Raise error("<what> is invalid (<count> violations; first: ...)") unless ok."""
+        if self.violations:
+            first = self.violations[0]
+            raise error(
+                f"{what} is invalid ({len(self.violations)} violations; "
+                f"first: {first.kind}: {first.message})"
+            )
+
 
 def validate_manifest(m: DomainManifest) -> ValidationReport:
     """Check manifest invariants, reporting violations instead of raising.
@@ -230,26 +243,32 @@ def _exact_mean(rows: np.ndarray) -> np.ndarray:
         return np.full(rows.shape[1], np.inf)
 
 
+def stack_frames(tracklets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(F, start, n): the frames in order; tracklet i's are F[start[i] : start[i] + n[i]]."""
+    n = np.array([t.n_frames for t in tracklets], dtype=np.intp)
+    F = np.concatenate([t.frames for t in tracklets]) if len(n) else np.empty((0, 0))
+    return F, np.cumsum(n) - n, n
+
+
 @np.errstate(over="ignore", invalid="ignore")  # errstate is per thread; overflow fails the proof
-def _proven_means(blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def _proven_means(F, start, n) -> tuple[np.ndarray, np.ndarray]:
     """(means, proven): each block's column means, and which rows are exact.
 
-    The blocks are stacked once and summed in sequence across all of them,
-    one frame position at a time (longest block first, so the blocks with a
-    frame at position p are a prefix).  Every addition s = a + x records its
-    TwoSum error (a - (s - v)) + (x - v), v = s - a, which is the exact
-    rounding error of s whenever nothing overflowed (Knuth; Ogita, Rump &
-    Oishi 2005), and is inf or nan, never 0, when something did.  A row whose
-    every error term is 0 and whose sum is finite has an exact sum; fsum
-    returns that sum unrounded, so sum / n is _exact_mean's value bit for bit.
-    Sums start from +0.0, as fsum's do, so an exact zero is +0.0.  Rows
-    without the proof are marked False, and their means are meaningless.
+    Block i is F[start[i] : start[i] + n[i]], n[i] >= 1, as stack_frames lays
+    it out.  All blocks are summed together, one frame position at a time
+    (longest first, so the blocks with a frame at position p are a prefix).
+    Every addition s = a + x records its TwoSum error (a - (s - v)) + (x - v),
+    v = s - a, which is the exact rounding error of s whenever nothing
+    overflowed (Knuth; Ogita, Rump & Oishi 2005), and is inf or nan, never 0,
+    when something did.  A row whose every error term is 0 and whose sum is
+    finite has an exact sum; fsum returns that sum unrounded, so sum / n is
+    _exact_mean's value bit for bit.  Sums start from +0.0, as fsum's do, so
+    an exact zero is +0.0.  Rows without the proof are marked False, and
+    their means are meaningless.
     """
-    n = np.array([len(b) for b in blocks])
     by_len = np.argsort(-n, kind="stable")
     ns = n[by_len]
-    start = (np.cumsum(n) - n)[by_len]
-    F = np.concatenate(blocks)
+    start = start[by_len]
     S = F[start] + 0.0
     proven = np.ones(len(n), dtype=bool)
     for p in range(1, int(ns[0])):
@@ -285,9 +304,10 @@ def manifest_embeddings(
     validate_manifest (its cached ``validation``), else ManifestError.  Each
     tracklet is represented by the mean of its (optionally embedded) frame
     vectors, correctly rounded: math.fsum of each column divided by the
-    frame count.  Raw frames are summed by _proven_means in W contiguous
-    chunks of tracklets, one task per thread (W from _tasks.workers()), and
-    a tracklet keeps that sum only where TwoSum proves it exact; the rest,
+    frame count.  Raw frames are split into W contiguous chunks of
+    tracklets, one task per thread (W from _tasks.workers()); each task
+    stacks its chunk with stack_frames and sums it with _proven_means, and
+    a tracklet keeps that sum only where TwoSum proves it exact.  The rest,
     and embedder outputs (whose sums rarely pass), take _exact_mean's fsum.
     Tracklets are returned in ascending tracklet_id order, which is the
     canonical order used by the neighbor index.
@@ -307,23 +327,17 @@ def manifest_embeddings(
             finite in float64 (NaN, or an embedder or the frame sum
             overflowed); the message names the first such tracklet in id order.
     """
-    report = m.validation
-    if not report.ok:
-        first = report.violations[0]
-        raise ManifestError(
-            f"manifest {m.name!r} is invalid ({len(report.violations)} violations; "
-            f"first: {first.kind}: {first.message})"
-        )
+    m.validation.check(f"manifest {m.name!r}")
     order = sorted(m.tracklets, key=lambda t: t.tracklet_id)
     # Overflow shows as a non-finite mean below, not as a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
         if embedder is None:
-            # W contiguous chunks in id order, one task each: a row's sums
-            # never depend on the other rows summed with it.
+            # W contiguous chunks in id order, one task each, stacked by the
+            # task: a row's sums never depend on the other rows summed with it.
             workers = _tasks.workers()
             step = max(1, -(-len(order) // workers))
-            chunks = [[t.frames for t in order[a : a + step]] for a in range(0, len(order), step)]
-            parts = _tasks.run(_proven_means, chunks, workers)
+            chunks = [order[a : a + step] for a in range(0, len(order), step)]
+            parts = _tasks.run(lambda c: _proven_means(*stack_frames(c)), chunks, workers)
             X, proven = (np.concatenate(p) for p in zip(*parts))
             for i in np.flatnonzero(~proven):
                 X[i] = _exact_mean(order[i].frames)

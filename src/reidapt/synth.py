@@ -130,12 +130,7 @@ def merge_domains(
             )
             continue
 
-        report = src.validation
-        if not report.ok:
-            first = report.violations[0]
-            raise MergeError(
-                f"source {src.name!r} is invalid ({first.kind}: {first.message})"
-            )
+        src.validation.check(f"source {src.name!r}", MergeError)
         for t in src.tracklets:
             if t.identity is None:
                 raise MergeError(f"source {src.name!r}: tracklet {t.tracklet_id!r} is unlabeled")
@@ -175,10 +170,7 @@ def merge_domains(
 
     name = "+".join(s.source for s in summaries if s.included)
     out = DomainManifest(name=name, tracklets=tuple(merged))
-    final = out.validation
-    if not final.ok:
-        first = final.violations[0]
-        raise MergeError(f"merged manifest is invalid ({first.kind}: {first.message})")
+    out.validation.check("merged manifest", MergeError)
     n_id, n_img, n_cam, n_trk = _counts(out.tracklets)
     return out, MergeReport(tuple(summaries), n_id, n_img, n_cam, n_trk)
 

@@ -177,6 +177,12 @@ class TestClusterCommand:
                      '"frames_ref": {"offset": 0, "count": true}}', id="ref_bool"),
         pytest.param('{"tracklet_id": "t2", "camera_id": "B", "frames": [[1' + '0' * 400 + ']]}',
                      id="frame_int_overflows_float"),
+        pytest.param('{"tracklet_id": "t2", "camera_id": "B", "frames": [["1.0"]]}',
+                     id="frame_string"),
+        pytest.param('{"tracklet_id": "t2", "camera_id": "B", "frames": [[true]]}',
+                     id="frame_bool"),
+        pytest.param('{"tracklet_id": "t2", "camera_id": "B", "frames": [[null]]}',
+                     id="frame_null"),
         # Written with surrogateescape: the line starts with bytes FF FE.
         pytest.param('\udcff\udcfe{"tracklet_id": "t2", "camera_id": "B", "frames": [[1.0]]}',
                      id="not_utf8"),
@@ -397,6 +403,7 @@ class TestEvalCommand:
     @pytest.mark.parametrize("content,message", [
         pytest.param(b"q1\nq\xff2\n", "2: not UTF-8: ", id="not_utf8"),
         pytest.param(b"q1\n\nnope\n", "3: unknown query tracklet id 'nope'", id="unknown_id"),
+        pytest.param(b"q1\nq2\n\nq1\n", "4: query 'q1' already listed on line 1", id="repeated_id"),
     ])
     def test_bad_queries_file_names_line(self, tmp_path, capsys, content, message):
         manifest, queries = write_eval_fixture(tmp_path)

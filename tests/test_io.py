@@ -8,7 +8,11 @@ from reidapt import (
     DomainManifest,
     LinearEmbedder,
     ManifestError,
+    MergeError,
+    MergePolicy,
     Tracklet,
+    manifest_embeddings,
+    merge_domains,
     read_assignments,
     read_feature_sidecar,
     read_manifest,
@@ -155,6 +159,40 @@ class TestManifestLoadValidation:
         path.write_text(json.dumps(rec) + "\n")
         with pytest.raises(ManifestError, match="non-finite"):
             read_manifest(path)
+
+    @pytest.mark.parametrize("frames", [
+        pytest.param('[["-13.12", "-6.65"]]', id="string"),
+        pytest.param("[[true, false]]", id="bool"),
+        pytest.param("[[1.5, true]]", id="bool_beside_number"),
+        pytest.param("[[null, 1.0]]", id="null"),
+    ])
+    def test_non_number_frame_value_names_line(self, tmp_path, frames):
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"tracklet_id": "a", "camera_id": "c1", "frames": ' + frames + "}\n")
+        with pytest.raises(ManifestError, match=f"^{path}:1: frame values must be numbers"):
+            read_manifest(path)
+
+    def test_every_gate_gives_one_invalid_manifest_format(self, tmp_path):
+        # Two valid sources of different dims merge into one invalid manifest.
+        one = lambda tid, cam, frame: Tracklet(tid, cam, [frame], identity=tid[0])
+        alpha = DomainManifest("alpha", (one("a0", "c1", [0.0]), one("a1", "c2", [1.0])))
+        beta = DomainManifest("beta", (one("b0", "c1", [0.0, 1.0]), one("b1", "c2", [1.0, 2.0])))
+        bad = DomainManifest("bad", alpha.tracklets + beta.tracklets)
+        tail = (" is invalid (2 violations; first: dim-mismatch: "
+                "tracklet 'b0' has dim 2, manifest dim 1)")
+        path = tmp_path / "bad.jsonl"
+        write_manifest(bad, path)
+        policy = MergePolicy(min_identities=1, namespace_ids=False)
+        gates = [
+            (ManifestError, f"{path}", lambda: read_manifest(path)),
+            (ManifestError, "manifest 'bad'", lambda: manifest_embeddings(bad)),
+            (MergeError, "source 'bad'", lambda: merge_domains([bad], policy)),
+            (MergeError, "merged manifest", lambda: merge_domains([alpha, beta], policy)),
+        ]
+        for error, what, gate in gates:
+            with pytest.raises(error) as info:
+                gate()
+            assert str(info.value) == what + tail
 
 
 class TestAssignments:

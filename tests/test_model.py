@@ -51,6 +51,37 @@ class TestTracklet:
         with pytest.raises(ManifestError):
             T("a", "c", [[1.0, 2.0], [3.0]])
 
+    @pytest.mark.parametrize("frames,found", [
+        pytest.param([["1.5"]], "str", id="string"),
+        pytest.param([[True]], "bool", id="bool"),
+        pytest.param([[1.5, True]], "bool", id="bool_beside_float"),
+        pytest.param([[None, 1.0]], "NoneType", id="none"),
+        pytest.param(np.array([[True]]), "bool", id="bool_array"),
+        pytest.param(np.array([["1.5"]]), "str_", id="string_array"),
+        pytest.param(np.array([[None, 1.0]], dtype=object), "NoneType", id="object_array"),
+    ])
+    def test_non_number_frame_values_rejected(self, frames, found):
+        with pytest.raises(ManifestError, match=f"^frame values must be numbers, found {found}$"):
+            T("a", "c", frames)
+
+    @pytest.mark.parametrize("frames", [
+        pytest.param([[2**70, 1]], id="int_past_int64"),
+        pytest.param(np.array([[2**70, 1]], dtype=object), id="object_array"),
+        pytest.param([np.array([2**70, 1], dtype=np.float32)], id="rows_of_float32"),
+    ])
+    def test_any_number_accepted(self, frames):
+        assert T("a", "c", frames).frames.tolist() == [[2.0**70, 1.0]]
+
+    def test_stack_frames_layout(self):
+        ts = [T("a", "c", [[1.0], [2.0]]), T("b", "c", [[3.0]]), T("d", "c", [[4.0], [5.0]])]
+        F, start, n = model.stack_frames(ts)
+        assert F.tolist() == [[1.0], [2.0], [3.0], [4.0], [5.0]]
+        assert start.tolist() == [0, 2, 3] and n.tolist() == [2, 1, 2]
+        for t, a, c in zip(ts, start, n):
+            assert np.array_equal(F[a : a + c], t.frames)
+        F, start, n = model.stack_frames([])
+        assert F.shape == (0, 0) and start.size == n.size == 0
+
     def test_equality_by_value(self):
         a = T("a", "c", [[1.0, 2.0]], identity="p1")
         b = T("a", "c", [[1.0, 2.0]], identity="p1")
