@@ -24,7 +24,7 @@ import numpy as np
 from .errors import AdaptationError, BatchError, ManifestError
 from .graph import ClusterSet, cluster
 from .io import atomic_write
-from .model import AdaptConfig, ClusterAssignment, DomainManifest, TrainConfig, stack_frames
+from .model import AdaptConfig, ClusterAssignment, DomainManifest, TrainConfig, gather_frames
 from .neighbors import build_neighbor_index, exact_sq_dists
 
 __all__ = [
@@ -302,23 +302,27 @@ def identity_clusters(m: DomainManifest) -> ClusterSet:
 def _frame_pools(clusters: ClusterSet, m: DomainManifest):
     """(frames, starts, sizes): every member frame in one array, cluster by cluster.
 
-    Clusters come in cluster-id order and members in id order (stack_frames);
-    cluster i's frames are rows starts[i] .. starts[i] + sizes[i] of frames.
+    Clusters come in cluster-id order and members in id order, gathered
+    from m.frame_layout in one step; cluster i's frames are rows
+    starts[i] .. starts[i] + sizes[i] of frames.
     """
+    position = {t.tracklet_id: i for i, t in enumerate(m.tracklets)}  # last one wins, as by_id
     members, first = [], []
     for c in sorted(clusters.clusters, key=lambda c: c.cluster_id):
         if not c.members:
             raise AdaptationError(f"cluster {c.cluster_id} has no members")
         first.append(len(members))
         for tid in sorted(c.members):
-            t = m.by_id.get(tid)
-            if t is None:
+            i = position.get(tid)
+            if i is None:
                 raise AdaptationError(f"cluster member {tid!r} not present in manifest {m.name!r}")
-            if t.n_frames == 0:
+            if m.tracklets[i].n_frames == 0:
                 raise AdaptationError(f"cluster member {tid!r} has no frames")
-            members.append(t)
-    frames, start, n = stack_frames(members)
-    return frames, start[first], np.add.reduceat(n, first)
+            members.append(i)
+    F, start, n = m.frame_layout
+    sizes = n[members]
+    offsets = np.cumsum(sizes) - sizes
+    return gather_frames(F, start[members], sizes), offsets[first], np.add.reduceat(sizes, first)
 
 
 def train_embedder(

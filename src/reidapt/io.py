@@ -7,7 +7,9 @@ sidecar).  A bad record fails as "<path>:<line>: ...", a manifest-level
 violation as "<path> is invalid (<count> violations; first: ...)".
 
 Sidecar: magic "KTF1", u32 row count, u32 dim, then row-major little-endian
-float32 rows.
+float32 rows.  read_manifest converts a sidecar to float64 once, as one
+read-only matrix: the manifest's frame_layout, of which each tracklet's
+frames are a row view.  write_manifest writes a manifest's frame_layout.
 
 Assignments: "<cluster_id>\t<tracklet_id>" lines, -1 for unclustered.
 
@@ -19,7 +21,9 @@ Every writer goes through atomic_write, so a failed write leaves the old file
 
 from __future__ import annotations
 
+import io
 import json
+import math
 import os
 import secrets
 import struct
@@ -30,10 +34,11 @@ import numpy as np
 
 from .errors import ManifestError
 from .graph import ClusterSet
-from .model import ClusterAssignment, DomainManifest, Tracklet, stack_frames
+from .model import ClusterAssignment, DomainManifest, Tracklet, gather_frames
 
 _SIDECAR_MAGIC = b"KTF1"
 _SIDECAR_HEADER = struct.Struct("<4sII")
+_READ_VALUES = 1 << 16  # float32 values read from a sidecar at a time
 
 
 @contextmanager
@@ -69,29 +74,45 @@ def write_feature_sidecar(path, rows: np.ndarray) -> None:
 
 
 def read_feature_sidecar(path) -> np.ndarray:
+    """The sidecar's rows as a new float64 matrix.
+
+    The float32 rows are read and converted a block at a time, so the file
+    is never held whole beside the matrix.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _SIDECAR_HEADER.size or blob[:4] != _SIDECAR_MAGIC:
-        raise ManifestError(f"{path}: not a feature sidecar (bad magic)")
-    _magic, n_rows, dim = _SIDECAR_HEADER.unpack_from(blob)
-    n_bytes = len(blob) - _SIDECAR_HEADER.size
-    if n_bytes != 4 * n_rows * dim:
-        raise ManifestError(f"{path}: expected {n_rows}x{dim} values, found {n_bytes} bytes")
-    body = np.frombuffer(blob, dtype="<f4", offset=_SIDECAR_HEADER.size)
-    return body.reshape(n_rows, dim).astype(np.float64)
+        head = fh.read(_SIDECAR_HEADER.size)
+        if len(head) < _SIDECAR_HEADER.size or head[:4] != _SIDECAR_MAGIC:
+            raise ManifestError(f"{path}: not a feature sidecar (bad magic)")
+        _magic, n_rows, dim = _SIDECAR_HEADER.unpack(head)
+        n_bytes = os.fstat(fh.fileno()).st_size - _SIDECAR_HEADER.size
+        if n_bytes != 4 * n_rows * dim:
+            raise ManifestError(f"{path}: expected {n_rows}x{dim} values, found {n_bytes} bytes")
+        rows = np.empty((n_rows, dim))
+        block = np.empty((max(1, _READ_VALUES // max(1, dim)), dim), dtype="<f4")
+        for a in range(0, n_rows, len(block)):
+            part = block[: n_rows - a]
+            if fh.readinto(part) != part.nbytes:
+                raise ManifestError(f"{path}: file ended before its {n_rows}x{dim} values")
+            rows[a : a + len(part)] = part
+    return rows
 
 
 def write_manifest(m: DomainManifest, path, sidecar=None) -> None:
-    """Write a manifest as JSON lines; frames go to `sidecar` if given.
+    """Write a valid manifest as JSON lines; frames go to `sidecar` if given.
 
-    Inline JSON frames round-trip float64 exactly.  The sidecar holds float32
-    rows laid out by stack_frames (frames_ref is a tracklet's start and n), so
-    it is lossy unless the values are already float32-representable.
+    An invalid manifest raises ManifestError("manifest '<name>' is invalid
+    (...)") before any file is opened.  Inline JSON frames round-trip float64
+    exactly.  The sidecar holds the float32 rows of m.frame_layout, gathered
+    into tracklet order unless its spans already tile it in order, and
+    frames_ref is a tracklet's start row and count there.  It is lossy
+    unless the values are already float32-representable.
     """
+    m.validation.check(f"manifest {m.name!r}")
     path = Path(path)
     if sidecar is not None:
-        F, start, n = stack_frames(m.tracklets)
-        write_feature_sidecar(sidecar, F)
+        F, start, n = m.frame_layout
+        write_feature_sidecar(sidecar, gather_frames(F, start, n))
+        offsets = np.cumsum(n) - n
 
     with atomic_write(path) as fh:
         for i, t in enumerate(m.tracklets):
@@ -103,7 +124,7 @@ def write_manifest(m: DomainManifest, path, sidecar=None) -> None:
             if sidecar is None:
                 rec["frames"] = t.frames.tolist()
             else:
-                rec["frames_ref"] = {"offset": int(start[i]), "count": int(n[i])}
+                rec["frames_ref"] = {"offset": int(offsets[i]), "count": int(n[i])}
             fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
 
@@ -121,67 +142,119 @@ def _numbered_lines(fh, path, error):
         yield lineno, line
 
 
-def read_manifest(path, sidecar=None, name=None) -> DomainManifest:
-    """Load and validate a JSONL manifest; any violation is a hard error."""
-    path = Path(path)
-    features = read_feature_sidecar(sidecar) if sidecar is not None else None
+def _records_by_line(path, text):
+    """(lineno, record) for each non-blank line, each line parsed on its own.
 
-    tracklets = []
+    Lazy, so a line's error comes only once the records before it have been
+    checked: this is the parse whose errors name the line.
+    """
+    for lineno, line in _numbered_lines(io.StringIO(text, newline="\n"), path, ManifestError):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ManifestError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise ManifestError(f"{path}:{lineno}: JSON nested too deeply") from exc
+        yield lineno, rec
+
+
+def _manifest_records(path, text):
+    """(lineno, record) for each non-blank line of a manifest's text.
+
+    One json.loads reads every line at once: the lines are joined with a
+    NaN between each two, which parses to a separator object.  When the text
+    has no NaN of its own and the parse gives record, separator, record,
+    ..., every separator stood between two lines that each held one whole
+    value, so the parse is the line-by-line one.  Otherwise (a line with two
+    records, a record over two lines, an error) the lines are read one by
+    one, as is text that is not ASCII, so that each line's UTF-8 is checked
+    as it is read.
+    """
+    if text.isascii() and "NaN" not in text:
+        numbered = [(i, s) for i, s in enumerate(map(str.strip, text.split("\n")), 1) if s]
+        separator = object()
+        constants = {"NaN": separator, "Infinity": math.inf, "-Infinity": -math.inf}
+        try:
+            out = json.loads("[" + ",NaN,".join(s for _, s in numbered) + "]",
+                             parse_constant=constants.__getitem__)
+        except (ValueError, RecursionError):  # JSONDecodeError is a ValueError
+            out = []
+        n = len(numbered)
+        if len(out) == 2 * n - 1 and out[1::2].count(separator) == n - 1:
+            return zip([i for i, _ in numbered], out[::2])
+    return _records_by_line(path, text)
+
+
+def read_manifest(path, sidecar=None, name=None) -> DomainManifest:
+    """Load and validate a JSONL manifest; any violation is a hard error.
+
+    With a sidecar, the frames of frames_ref records are read-only views of
+    the sidecar's one float64 matrix, and a manifest of such records only
+    keeps that matrix as its frame_layout.
+    """
+    path = Path(path)
+    features = None
+    if sidecar is not None:
+        features = read_feature_sidecar(sidecar)
+        features.setflags(write=False)
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in _numbered_lines(fh, path, ManifestError):
-            line = line.strip()
-            if not line:
-                continue
+        text = fh.read()
+
+    tracklets, starts, counts = [], [], []
+    for lineno, rec in _manifest_records(path, text):
+        if not isinstance(rec, dict):
+            raise ManifestError(f"{path}:{lineno}: record is not a JSON object")
+        try:
+            tid = rec["tracklet_id"]
+            cam = rec["camera_id"]
+        except KeyError as exc:
+            raise ManifestError(f"{path}:{lineno}: missing field {exc}") from exc
+        identity = rec.get("identity")
+        if not (isinstance(tid, str) and isinstance(cam, str)):
+            raise ManifestError(f"{path}:{lineno}: tracklet_id and camera_id must be strings")
+        if not (identity is None or isinstance(identity, str)):
+            raise ManifestError(f"{path}:{lineno}: identity must be a string or null")
+        if "frames" in rec:
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ManifestError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            except RecursionError as exc:
-                raise ManifestError(f"{path}:{lineno}: JSON nested too deeply") from exc
-            if not isinstance(rec, dict):
-                raise ManifestError(f"{path}:{lineno}: record is not a JSON object")
-            try:
-                tid = rec["tracklet_id"]
-                cam = rec["camera_id"]
-            except KeyError as exc:
-                raise ManifestError(f"{path}:{lineno}: missing field {exc}") from exc
-            identity = rec.get("identity")
-            if not (isinstance(tid, str) and isinstance(cam, str)):
-                raise ManifestError(f"{path}:{lineno}: tracklet_id and camera_id must be strings")
-            if not (identity is None or isinstance(identity, str)):
-                raise ManifestError(f"{path}:{lineno}: identity must be a string or null")
-            if "frames" in rec:
-                frames = rec["frames"]
-            elif "frames_ref" in rec:
-                if features is None:
-                    raise ManifestError(
-                        f"{path}:{lineno}: frames_ref present but no sidecar was given"
-                    )
-                ref = rec["frames_ref"]
-                # type() rather than isinstance: JSON true/false must not pass as 1/0.
-                if not (isinstance(ref, dict) and type(ref.get("offset")) is int
-                        and type(ref.get("count")) is int):
-                    raise ManifestError(
-                        f"{path}:{lineno}: frames_ref must be an object with integer "
-                        "offset and count"
-                    )
-                lo, n = ref["offset"], ref["count"]
-                if lo < 0 or n < 0 or lo + n > features.shape[0]:
-                    raise ManifestError(
-                        f"{path}:{lineno}: frames_ref [{lo}, {lo + n}) outside sidecar "
-                        f"of {features.shape[0]} rows"
-                    )
-                frames = features[lo : lo + n]
-            else:
-                raise ManifestError(f"{path}:{lineno}: record has neither frames nor frames_ref")
-            try:
-                tracklets.append(
-                    Tracklet(tracklet_id=tid, camera_id=cam, frames=frames, identity=identity)
-                )
+                t = Tracklet(tracklet_id=tid, camera_id=cam, frames=rec["frames"],
+                             identity=identity)
             except ManifestError as exc:
                 raise ManifestError(f"{path}:{lineno}: {exc}") from exc
+            tracklets.append(t)
+            continue
+        if "frames_ref" not in rec:
+            raise ManifestError(f"{path}:{lineno}: record has neither frames nor frames_ref")
+        if features is None:
+            raise ManifestError(f"{path}:{lineno}: frames_ref present but no sidecar was given")
+        ref = rec["frames_ref"]
+        # type() rather than isinstance: JSON true/false must not pass as 1/0.
+        if not (isinstance(ref, dict) and type(ref.get("offset")) is int
+                and type(ref.get("count")) is int):
+            raise ManifestError(
+                f"{path}:{lineno}: frames_ref must be an object with integer offset and count"
+            )
+        lo, count = ref["offset"], ref["count"]
+        if lo < 0 or count < 0 or lo + count > features.shape[0]:
+            raise ManifestError(
+                f"{path}:{lineno}: frames_ref [{lo}, {lo + count}) outside sidecar "
+                f"of {features.shape[0]} rows"
+            )
+        frames = features[lo : lo + count]
+        if frames.size == 0:  # as Tracklet normalises empty frames
+            frames, count = features[:0, :0], 0
+        tracklets.append(Tracklet._view(tid, cam, frames, identity))
+        starts.append(lo)
+        counts.append(count)
 
-    m = DomainManifest(name=name if name is not None else path.stem, tracklets=tuple(tracklets))
+    name = name if name is not None else path.stem
+    if counts and len(counts) == len(tracklets):  # all frames_ref: the sidecar is the layout
+        layout = (features, np.array(starts, dtype=np.intp), np.array(counts, dtype=np.intp))
+        m = DomainManifest._over(name, tracklets, layout)
+    else:
+        m = DomainManifest(name, tuple(tracklets))
     m.validation.check(str(path))
     return m
 

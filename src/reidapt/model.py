@@ -23,6 +23,8 @@ from .errors import ManifestError
 
 def _as_frame_matrix(frames) -> np.ndarray:
     """Normalize raw frame data to a read-only (n_frames, dim) float64 array of numbers."""
+    if isinstance(frames, np.ndarray) and frames.dtype.kind == "c":  # before numpy warns
+        raise ManifestError(f"frame values must be numbers, found {frames.dtype.type.__name__}")
     try:
         arr = np.array(frames, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -50,7 +52,11 @@ class Tracklet:
     Attributes:
         tracklet_id: unique id within a manifest.
         camera_id: id of the camera that recorded the track.
-        frames: (n_frames, dim) float64 matrix, one feature vector per frame.
+        frames: read-only (n_frames, dim) float64 matrix, one feature vector
+            per frame; shape (0, 0) when there are none.  The constructor
+            copies what it is given.  read_manifest's tracklets instead hold
+            row views of their manifest's frame matrix (DomainManifest
+            .frame_layout).
         identity: ground-truth person label, or None for unlabeled data.
             The clustering path never reads this field.
     """
@@ -62,6 +68,18 @@ class Tracklet:
 
     def __post_init__(self):
         object.__setattr__(self, "frames", _as_frame_matrix(self.frames))
+
+    @classmethod
+    def _view(cls, tracklet_id, camera_id, frames, identity):
+        """A tracklet over `frames` as they are: no copy and no checks.
+
+        `frames` must already be what the constructor would make of them, a
+        read-only float64 (n, dim) array with n, dim >= 1, or shape (0, 0).
+        """
+        t = object.__new__(cls)
+        t.__dict__.update(tracklet_id=tracklet_id, camera_id=camera_id, frames=frames,
+                          identity=identity)
+        return t
 
     @property
     def n_frames(self) -> int:
@@ -98,6 +116,25 @@ class DomainManifest:
 
     def __post_init__(self):
         object.__setattr__(self, "tracklets", tuple(self.tracklets))
+
+    @classmethod
+    def _over(cls, name, tracklets, frame_layout):
+        """A manifest whose frame_layout is given, not stacked: its tracklets' frames are its rows."""
+        m = cls(name, tracklets)
+        m.__dict__["frame_layout"] = frame_layout
+        return m
+
+    @cached_property
+    def frame_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(F, start, n): one read-only float64 matrix holding every tracklet's frames.
+
+        Tracklet i's frames are F[start[i] : start[i] + n[i]].  Computed once,
+        as stack_frames(self.tracklets), which needs every tracklet with
+        frames to share one dim.  read_manifest over a sidecar gives the
+        sidecar's own matrix instead, whose spans may overlap, skip rows or
+        come out of order, and whose tracklets hold views of it.
+        """
+        return stack_frames(self.tracklets)
 
     @cached_property
     def by_id(self) -> dict[str, Tracklet]:
@@ -191,7 +228,9 @@ def validate_manifest(m: DomainManifest) -> ValidationReport:
 
     Reported kinds: empty-manifest, duplicate-id, empty-frames, non-finite,
     dim-mismatch.  One violation per offending tracklet (one per duplicated
-    id), so counts are stable for tests and tooling.
+    id), so counts are stable for tests and tooling.  Non-finite values are
+    found in one pass over m.frame_layout: a running count of non-finite
+    rows, read at each tracklet's span.
     """
     violations: list[Violation] = []
     if not m.tracklets:
@@ -207,17 +246,29 @@ def validate_manifest(m: DomainManifest) -> ValidationReport:
         )
 
     ref_dim = m.dim
-    for t in m.tracklets:
-        if t.n_frames == 0:
+    try:
+        F, start, n = m.frame_layout
+    except ManifestError:  # frames of two dims share no matrix: only an invalid manifest
+        n, dim = np.array([t.frames.shape for t in m.tracklets], dtype=np.intp).T
+        off_dim = (n > 0) & (dim != ref_dim)
+        finite = np.array([np.isfinite(t.frames).all() for t in m.tracklets])
+    else:
+        off_dim = np.zeros(len(n), dtype=bool)
+        bad_rows = np.concatenate(([0], np.cumsum(~np.isfinite(F).all(axis=1))))
+        finite = bad_rows[start + n] == bad_rows[start]
+    empty = n == 0
+    for i in np.flatnonzero(empty | ~finite | off_dim).tolist():
+        t = m.tracklets[i]
+        if empty[i]:
             violations.append(
                 Violation("empty-frames", f"tracklet {t.tracklet_id!r} has no frames")
             )
             continue
-        if not np.isfinite(t.frames).all():
+        if not finite[i]:
             violations.append(
                 Violation("non-finite", f"tracklet {t.tracklet_id!r} contains NaN or Inf")
             )
-        if ref_dim is not None and t.dim != ref_dim:
+        if off_dim[i]:
             violations.append(
                 Violation(
                     "dim-mismatch",
@@ -225,6 +276,11 @@ def validate_manifest(m: DomainManifest) -> ValidationReport:
                 )
             )
     return ValidationReport(tuple(violations))
+
+
+# Values in one chunk's running sums in manifest_embeddings (256 KB), so that
+# the sums and the frames added to them stay in cache.
+_MEAN_ELEMENTS = 1 << 15
 
 
 def _exact_mean(rows: np.ndarray) -> np.ndarray:
@@ -244,19 +300,42 @@ def _exact_mean(rows: np.ndarray) -> np.ndarray:
 
 
 def stack_frames(tracklets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(F, start, n): the frames in order; tracklet i's are F[start[i] : start[i] + n[i]]."""
+    """(F, start, n): the frames in order; tracklet i's are F[start[i] : start[i] + n[i]].
+
+    The one owner of the frame-matrix layout.  F is a new read-only float64
+    matrix; tracklets without frames take no rows, and the others must
+    share one dim (else ManifestError).  DomainManifest.frame_layout holds
+    this layout for a whole manifest, and gather_frames reads spans out of it.
+    """
     n = np.array([t.n_frames for t in tracklets], dtype=np.intp)
-    F = np.concatenate([t.frames for t in tracklets]) if len(n) else np.empty((0, 0))
+    rows = [t.frames for t in tracklets if t.n_frames]
+    dims = sorted({r.shape[1] for r in rows})
+    if len(dims) > 1:
+        raise ManifestError(f"frames of dims {dims} cannot share one frame matrix")
+    F = np.concatenate(rows) if rows else np.empty((0, 0))
+    F.setflags(write=False)
     return F, np.cumsum(n) - n, n
+
+
+def gather_frames(F, start, n) -> np.ndarray:
+    """The spans F[start[i] : start[i] + n[i]], one after another: stack_frames's F for them.
+
+    F itself, not a copy, when the spans already tile it in order.
+    """
+    offsets = np.cumsum(n) - n
+    if len(F) == n.sum() and np.array_equal(start, offsets):
+        return F
+    return F[np.arange(n.sum()) + np.repeat(start - offsets, n)]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # errstate is per thread; overflow fails the proof
 def _proven_means(F, start, n) -> tuple[np.ndarray, np.ndarray]:
     """(means, proven): each block's column means, and which rows are exact.
 
-    Block i is F[start[i] : start[i] + n[i]], n[i] >= 1, as stack_frames lays
-    it out.  All blocks are summed together, one frame position at a time
-    (longest first, so the blocks with a frame at position p are a prefix).
+    Block i is F[start[i] : start[i] + n[i]], n[i] >= 1, read in place as a
+    frame layout gives it.  All blocks are summed together, one frame
+    position at a time (longest first, so the blocks with a frame at
+    position p are a prefix).
     Every addition s = a + x records its TwoSum error (a - (s - v)) + (x - v),
     v = s - a, which is the exact rounding error of s whenever nothing
     overflowed (Knuth; Ogita, Rump & Oishi 2005), and is inf or nan, never 0,
@@ -304,10 +383,11 @@ def manifest_embeddings(
     validate_manifest (its cached ``validation``), else ManifestError.  Each
     tracklet is represented by the mean of its (optionally embedded) frame
     vectors, correctly rounded: math.fsum of each column divided by the
-    frame count.  Raw frames are split into W contiguous chunks of
-    tracklets, one task per thread (W from _tasks.workers()); each task
-    stacks its chunk with stack_frames and sums it with _proven_means, and
-    a tracklet keeps that sum only where TwoSum proves it exact.  The rest,
+    frame count.  Raw frames are split into contiguous chunks of tracklets,
+    at least W (from _tasks.workers()) and small enough that a chunk's sums
+    stay in cache, run as tasks on W threads; each task sums its chunk's
+    spans of m.frame_layout in place with _proven_means, and a tracklet
+    keeps that sum only where TwoSum proves it exact.  The rest,
     and embedder outputs (whose sums rarely pass), take _exact_mean's fsum.
     Tracklets are returned in ascending tracklet_id order, which is the
     canonical order used by the neighbor index.
@@ -328,17 +408,24 @@ def manifest_embeddings(
             overflowed); the message names the first such tracklet in id order.
     """
     m.validation.check(f"manifest {m.name!r}")
-    order = sorted(m.tracklets, key=lambda t: t.tracklet_id)
+    ids = [t.tracklet_id for t in m.tracklets]
+    pos = np.array(sorted(range(len(ids)), key=ids.__getitem__))
+    order = [m.tracklets[i] for i in pos.tolist()]
     # Overflow shows as a non-finite mean below, not as a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
         if embedder is None:
-            # W contiguous chunks in id order, one task each, stacked by the
-            # task: a row's sums never depend on the other rows summed with it.
+            # Contiguous chunks in id order, one task each: a row's sums
+            # never depend on the other rows summed with it.
+            F, start, n = m.frame_layout
             workers = _tasks.workers()
-            step = max(1, -(-len(order) // workers))
-            chunks = [order[a : a + step] for a in range(0, len(order), step)]
-            parts = _tasks.run(lambda c: _proven_means(*stack_frames(c)), chunks, workers)
-            X, proven = (np.concatenate(p) for p in zip(*parts))
+            step = max(1, min(-(-len(pos) // workers), _MEAN_ELEMENTS // max(1, F.shape[1])))
+            X, proven = np.empty((len(pos), F.shape[1])), np.empty(len(pos), dtype=bool)
+
+            def mean_chunk(a):
+                c = pos[a : a + step]
+                X[a : a + step], proven[a : a + step] = _proven_means(F, start[c], n[c])
+
+            _tasks.run(mean_chunk, range(0, len(pos), step), workers)
             for i in np.flatnonzero(~proven):
                 X[i] = _exact_mean(order[i].frames)
         else:

@@ -1,0 +1,168 @@
+"""Mutation checks: each guard that a proof or a contract rests on has a test that bites.
+
+Usage: python tests/mutants.py [NAME ...]
+
+A mutant is a file under src/reidapt, an exact snippet in it, the snippet's
+replacement, and the tests that must fail once the replacement is made.
+For each mutant (all of them, or those named), the runner copies src/ to a
+temporary directory, applies the mutant to the copy, and runs only its tests
+against the copy in a subprocess.  It prints one line per mutant: "killed"
+when a test failed, "SURVIVED" when all passed, "ERROR" when pytest could
+not run them.  The exit status is 1 unless every mutant was killed.
+
+pytest does not collect this file (its name does not start with test_).
+tests/test_mutants.py checks, in tier-1, that each snippet occurs exactly
+once in src/ and that each named test exists.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to src/reidapt
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repo root
+
+
+MUTANTS = (
+    Mutant(
+        "bulk-parse-record-count", "io.py",
+        "if len(out) == 2 * n - 1 and out[1::2].count(separator) == n - 1:",
+        "if out[1::2].count(separator) == n - 1:",
+        ("tests/test_io.py::TestBulkParse::test_two_records_on_one_line",),
+    ),
+    Mutant(
+        "bulk-parse-separator-check", "io.py",
+        "if len(out) == 2 * n - 1 and out[1::2].count(separator) == n - 1:",
+        "if len(out) == 2 * n - 1:",
+        ("tests/test_io.py::TestBulkParse::test_both_at_once_still_name_the_first_bad_line",),
+    ),
+    Mutant(
+        "bulk-parse-literal-nan", "io.py",
+        'if text.isascii() and "NaN" not in text:',
+        "if text.isascii():",
+        ("tests/test_io.py::TestBulkParse::test_a_literal_nan_reads_as_nan",),
+    ),
+    Mutant(
+        "sidecar-matrix-writeable", "io.py",
+        "features.setflags(write=False)",
+        "pass",
+        ("tests/test_io.py::TestSidecarLayout::"
+         "test_frames_are_read_only_views_of_one_read_only_matrix",),
+    ),
+    Mutant(
+        "non-finite-span-off-by-one", "model.py",
+        "finite = bad_rows[start + n] == bad_rows[start]",
+        "finite = bad_rows[start + n - 1] == bad_rows[start]",
+        ("tests/test_model.py::TestValidateManifest::test_non_finite_in_a_last_row_only",
+         "tests/test_io.py::TestSidecarLayout::test_non_finite_rows_found_in_any_span"),
+    ),
+    Mutant(
+        "means-twosum-proof", "model.py",
+        "proven[:a] &= ~((S[:a] - (s - v)) + (x - v)).any(axis=1)",
+        "pass",
+        ("tests/test_model.py::TestProvenMeans::test_bytes_equal_fsum_on_both_paths",),
+    ),
+    Mutant(
+        "gemm-scale-exp", "neighbors.py",
+        "scale_exp = -int(np.frexp(np.abs(Xc).max())[1])  # 0 when Xc is all zero",
+        "scale_exp = 0",
+        ("tests/test_neighbors.py::TestDenseReference::test_identical_to_dense_index[scaled_2m140]",),
+    ),
+    Mutant(
+        "gemm-tol", "neighbors.py",
+        "tol = 4.0 * (self.X.shape[1] + 4) * (_EPS32 * S + np.ldexp(_SUBNORMAL, 2 * self.scale_exp))",
+        "tol = 0.0 * S",
+        ("tests/test_neighbors.py::TestDenseReference::test_identical_to_dense_index[below_float32]",
+         "tests/test_evaluate.py::TestRankingReference::test_identical_to_naive_ranking[sqrt_ties]"),
+    ),
+    Mutant(
+        "heads-thread-errstate", "neighbors.py",
+        '            @np.errstate(over="ignore", invalid="ignore")\n            def block(',
+        "            def block(",
+        ("tests/test_neighbors.py::TestDenseReference::test_identical_to_dense_index[overflow_1e160]",),
+    ),
+    Mutant(
+        "count-tie-term", "neighbors.py",
+        "        before[t] += less[loc] + np.searchsorted(tied, loc * n + tgt[t])\n"
+        "        before[t] -= np.searchsorted(tied, loc * n)\n",
+        "        before[t] += less[loc]\n",
+        ("tests/test_neighbors.py::TestDenseReference::test_identical_to_dense_index[integer_ties]",
+         "tests/test_evaluate.py::TestRankingReference::test_identical_to_naive_ranking[sqrt_ties]"),
+    ),
+    Mutant(
+        "count-runs-split-on-d2", "neighbors.py",
+        "head[1:] = (slot[bt[1:]] != slot[bt[:-1]]) | (d2[bt[1:]] != d2[bt[:-1]])",
+        "head[1:] = slot[bt[1:]] != slot[bt[:-1]]",
+        ("tests/test_neighbors.py::TestDenseReference::test_identical_to_dense_index[below_float32]",
+         "tests/test_evaluate.py::TestRankingReference::test_identical_to_naive_ranking[sqrt_ties]"),
+    ),
+    Mutant(
+        "count-first-run-threshold", "neighbors.py",
+        "np.where(slot[lead[1:]] == slot[lead[:-1]], hi[lead[:-1]], -np.inf)",
+        "np.where(slot[lead[1:]] == slot[lead[:-1]], lo[lead[:-1]], -np.inf)",
+        ("tests/test_evaluate.py::TestRankingReference::"
+         "test_exact_work_stays_bounded_on_ties[below_float32]",),
+    ),
+    Mutant(
+        "count-first-run-rule", "neighbors.py",
+        "i, first = slot[g[gi]], np.flatnonzero(G[gi, j] > above[c + gi])",
+        "i, first = slot[g[gi]], np.arange(len(gi))",
+        ("tests/test_evaluate.py::TestRankingReference::"
+         "test_exact_work_stays_bounded_on_ties[below_float32]",),
+    ),
+)
+
+
+def run_mutant(m: Mutant) -> str:
+    """'killed', 'SURVIVED' or 'ERROR' for one mutant, run on a copy of src/."""
+    with tempfile.TemporaryDirectory(prefix="reidapt-mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+        target = src / "reidapt" / m.path
+        text = target.read_text(encoding="utf-8")
+        if text.count(m.snippet) != 1:
+            return "ERROR"
+        target.write_text(text.replace(m.snippet, m.replacement), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *m.tests],
+            cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+    # pytest exits 1 when a test failed; any other non-zero code is an error.
+    return {0: "SURVIVED", 1: "killed"}.get(proc.returncode, "ERROR")
+
+
+def main(names) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    t0 = time.perf_counter()
+    outcomes = []
+    for m in chosen:
+        outcomes.append(run_mutant(m))
+        print(f"{outcomes[-1]:8s} {m.name} ({m.path})", flush=True)
+    killed = outcomes.count("killed")
+    print(f"{killed}/{len(chosen)} killed in {time.perf_counter() - t0:.1f} s")
+    return 0 if killed == len(chosen) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -439,3 +439,23 @@ def loop_train_embedder(embedder, clusters, m: DomainManifest, cfg):
             params = params - lr * grad
             out.set_param_vector(params)
     return out
+
+
+def loop_violations(m: DomainManifest) -> tuple[tuple[str, str], ...]:
+    """validate_manifest's (kind, message) pairs, tracklet by tracklet in plain Python."""
+    if not m.tracklets:
+        return (("empty-manifest", "manifest has no tracklets"),)
+    counts = Counter(t.tracklet_id for t in m.tracklets)
+    out = [("duplicate-id", f"tracklet id {tid!r} appears {c} times")
+           for tid, c in sorted(counts.items()) if c > 1]
+    ref_dim = next((t.dim for t in m.tracklets if t.n_frames), None)
+    for t in m.tracklets:
+        if t.n_frames == 0:
+            out.append(("empty-frames", f"tracklet {t.tracklet_id!r} has no frames"))
+            continue
+        if not all(math.isfinite(x) for row in t.frames.tolist() for x in row):
+            out.append(("non-finite", f"tracklet {t.tracklet_id!r} contains NaN or Inf"))
+        if t.dim != ref_dim:
+            out.append(("dim-mismatch",
+                        f"tracklet {t.tracklet_id!r} has dim {t.dim}, manifest dim {ref_dim}"))
+    return tuple(out)

@@ -25,6 +25,8 @@ from reidapt import io as io_mod
 from reidapt.io import write_json
 from reidapt.model import ClusterAssignment
 
+from oracles import loop_violations, mean_vector
+
 
 def sample_manifest(name="sample"):
     rng = np.random.default_rng(0)
@@ -181,10 +183,15 @@ class TestManifestLoadValidation:
         tail = (" is invalid (2 violations; first: dim-mismatch: "
                 "tracklet 'b0' has dim 2, manifest dim 1)")
         path = tmp_path / "bad.jsonl"
-        write_manifest(bad, path)
+        path.write_text("".join(
+            json.dumps({"tracklet_id": t.tracklet_id, "camera_id": t.camera_id,
+                        "identity": t.identity, "frames": t.frames.tolist()}) + "\n"
+            for t in bad.tracklets
+        ))
         policy = MergePolicy(min_identities=1, namespace_ids=False)
         gates = [
             (ManifestError, f"{path}", lambda: read_manifest(path)),
+            (ManifestError, "manifest 'bad'", lambda: write_manifest(bad, tmp_path / "out.jsonl")),
             (ManifestError, "manifest 'bad'", lambda: manifest_embeddings(bad)),
             (MergeError, "source 'bad'", lambda: merge_domains([bad], policy)),
             (MergeError, "merged manifest", lambda: merge_domains([alpha, beta], policy)),
@@ -193,6 +200,192 @@ class TestManifestLoadValidation:
             with pytest.raises(error) as info:
                 gate()
             assert str(info.value) == what + tail
+
+
+def ref_line(tid, offset, count, cam="c"):
+    return json.dumps({"tracklet_id": tid, "camera_id": cam, "identity": None,
+                       "frames_ref": {"offset": offset, "count": count}}) + "\n"
+
+
+class TestSidecarLayout:
+    """read_manifest over a sidecar keeps one read-only matrix; tracklets view it."""
+
+    # (offset, count): overlapping, out of order, leaving rows 7-8 unread.
+    REFS = [(4, 3), (0, 2), (1, 3), (9, 1), (0, 1)]
+
+    def write(self, tmp_path, refs):
+        rows = np.arange(30, dtype=np.float64).reshape(10, 3) / 4
+        sidecar, path = tmp_path / "x.ktf", tmp_path / "m.jsonl"
+        write_feature_sidecar(sidecar, rows)
+        path.write_text("".join(ref_line(f"t{i}", lo, n, "AB"[i % 2])
+                                for i, (lo, n) in enumerate(refs)))
+        return path, sidecar, rows
+
+    def test_frames_are_read_only_views_of_one_read_only_matrix(self, tmp_path):
+        path, sidecar, _ = self.write(tmp_path, self.REFS)
+        m = read_manifest(path, sidecar=sidecar)
+        F, start, n = m.frame_layout
+        assert not F.flags.writeable
+        assert start.tolist() == [lo for lo, _ in self.REFS]
+        assert n.tolist() == [c for _, c in self.REFS]
+        for t in m.tracklets:
+            assert np.shares_memory(t.frames, F) and not t.frames.flags.writeable
+            with pytest.raises(ValueError):
+                t.frames[0, 0] = -1.0
+            with pytest.raises(ValueError):
+                t.frames.setflags(write=True)
+        with pytest.raises(ValueError):
+            F[0, 0] = -1.0
+        assert read_feature_sidecar(sidecar)[0, 0] == F[0, 0] == 0.0
+
+    def test_spans_read_back_as_the_per_tracklet_oracle(self, tmp_path):
+        path, sidecar, rows = self.write(tmp_path, self.REFS)
+        m = read_manifest(path, sidecar=sidecar)
+        for t, (lo, n) in zip(m.tracklets, self.REFS):
+            assert t == Tracklet(t.tracklet_id, t.camera_id, rows[lo : lo + n])
+        ids, X = manifest_embeddings(m)
+        assert [list(x) for x in X] == [mean_vector(m.by_id[tid]) for tid in ids]
+
+    def test_non_finite_rows_found_in_any_span(self, tmp_path):
+        # Spans that hold a bad row, end just before one or start just after one.
+        rows = np.arange(30, dtype=np.float64).reshape(10, 3)
+        rows[3, 1], rows[8, 0] = np.nan, -np.inf
+        refs = [(0, 3), (4, 4), (2, 2), (8, 1), (3, 1), (9, 1), (1, 2), (5, 4)]
+        sidecar, path = tmp_path / "x.ktf", tmp_path / "m.jsonl"
+        write_feature_sidecar(sidecar, rows)
+        path.write_text("".join(ref_line(f"t{i}", lo, n) for i, (lo, n) in enumerate(refs)))
+        want = loop_violations(DomainManifest("m", tuple(
+            Tracklet(f"t{i}", "c", rows[lo : lo + n]) for i, (lo, n) in enumerate(refs))))
+        assert [kind for kind, _ in want] == ["non-finite"] * 4
+        with pytest.raises(ManifestError) as exc:
+            read_manifest(path, sidecar=sidecar)
+        assert str(exc.value) == f"{path} is invalid (4 violations; first: {': '.join(want[0])})"
+
+    def test_count_zero_reads_as_empty_frames(self, tmp_path):
+        path, sidecar, _ = self.write(tmp_path, self.REFS + [(5, 0)])
+        with pytest.raises(ManifestError) as exc:
+            read_manifest(path, sidecar=sidecar)
+        assert str(exc.value) == (f"{path} is invalid (1 violations; first: "
+                                  "empty-frames: tracklet 't5' has no frames)")
+
+    def test_dim_zero_sidecar_reads_as_empty_frames(self, tmp_path):
+        sidecar, path = tmp_path / "x.ktf", tmp_path / "m.jsonl"
+        write_feature_sidecar(sidecar, np.zeros((3, 0)))
+        path.write_text(ref_line("a", 0, 2) + ref_line("b", 1, 2, "B"))
+        with pytest.raises(ManifestError) as exc:
+            read_manifest(path, sidecar=sidecar)
+        assert str(exc.value) == (f"{path} is invalid (2 violations; first: "
+                                  "empty-frames: tracklet 'a' has no frames)")
+
+    def test_rewrite_writes_the_sidecar_of_tracklet_order(self, tmp_path):
+        path, sidecar, rows = self.write(tmp_path, self.REFS)
+        m = read_manifest(path, sidecar=sidecar)
+        out, out_sidecar = tmp_path / "out.jsonl", tmp_path / "out.ktf"
+        write_manifest(m, out, sidecar=out_sidecar)
+        frames = np.concatenate([rows[lo : lo + n] for lo, n in self.REFS])
+        assert out_sidecar.read_bytes() == (b"KTF1" + np.array([len(frames), 3], "<u4").tobytes()
+                                            + frames.astype("<f4").tobytes())
+        offsets = np.cumsum([n for _, n in self.REFS]) - [n for _, n in self.REFS]
+        assert out.read_text() == "".join(
+            ref_line(f"t{i}", int(o), n, "AB"[i % 2]).replace(" ", "")
+            for i, (o, (_, n)) in enumerate(zip(offsets, self.REFS)))
+        # Compact and in order already: the matrix is written as it is.
+        again, again_sidecar = tmp_path / "again.jsonl", tmp_path / "again.ktf"
+        write_manifest(read_manifest(out, sidecar=out_sidecar), again, sidecar=again_sidecar)
+        assert again_sidecar.read_bytes() == out_sidecar.read_bytes()
+        assert again.read_bytes() == out.read_bytes()
+
+    def test_mixed_inline_and_sidecar_frames(self, tmp_path):
+        path, sidecar, rows = self.write(tmp_path, self.REFS[:2])
+        with path.open("a") as fh:
+            fh.write('{"tracklet_id": "z", "camera_id": "A", "frames": [[0.5, 1.5, 2.5]]}\n')
+        m = read_manifest(path, sidecar=sidecar)
+        F, start, n = m.frame_layout
+        assert F.tolist() == [*rows[4:7].tolist(), *rows[0:2].tolist(), [0.5, 1.5, 2.5]]
+        assert start.tolist() == [0, 3, 5] and n.tolist() == [3, 2, 1]
+
+
+class TestWriteManifestValidates:
+    @pytest.mark.parametrize("to_sidecar", [False, True], ids=["inline", "sidecar"])
+    def test_invalid_manifest_refused_before_any_file(self, tmp_path, to_sidecar):
+        # An empty-frames tracklet beside 2-d ones: with a sidecar this once
+        # failed inside numpy, and without one it was written.
+        m = DomainManifest("m", (Tracklet("a", "A", [[1.0, 2.0]]), Tracklet("b", "B", [])))
+        sidecar = tmp_path / "m.ktf" if to_sidecar else None
+        with pytest.raises(ManifestError) as exc:
+            write_manifest(m, tmp_path / "m.jsonl", sidecar=sidecar)
+        assert str(exc.value) == ("manifest 'm' is invalid (1 violations; first: "
+                                  "empty-frames: tracklet 'b' has no frames)")
+        assert list(tmp_path.iterdir()) == []
+
+
+GOOD = '{"tracklet_id": "a", "camera_id": "A", "frames": [[1.0]]}'
+GOOD_B = '{"tracklet_id": "b", "camera_id": "B", "frames": [[2.0]]}'
+
+
+class TestBulkParse:
+    """One json.loads reads a manifest; wherever that could differ, lines are read one by one."""
+
+    @staticmethod
+    def line_error(path, lineno, line):
+        """The message of the line-by-line reader for a line json.loads refuses."""
+        try:
+            json.loads(line)
+        except json.JSONDecodeError as exc:
+            return f"{path}:{lineno}: invalid JSON: {exc}"
+        raise AssertionError("the line parses")
+
+    def read_error(self, path, data: bytes):
+        path.write_bytes(data)
+        with pytest.raises(ManifestError) as exc:
+            read_manifest(path)
+        return str(exc.value)
+
+    def test_two_records_on_one_line(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        line = GOOD + "," + GOOD_B
+        assert self.read_error(path, (line + "\n").encode()) == self.line_error(path, 1, line)
+
+    def test_one_record_over_two_lines(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        first, second = '{"tracklet_id": "a", "frames": [[1.0,', '2.0]], "camera_id": "A"}'
+        data = f"{GOOD_B}\n{first}\n{second}\n".encode()
+        assert self.read_error(path, data) == self.line_error(path, 2, first)
+
+    def test_both_at_once_still_name_the_first_bad_line(self, tmp_path):
+        # Three records on line 1, and one over lines 2-3 whose parts parse
+        # as one record once a value is put between them: the counts agree.
+        path = tmp_path / "m.jsonl"
+        line = ",".join([GOOD, GOOD_B, GOOD])
+        data = f'{line}\n{{"tracklet_id": "c", "camera_id": "A", "frames": [[1.0\n2.0]]}}\n'
+        assert self.read_error(path, data.encode()) == self.line_error(path, 1, line)
+
+    def test_a_literal_nan_reads_as_nan(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        data = f'{GOOD}\n{{"tracklet_id": "n", "camera_id": "B", "frames": [[NaN]]}}\n'.encode()
+        assert self.read_error(path, data).endswith("first: non-finite: tracklet 'n' contains NaN or Inf)")
+
+    def test_invalid_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        data = f"{GOOD}\n".encode() + b'{"tracklet_id": "\xff"}\n'
+        message = self.read_error(path, data)
+        assert message.startswith(f"{path}:2: not UTF-8: ")
+
+    def test_too_deep_names_its_line(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        deep = "[" * 100_000 + "]" * 100_000
+        data = f"{GOOD}\n{GOOD_B}\n{deep}\n".encode()
+        assert self.read_error(path, data) == f"{path}:3: JSON nested too deeply"
+
+    def test_an_earlier_record_error_comes_before_a_later_json_error(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        data = f'{GOOD}\n{{"camera_id": "A", "frames": [[1.0]]}}\nnot json\n'.encode()
+        assert self.read_error(path, data) == f"{path}:2: missing field 'tracklet_id'"
+
+    def test_blank_and_crlf_lines_keep_their_numbers(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        data = f"\r\n{GOOD}\r\n  \n{GOOD_B}\r{{\"camera_id\": \"A\"}}\n".encode()
+        assert self.read_error(path, data) == f"{path}:5: missing field 'tracklet_id'"
 
 
 class TestAssignments:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from reidapt import (
     validate_manifest,
 )
 
-from oracles import mean_vector
+from oracles import loop_violations, mean_vector
 
 
 def T(tid, cam, frames, identity=None):
@@ -72,6 +73,12 @@ class TestTracklet:
     def test_any_number_accepted(self, frames):
         assert T("a", "c", frames).frames.tolist() == [[2.0**70, 1.0]]
 
+    def test_complex_frames_refused_before_numpy_warns(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ManifestError, match="^frame values must be numbers, found complex128$"):
+                T("a", "c", np.array([[1 + 2j]]))
+
     def test_stack_frames_layout(self):
         ts = [T("a", "c", [[1.0], [2.0]]), T("b", "c", [[3.0]]), T("d", "c", [[4.0], [5.0]])]
         F, start, n = model.stack_frames(ts)
@@ -81,6 +88,28 @@ class TestTracklet:
             assert np.array_equal(F[a : a + c], t.frames)
         F, start, n = model.stack_frames([])
         assert F.shape == (0, 0) and start.size == n.size == 0
+
+    def test_stack_frames_leaves_no_rows_to_empty_tracklets(self):
+        ts = [T("a", "c", [[1.0, 2.0]]), T("b", "c", []), T("d", "c", [[3.0, 4.0], [5.0, 6.0]])]
+        F, start, n = model.stack_frames(ts)
+        assert F.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]] and not F.flags.writeable
+        assert start.tolist() == [0, 1, 1] and n.tolist() == [1, 0, 2]
+
+    def test_stack_frames_refuses_two_dims(self):
+        with pytest.raises(ManifestError, match=r"^frames of dims \[1, 2\] cannot share"):
+            model.stack_frames([T("a", "c", [[1.0]]), T("b", "c", [[1.0, 2.0]])])
+
+    def test_gather_frames_matches_concatenated_spans(self):
+        rng = np.random.default_rng(3)
+        F = rng.normal(size=(9, 2))
+        for _ in range(50):
+            n = rng.integers(0, 4, size=int(rng.integers(0, 6)))
+            start = rng.integers(0, 10 - n)  # spans may overlap, skip rows or run backwards
+            want = [F[a : a + c] for a, c in zip(start, n)]
+            got = model.gather_frames(F, start, n)
+            assert np.array_equal(got, np.concatenate(want) if want else np.empty((0, 2)))
+        n = np.array([2, 3, 4])
+        assert model.gather_frames(F, np.cumsum(n) - n, n) is F  # already in order: no copy
 
     def test_equality_by_value(self):
         a = T("a", "c", [[1.0, 2.0]], identity="p1")
@@ -152,6 +181,34 @@ class TestValidateManifest:
     def test_empty_frames_reported(self):
         m = DomainManifest("m", (T("a", "c1", []), T("b", "c2", [[1.0]])))
         assert validate_manifest(m).kinds() == {"empty-frames": 1}
+
+    def test_matches_loop_oracle_on_mixed_violations(self):
+        # NaN and Inf in first, middle and last rows of several tracklets,
+        # empty frames, a second dim, and a duplicated id, in random mixes.
+        rng = np.random.default_rng(11)
+        for trial in range(200):
+            dims = (2, 2, 2, 3) if trial % 2 else (2,)
+            tracklets = []
+            for i in range(int(rng.integers(1, 8))):
+                n = int(rng.integers(0, 5))
+                frames = rng.normal(size=(n, int(rng.choice(dims))))
+                for _ in range(int(rng.integers(0, 3))):
+                    if n:
+                        frames[rng.integers(n), rng.integers(frames.shape[1])] = rng.choice(
+                            [np.nan, np.inf, -np.inf])
+                tid = f"t{i}" if rng.random() < 0.9 else "t0"
+                tracklets.append(T(tid, f"c{i % 2}", frames))
+            m = DomainManifest("m", tracklets)
+            got = validate_manifest(m).violations
+            assert tuple((v.kind, v.message) for v in got) == loop_violations(m)
+
+    def test_non_finite_in_a_last_row_only(self):
+        ts = (T("a", "c1", [[1.0], [2.0], [np.nan]]), T("b", "c2", [[np.inf]]),
+              T("c", "c1", [[3.0]]), T("d", "c2", [[4.0], [-np.inf]]))
+        report = validate_manifest(DomainManifest("m", ts))
+        assert [v.message for v in report.violations] == [
+            "tracklet 'a' contains NaN or Inf", "tracklet 'b' contains NaN or Inf",
+            "tracklet 'd' contains NaN or Inf"]
 
 
 class TestManifestEmbeddings:

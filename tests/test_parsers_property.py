@@ -31,6 +31,7 @@ from reidapt import (
     write_feature_sidecar,
     write_manifest,
 )
+from reidapt import io as io_mod
 
 # Derandomized and without an example database: every run tries the same inputs.
 bounded = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -168,6 +169,34 @@ manifest_files = st.lists(record_lines | st.just(""), max_size=5).map(
     lambda lines: "\n".join(lines).encode("utf-8")
 )
 
+joiners = st.sampled_from(["\n", "\n", "\n", ",", ", ", "\n\n", " \n", ",\n", "[", "]"])
+nested_lines = st.sampled_from([
+    '{"tracklet_id": "a", "camera_id": "A", "frames": [[1.0, 2.0], [3.0, 4.0]]}',
+    '{"tracklet_id": "n", "camera_id": "B", "frames": [[NaN, -Infinity], [1, Infinity]]}',
+])
+
+
+@st.composite
+def reshaped_manifests(draw) -> str:
+    """Record lines, some joined on one line and some cut over two (a cut at
+    a comma takes its place): where one parse of all lines and a parse of
+    each line can disagree."""
+    lines = draw(st.lists(record_lines | nested_lines, min_size=1, max_size=5))
+    text = lines[0]
+    for line in lines[1:]:
+        text += draw(joiners) + line
+    for cut in sorted(draw(st.lists(st.integers(0, len(text)), max_size=3)), reverse=True):
+        text = text[:cut] + "\n" + text[cut + (text[cut : cut + 1] == ",") :]
+    return text
+
+
+def parse_outcome(records) -> str:
+    try:
+        return json.dumps(list(records))
+    except ManifestError as exc:
+        return str(exc)
+
+
 small_manifests = st.lists(
     st.tuples(st.text(min_size=1, max_size=4), st.sampled_from(["A", "B"]),
               st.none() | st.text(max_size=2), st.integers(1, 3)),
@@ -197,6 +226,12 @@ class TestManifest:
         m = self.manifest_or_none(path, data, sidecar if with_sidecar else None)
         if m is not None:
             assert m.tracklets and m.validation.ok
+
+    @bounded
+    @given(reshaped_manifests())
+    def test_one_parse_of_all_lines_is_the_parse_of_each(self, text):
+        assert (parse_outcome(io_mod._manifest_records("m.jsonl", text))
+                == parse_outcome(io_mod._records_by_line("m.jsonl", text)))
 
     @bounded
     @given(small_manifests, st.booleans(), st.data())
