@@ -111,7 +111,10 @@ class Embedder:
         return hs
 
     def embed(self, x: np.ndarray) -> np.ndarray:
-        """Map (n, input_dim) -> (n, output_dim); a single vector maps to a vector."""
+        """Map (n, input_dim) -> (n, output_dim); a single vector maps to a vector.
+
+        Rows of any other width are a ValueError naming both widths.
+        """
         arr, single = self._batch(x)
         W, b = self._layers[-1]
         y = self._layer_inputs(arr)[-1] @ W + b
@@ -145,14 +148,15 @@ class Embedder:
     def clone(self) -> "Embedder":
         return copy.deepcopy(self)
 
-    @staticmethod
-    def _batch(x) -> tuple[np.ndarray, bool]:
+    def _batch(self, x) -> tuple[np.ndarray, bool]:
         arr = np.asarray(x, dtype=np.float64)
-        if arr.ndim == 1:
-            return arr[None, :], True
+        single = arr.ndim == 1
+        arr = arr[None, :] if single else arr
         if arr.ndim != 2:
             raise ValueError(f"expected a vector or a batch of vectors, got shape {arr.shape}")
-        return arr, False
+        if arr.shape[1] != self.input_dim:
+            raise ValueError(f"embedder takes {self.input_dim}-d frames, got {arr.shape[1]}-d")
+        return arr, single
 
 
 class LinearEmbedder(Embedder):
@@ -304,7 +308,9 @@ def _frame_pools(clusters: ClusterSet, m: DomainManifest):
 
     Clusters come in cluster-id order and members in id order, gathered
     from m.frame_layout in one step; cluster i's frames are rows
-    starts[i] .. starts[i] + sizes[i] of frames.
+    starts[i] .. starts[i] + sizes[i] of frames.  Only member frames are
+    sampled, so when m is invalid the members alone must pass
+    validate_manifest (else ManifestError), and their own layout is read.
     """
     position = {t.tracklet_id: i for i, t in enumerate(m.tracklets)}  # last one wins, as by_id
     members, first = [], []
@@ -316,9 +322,11 @@ def _frame_pools(clusters: ClusterSet, m: DomainManifest):
             i = position.get(tid)
             if i is None:
                 raise AdaptationError(f"cluster member {tid!r} not present in manifest {m.name!r}")
-            if m.tracklets[i].n_frames == 0:
-                raise AdaptationError(f"cluster member {tid!r} has no frames")
             members.append(i)
+    if not m.validation.ok:  # cached, so a valid manifest is validated once
+        pool = DomainManifest(m.name, [m.tracklets[i] for i in members])
+        pool.validation.check(f"manifest {m.name!r}")
+        m, members = pool, list(range(len(members)))
     F, start, n = m.frame_layout
     sizes = n[members]
     offsets = np.cumsum(sizes) - sizes

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -34,55 +34,40 @@ from .neighbors import NeighborIndex, build_neighbor_index
 from .synth import MergePolicy, SyntheticSpec, generate_synthetic_domain, merge_domains
 
 
-def _add_train_flags(p: argparse.ArgumentParser, default_iterations: int) -> None:
-    p.add_argument("--iterations", type=int, default=default_iterations)
-    p.add_argument("--batch-p", type=int, default=8, help="clusters per batch")
-    p.add_argument("--batch-k", type=int, default=4, help="frame samples per cluster")
-    p.add_argument("--margin", default="soft", help="'soft' or a non-negative float")
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--lr-decay", type=float, default=0.9999)
+def _add_train_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--iterations", type=int)
+    p.add_argument("--batch-p", type=int, help="clusters per batch")
+    p.add_argument("--batch-k", type=int, help="frame samples per cluster")
+    p.add_argument("--margin", help="'soft' or a non-negative float")
+    p.add_argument("--lr", dest="learning_rate", type=float, metavar="LR")
+    p.add_argument("--lr-decay", type=float)
 
 
 def _add_cluster_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--K", type=int, default=None, help="rank threshold (default from camera count)")
-    p.add_argument("--T", type=int, default=None, help="size threshold (default from camera count)")
-    p.add_argument("--k1", type=int, default=None, help="graph out-degree (default K)")
-    p.add_argument("--connectivity", choices=["weak", "strong"], default="weak")
+    p.add_argument("--K", type=int, help="rank threshold (default from camera count)")
+    p.add_argument("--T", type=int, help="size threshold (default from camera count)")
+    p.add_argument("--k1", type=int, help="graph out-degree (default K)")
+    p.add_argument("--connectivity", choices=["weak", "strong"])
     p.add_argument("--normalize", action="store_true", help="L2-normalize representations")
 
 
-def _train_config(args, seed: int) -> TrainConfig:
-    margin = args.margin if args.margin == "soft" else float(args.margin)
-    return TrainConfig(
-        iterations=args.iterations,
-        batch_p=args.batch_p,
-        batch_k=args.batch_k,
-        margin=margin,
-        learning_rate=args.lr,
-        lr_decay=args.lr_decay,
-        seed=seed,
-    )
+def _config(cls, args, **cli_defaults):
+    """cls from the flags given, over the CLI's own defaults; cls owns every other default."""
+    given = {f.name: getattr(args, f.name) for f in fields(cls) if f.name in args}
+    return cls(**{**cli_defaults, **given})
 
 
-def _adapt_config(args, manifest, train: TrainConfig | None = None) -> AdaptConfig:
-    K, T = (args.K, args.T)
-    if K is None or T is None:
-        dK, dT = default_kt(len(manifest.cameras))
-        K = dK if K is None else K
-        T = dT if T is None else T
-    kwargs = dict(
-        K=K,
-        T=T,
-        k1=args.k1,
-        cluster_cap=getattr(args, "cluster_cap", 850),
-        connectivity=args.connectivity,
-        normalize=args.normalize,
-    )
-    if train is not None:
-        kwargs["train"] = train
-    if hasattr(args, "rounds"):
-        kwargs["I"] = args.rounds
-    return AdaptConfig(**kwargs)
+def _train_config(args, **cli_defaults) -> TrainConfig:
+    if "margin" in args and args.margin != "soft":
+        args.margin = float(args.margin)  # float() words the error for any other text
+    return _config(TrainConfig, args, **cli_defaults)
+
+
+def _adapt_config(args, m, **cli_defaults) -> AdaptConfig:
+    """K and T not given come from the manifest's camera count."""
+    if "K" not in args or "T" not in args:
+        cli_defaults.update(zip("KT", default_kt(len(m.cameras))))
+    return _config(AdaptConfig, args, **cli_defaults)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,26 +78,32 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--seed", type=int, default=0)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic labeled domain")
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        # A flag without a default is absent from args until given, so the
+        # config class that owns its field supplies the default.
+        return sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+
+    p = command("synth", "generate a synthetic labeled domain")
     p.add_argument("--out", required=True)
     p.add_argument("--sidecar", default=None, help="write frames to a float32 sidecar")
     p.add_argument("--identities", type=int, default=50)
     p.add_argument("--cameras", type=int, default=4)
     p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--frames", type=int, nargs=2, default=(3, 6), metavar=("LO", "HI"))
-    p.add_argument("--tracklets", type=int, nargs=2, default=(1, 2), metavar=("LO", "HI"))
-    p.add_argument("--separation", type=float, default=8.0)
-    p.add_argument("--camera-shift", type=float, default=0.2)
-    p.add_argument("--noise-sigma", type=float, default=0.5)
+    p.add_argument("--frames", dest="frames_per_tracklet", type=int, nargs=2, metavar=("LO", "HI"))
+    p.add_argument("--tracklets", dest="tracklets_per_identity_per_camera", type=int, nargs=2,
+                   metavar=("LO", "HI"))
+    p.add_argument("--separation", dest="identity_separation", type=float, metavar="SEPARATION")
+    p.add_argument("--camera-shift", type=float)
+    p.add_argument("--noise-sigma", type=float)
 
-    p = sub.add_parser("cluster", help="cluster a manifest into person groups")
+    p = command("cluster", "cluster a manifest into person groups")
     p.add_argument("--manifest", required=True)
     p.add_argument("--sidecar", default=None)
     p.add_argument("--out", required=True, help="assignment TSV path")
     p.add_argument("--checkpoint", default=None, help="embedder checkpoint (default: raw features)")
     _add_cluster_flags(p)
 
-    p = sub.add_parser("train-source", help="train an embedder on a labeled source domain")
+    p = command("train-source", "train an embedder on a labeled source domain")
     p.add_argument("--manifest", required=True)
     p.add_argument("--sidecar", default=None)
     p.add_argument("--out", required=True, help="checkpoint output path")
@@ -121,30 +112,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden-dim", type=int, default=64, help="hidden width for --arch mlp")
     p.add_argument("--init", choices=["identity", "random"], default="identity",
                    help="linear init; mlp is always random")
-    _add_train_flags(p, SOURCE_ITERATIONS)
+    _add_train_flags(p)
 
-    p = sub.add_parser("adapt", help="adapt a source checkpoint to an unlabeled target")
+    p = command("adapt", "adapt a source checkpoint to an unlabeled target")
     p.add_argument("--checkpoint", required=True, help="source embedder checkpoint")
     p.add_argument("--manifest", required=True, help="target manifest")
     p.add_argument("--sidecar", default=None)
     p.add_argument("--out", required=True, help="adapted checkpoint path")
     p.add_argument("--report", default=None, help="write a JSON adaptation report here")
-    p.add_argument("--rounds", "-I", dest="rounds", type=int, default=2)
-    p.add_argument("--cluster-cap", type=int, default=850)
+    p.add_argument("--rounds", "-I", dest="I", type=int, metavar="ROUNDS")
+    p.add_argument("--cluster-cap", type=int)
     _add_cluster_flags(p)
-    _add_train_flags(p, 25_000)
+    _add_train_flags(p)
 
-    p = sub.add_parser("merge", help="merge labeled source manifests into one domain")
+    p = command("merge", "merge labeled source manifests into one domain")
     p.add_argument("--sources", nargs="+", required=True, help="manifest JSONL paths")
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None, help="write a JSON merge report here")
-    p.add_argument("--min-identities", type=int, default=201)
-    p.add_argument("--allow-single-camera", action="store_true",
+    p.add_argument("--min-identities", type=int)
+    p.add_argument("--allow-single-camera", dest="require_cross_camera", action="store_false",
                    help="keep identities seen by only one camera")
-    p.add_argument("--exclude", action="append", default=[], metavar="NAME")
-    p.add_argument("--no-namespace", action="store_true")
+    p.add_argument("--exclude", dest="exclusion_list", action="append", metavar="NAME")
+    p.add_argument("--no-namespace", dest="namespace_ids", action="store_false")
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a labeled manifest")
+    p = command("eval", "evaluate a checkpoint on a labeled manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--sidecar", default=None)
     p.add_argument("--checkpoint", default=None, help="embedder checkpoint (default: raw features)")
@@ -165,26 +156,15 @@ def _check_input_dim(embedder, m, args) -> None:
         )
 
 
-def _neighbor_index(args, m) -> NeighborIndex:
-    """The command's one representation pass, under --checkpoint and --normalize."""
+def _neighbor_index(args, m, cfg: AdaptConfig) -> NeighborIndex:
+    """The command's one representation pass, under --checkpoint and cfg.normalize."""
     embedder = None if args.checkpoint is None else load_checkpoint(args.checkpoint).embedder
     _check_input_dim(embedder, m, args)
-    return build_neighbor_index(m, embedder, args.normalize)
+    return build_neighbor_index(m, embedder, cfg.normalize)
 
 
 def _cmd_synth(args) -> int:
-    spec = SyntheticSpec(
-        identities=args.identities,
-        cameras=args.cameras,
-        dim=args.dim,
-        frames_per_tracklet=tuple(args.frames),
-        tracklets_per_identity_per_camera=tuple(args.tracklets),
-        identity_separation=args.separation,
-        camera_shift=args.camera_shift,
-        noise_sigma=args.noise_sigma,
-        seed=args.seed,
-    )
-    m = generate_synthetic_domain(spec)
+    m = generate_synthetic_domain(_config(SyntheticSpec, args))
     io_mod.write_manifest(m, args.out, sidecar=args.sidecar)
     print(f"wrote {len(m)} tracklets ({args.identities} identities, "
           f"{args.cameras} cameras) to {args.out}", file=sys.stderr)
@@ -194,7 +174,7 @@ def _cmd_synth(args) -> int:
 def _cmd_cluster(args) -> int:
     m = io_mod.read_manifest(args.manifest, sidecar=args.sidecar)
     cfg = _adapt_config(args, m)
-    cs = cluster(_neighbor_index(args, m), cfg)
+    cs = cluster(_neighbor_index(args, m, cfg), cfg)
     io_mod.write_assignments(cs, args.out)
     print(
         f"{len(cs.clusters)} clusters covering {cs.clustered_fraction:.1%} of "
@@ -219,7 +199,7 @@ def _cmd_train_source(args) -> int:
         emb = MlpEmbedder.random(dim, args.hidden_dim, out_dim, rng)
 
     clusters = identity_clusters(m)
-    cfg = _train_config(args, args.seed)
+    cfg = _train_config(args, iterations=SOURCE_ITERATIONS)
     losses: list[float] = []
     emb = train_embedder(m=m, embedder=emb, clusters=clusters, cfg=cfg,
                                    progress=lambda _s, l: losses.append(l))
@@ -239,7 +219,7 @@ def _cmd_adapt(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     m = io_mod.read_manifest(args.manifest, sidecar=args.sidecar)
     _check_input_dim(ckpt.embedder, m, args)
-    cfg = _adapt_config(args, m, train=_train_config(args, args.seed))
+    cfg = _adapt_config(args, m, train=_train_config(args))
     emb, report = run_adapt(ckpt.embedder, m, cfg)
     if report.rounds:
         out_seed, out_round = args.seed, ckpt.round_index + len(report.rounds)
@@ -258,13 +238,7 @@ def _cmd_adapt(args) -> int:
 
 def _cmd_merge(args) -> int:
     sources = [io_mod.read_manifest(p) for p in args.sources]
-    policy = MergePolicy(
-        min_identities=args.min_identities,
-        require_cross_camera=not args.allow_single_camera,
-        exclusion_list=frozenset(args.exclude),
-        namespace_ids=not args.no_namespace,
-    )
-    merged, report = merge_domains(sources, policy)
+    merged, report = merge_domains(sources, _config(MergePolicy, args))
     io_mod.write_manifest(merged, args.out)
     if args.report is not None:
         io_mod.write_json(report.to_dict(), args.report)
@@ -300,19 +274,22 @@ def _parse_ranks(text: str) -> list[int]:
 def _cmd_eval(args) -> int:
     ranks = _parse_ranks(args.ranks)
     m = io_mod.read_manifest(args.manifest, sidecar=args.sidecar)
-    idx = _neighbor_index(args, m)
+    cfg = _adapt_config(args, m)
+    idx = _neighbor_index(args, m, cfg)
     queries = None if args.queries is None else io_mod.read_queries(args.queries, m.by_id)
 
     ranking = build_ranking(idx, m, queries=queries)
     cmc_vals = cmc(ranking, ranks)
     map_val = mean_average_precision(ranking)
 
-    cs = cluster(idx, _adapt_config(args, m))
+    cs = cluster(idx, cfg)
     quality = classify_clusters(cs, m) if cs.clusters else None
     if len(cs.clusters) >= 2:
         intra, inter = inter_intra_distances(cs, m, idx)
     else:
         intra, inter = [], []
+    mean_inter = float(np.mean(inter)) if inter else None
+    mean_intra = float(np.mean(intra)) if intra else None
 
     rows = [(f"rank-{k}", f"{v:.4f}") for k, v in zip(ranks, cmc_vals)]
     rows.append(("mAP", f"{map_val:.4f}"))
@@ -322,9 +299,9 @@ def _cmd_eval(args) -> int:
             rows.append((f"clusters[{kind}]", str(quality.counts[kind])))
         rows.append(("purity", f"{quality.purity:.4f}"))
     if inter:
-        rows.append(("mean-inter-dist", f"{float(np.mean(inter)):.4f}"))
+        rows.append(("mean-inter-dist", f"{mean_inter:.4f}"))
     if intra:
-        rows.append(("mean-intra-dist", f"{float(np.mean(intra)):.4f}"))
+        rows.append(("mean-intra-dist", f"{mean_intra:.4f}"))
     width = max(len(k) for k, _ in rows)
     print(f"{'metric'.ljust(width)}  value")
     for k, v in rows:
@@ -339,8 +316,8 @@ def _cmd_eval(args) -> int:
             "clusters": len(cs.clusters),
             "cluster_counts": quality.counts if quality else None,
             "purity": quality.purity if quality else None,
-            "mean_inter_distance": float(np.mean(inter)) if inter else None,
-            "mean_intra_distance": float(np.mean(intra)) if intra else None,
+            "mean_inter_distance": mean_inter,
+            "mean_intra_distance": mean_intra,
         }
         io_mod.write_json(summary, out / "summary.json")
         max_rank = max(ranks)

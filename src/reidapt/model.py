@@ -406,17 +406,18 @@ def manifest_embeddings(
         ManifestError: the manifest is invalid, or a tracklet's mean is not
             finite in float64 (NaN, or an embedder or the frame sum
             overflowed); the message names the first such tracklet in id order.
+        ValueError: the embedder takes frames of another width.
     """
     m.validation.check(f"manifest {m.name!r}")
     ids = [t.tracklet_id for t in m.tracklets]
     pos = np.array(sorted(range(len(ids)), key=ids.__getitem__))
-    order = [m.tracklets[i] for i in pos.tolist()]
+    F, start, n = m.frame_layout
+    spans = np.stack((start, start + n), axis=1)[pos].tolist()  # row i's frames: F[a:b]
     # Overflow shows as a non-finite mean below, not as a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
         if embedder is None:
             # Contiguous chunks in id order, one task each: a row's sums
             # never depend on the other rows summed with it.
-            F, start, n = m.frame_layout
             workers = _tasks.workers()
             step = max(1, min(-(-len(pos) // workers), _MEAN_ELEMENTS // max(1, F.shape[1])))
             X, proven = np.empty((len(pos), F.shape[1])), np.empty(len(pos), dtype=bool)
@@ -426,15 +427,18 @@ def manifest_embeddings(
                 X[a : a + step], proven[a : a + step] = _proven_means(F, start[c], n[c])
 
             _tasks.run(mean_chunk, range(0, len(pos), step), workers)
-            for i in np.flatnonzero(~proven):
-                X[i] = _exact_mean(order[i].frames)
+            for i in np.flatnonzero(~proven).tolist():
+                a, b = spans[i]
+                X[i] = _exact_mean(F[a:b])
         else:
-            X = np.vstack([_exact_mean(np.asarray(embedder.embed(t.frames))) for t in order])
+            # One embed per tracklet: a 1-row product goes to gemv, whose
+            # bits differ from the same row of a batched gemm.
+            X = np.vstack([_exact_mean(np.asarray(embedder.embed(F[a:b]))) for a, b in spans])
     finite = np.isfinite(X).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))
         what = "is NaN" if np.isnan(X[i]).any() else "overflows float64"
-        raise ManifestError(f"tracklet {order[i].tracklet_id!r}: representation {what}")
+        raise ManifestError(f"tracklet {ids[pos[i]]!r}: representation {what}")
     if normalize:
         with np.errstate(over="ignore"):
             norms = np.linalg.norm(X, axis=1, keepdims=True)
@@ -445,7 +449,7 @@ def manifest_embeddings(
             X[bad] /= np.abs(X[bad]).max(axis=1, keepdims=True)
             norms[bad] = np.linalg.norm(X[bad], axis=1, keepdims=True)
         X = np.where(norms > 0.0, X / np.where(norms == 0.0, 1.0, norms), X)
-    return tuple(t.tracklet_id for t in order), X
+    return tuple(ids[i] for i in pos.tolist()), X
 
 
 @dataclass(frozen=True)

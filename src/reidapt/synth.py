@@ -197,6 +197,8 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("frames_per_tracklet", "tracklets_per_identity_per_camera"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.identities < 1:
             raise ValueError("identities must be positive")
         if self.cameras < 2:

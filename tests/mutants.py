@@ -79,6 +79,21 @@ MUTANTS = (
         ("tests/test_model.py::TestProvenMeans::test_bytes_equal_fsum_on_both_paths",),
     ),
     Mutant(
+        "train-member-gate", "adapt.py",
+        'pool.validation.check(f"manifest {m.name!r}")',
+        "pass",
+        ("tests/test_adapt.py::TestTrainEmbedder::test_invalid_member_frames_refused",
+         "tests/test_adapt.py::TestTrainEmbedder::test_member_without_frames_refused"),
+    ),
+    Mutant(
+        "embedder-width-check", "adapt.py",
+        "if arr.shape[1] != self.input_dim:",
+        "if False:",
+        ("tests/test_adapt.py::TestInputWidth::test_manifest_embeddings",
+         "tests/test_adapt.py::TestInputWidth::test_train_embedder",
+         "tests/test_adapt.py::TestInputWidth::test_adapt"),
+    ),
+    Mutant(
         "gemm-scale-exp", "neighbors.py",
         "scale_exp = -int(np.frexp(np.abs(Xc).max())[1])  # 0 when Xc is all zero",
         "scale_exp = 0",

@@ -13,6 +13,7 @@ from reidapt import (
     DomainManifest,
     Embedder,
     LinearEmbedder,
+    ManifestError,
     MlpEmbedder,
     SyntheticSpec,
     Tracklet,
@@ -23,6 +24,7 @@ from reidapt import (
     generate_synthetic_domain,
     identity_clusters,
     load_checkpoint,
+    manifest_embeddings,
     save_checkpoint,
     train_embedder,
 )
@@ -438,6 +440,76 @@ class TestTrainEmbedder:
             LinearEmbedder.identity(2), cs, m2, TrainConfig(iterations=25, learning_rate=0.01)
         )
         assert np.isfinite(out.param_vector()).all()
+
+    def test_unclustered_tracklet_of_another_dim_not_read(self):
+        m = two_blob_manifest(n_per=2)
+        cs = identity_clusters(m)
+        m2 = DomainManifest("m", m.tracklets + (Tracklet("zz_out", "A", np.zeros((2, 3))),))
+        cs = ClusterSet(clusters=cs.clusters, unclustered=frozenset({"zz_out"}))
+        cfg = TrainConfig(iterations=5, learning_rate=0.01)
+        out = train_embedder(LinearEmbedder.identity(2), cs, m2, cfg)
+        assert out.param_vector().tobytes() == train_embedder(
+            LinearEmbedder.identity(2), identity_clusters(m), m, cfg).param_vector().tobytes()
+
+    def test_invalid_member_frames_refused(self):
+        # Eight 2-frame tracklets, one NaN frame: training on it would give
+        # all-NaN parameters after a RuntimeWarning from logaddexp.
+        m = two_blob_manifest(n_per=2)
+        poisoned = [t if i else Tracklet(t.tracklet_id, t.camera_id, [[np.nan, 0.0], [1.0, 1.0]],
+                                         identity=t.identity)
+                    for i, t in enumerate(m.tracklets)]
+        m = DomainManifest("poisoned", poisoned)
+        with pytest.raises(ManifestError, match=r"^manifest 'poisoned' is invalid \(1 violations; "
+                           r"first: non-finite: tracklet 'A_b0_0' contains NaN or Inf\)$"):
+            train_embedder(LinearEmbedder.identity(2), identity_clusters(m), m,
+                           TrainConfig(iterations=5))
+
+    def test_member_without_frames_refused(self):
+        m = two_blob_manifest(n_per=2)
+        m = DomainManifest("m", m.tracklets + (Tracklet("zz", "A", [], identity="blob0"),))
+        with pytest.raises(ManifestError, match="first: empty-frames: tracklet 'zz' has no frames"):
+            train_embedder(LinearEmbedder.identity(2), identity_clusters(m), m,
+                           TrainConfig(iterations=1))
+
+    def test_identity_clusters_refuse_an_unlabeled_tracklet(self):
+        m = two_blob_manifest()
+        m = DomainManifest("m", m.tracklets + (Tracklet("zz", "A", [[0.0, 0.0]]),))
+        with pytest.raises(ManifestError, match="^tracklet 'zz' is unlabeled$"):
+            identity_clusters(m)
+
+    def test_member_missing_from_manifest_refused(self):
+        m = two_blob_manifest()
+        cs = identity_clusters(m)
+        cs = ClusterSet(clusters=cs.clusters + (ClusterAssignment(9, frozenset({"ghost"})),),
+                        unclustered=frozenset())
+        with pytest.raises(AdaptationError, match="cluster member 'ghost' not present in manifest 'blobs'"):
+            train_embedder(LinearEmbedder.identity(2), cs, m, TrainConfig(iterations=1))
+
+
+class TestInputWidth:
+    """An embedder given frames of another width fails in one line naming both widths."""
+
+    MESSAGE = r"^embedder takes 3-d frames, got 2-d$"
+
+    def test_embed_and_param_grad(self):
+        e = LinearEmbedder.identity(3)
+        for call in (lambda: e.embed(np.ones(2)), lambda: e.embed(np.ones((4, 2))),
+                     lambda: e.param_grad(np.ones((4, 2)), np.ones((4, 3)))):
+            with pytest.raises(ValueError, match=self.MESSAGE):
+                call()
+
+    def test_manifest_embeddings(self):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            manifest_embeddings(two_blob_manifest(), MlpEmbedder.random(3, 4, 3, np.random.default_rng(0)))
+
+    def test_train_embedder(self):
+        m = two_blob_manifest()
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            train_embedder(LinearEmbedder.identity(3), identity_clusters(m), m, TrainConfig(iterations=1))
+
+    def test_adapt(self):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            adapt(LinearEmbedder.identity(3), two_blob_manifest(), AdaptConfig(K=1, T=1))
 
 
 def target_spec(seed=0, **overrides):

@@ -16,6 +16,10 @@ from reidapt import (
     AdaptConfig,
     DomainManifest,
     LinearEmbedder,
+    MergePolicy,
+    SOURCE_ITERATIONS,
+    SyntheticSpec,
+    TrainConfig,
     Tracklet,
     build_neighbor_index,
     cluster,
@@ -28,6 +32,7 @@ from reidapt import (
     write_feature_sidecar,
     write_manifest,
 )
+from reidapt import cli
 from reidapt.cli import run
 
 
@@ -432,6 +437,19 @@ class TestEvalCommand:
         assert err == [f"error: --ranks: {message}"]
         assert not out_dir.exists()
 
+    def test_fewer_than_two_clusters(self, tmp_path, capsys):
+        manifest, queries = write_eval_fixture(tmp_path)
+        out_dir = tmp_path / "report"
+        assert run(["eval", "--manifest", str(manifest), "--queries", str(queries), "--T", "100",
+                    "--out-dir", str(out_dir)]) == 0
+        rows = dict(line.split() for line in capsys.readouterr().out.splitlines()[1:])
+        assert rows["clusters"] == "0" and "purity" not in rows and "mean-inter-dist" not in rows
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["clusters"] == 0
+        for key in ("cluster_counts", "purity", "mean_inter_distance", "mean_intra_distance"):
+            assert summary[key] is None, key
+        assert (out_dir / "cluster_distances.csv").read_text() == "kind,distance\n"
+
     def test_eval_with_checkpoint(self, tmp_path, capsys):
         src = tmp_path / "d.jsonl"
         assert run(["--seed", "2", "synth", "--out", str(src), "--identities", "6",
@@ -666,3 +684,43 @@ class TestUsageErrors:
 
     def test_unknown_flag_is_usage_error(self):
         assert run(["synth", "--bogus", "1"]) == 2
+
+
+class TestConfigFlags:
+    """A config flag left unset takes its config class's default; a flag given reaches its field."""
+
+    def parse(self, *argv):
+        return cli.build_parser().parse_args(list(argv))
+
+    def test_unset_flags_take_the_class_defaults(self):
+        m = DomainManifest("m", [Tracklet(f"t{c}", c, [[0.0]]) for c in "ABC"])
+        K, T = default_kt(3)
+        args = self.parse("adapt", "--checkpoint", "c", "--manifest", "m", "--out", "o")
+        assert cli._adapt_config(args, m, train=cli._train_config(args)) == AdaptConfig(K=K, T=T)
+        args = self.parse("--seed", "4", "train-source", "--manifest", "m", "--out", "o")
+        assert cli._train_config(args, iterations=SOURCE_ITERATIONS) == TrainConfig(
+            iterations=SOURCE_ITERATIONS, seed=4)
+        args = self.parse("synth", "--out", "o")
+        assert cli._config(SyntheticSpec, args) == SyntheticSpec(identities=50, cameras=4, dim=16)
+        assert cli._config(MergePolicy, self.parse("merge", "--sources", "a", "--out", "o")) == MergePolicy()
+
+    def test_given_flags_reach_their_fields(self):
+        m = DomainManifest("m", [Tracklet(f"t{c}", c, [[0.0]]) for c in "AB"])
+        args = self.parse("--seed", "7", "adapt", "--checkpoint", "c", "--manifest", "m", "--out", "o",
+                          "--K", "3", "--k1", "4", "--connectivity", "strong", "--normalize",
+                          "-I", "5", "--cluster-cap", "9", "--iterations", "11", "--batch-p", "3",
+                          "--batch-k", "5", "--margin", "0.25", "--lr", "0.5", "--lr-decay", "0.75")
+        train = TrainConfig(iterations=11, batch_p=3, batch_k=5, margin=0.25, learning_rate=0.5,
+                            lr_decay=0.75, seed=7)
+        assert cli._adapt_config(args, m, train=cli._train_config(args)) == AdaptConfig(
+            K=3, T=default_kt(2)[1], k1=4, I=5, cluster_cap=9, train=train, connectivity="strong",
+            normalize=True)
+        args = self.parse("synth", "--out", "o", "--frames", "2", "3", "--tracklets", "0", "4",
+                          "--separation", "2.5", "--camera-shift", "0.5", "--noise-sigma", "0.0")
+        assert cli._config(SyntheticSpec, args) == SyntheticSpec(
+            identities=50, cameras=4, dim=16, frames_per_tracklet=(2, 3),
+            tracklets_per_identity_per_camera=(0, 4), identity_separation=2.5, camera_shift=0.5,
+            noise_sigma=0.0)
+        args = self.parse("merge", "--sources", "a", "--out", "o", "--min-identities", "3",
+                          "--allow-single-camera", "--exclude", "x", "--exclude", "y", "--no-namespace")
+        assert cli._config(MergePolicy, args) == MergePolicy(3, False, frozenset({"x", "y"}), False)

@@ -72,6 +72,10 @@ class TestCmc:
         with pytest.raises(ValueError):
             cmc(r, ranks=[0])
 
+    def test_empty_ranking(self):
+        with pytest.raises(EvaluationError, match="^ranking holds no queries$"):
+            cmc(RankingResult(queries=()), ranks=[1])
+
 
 class TestAveragePrecision:
     def test_single_relevant_at_rank_two(self):
@@ -87,6 +91,16 @@ class TestAveragePrecision:
     def test_perfect_ranking_is_one(self):
         r = ranking_from_flags([[True, True, False, False]])
         assert mean_average_precision(r) == pytest.approx(1.0, abs=1e-12)
+
+    def test_empty_ranking(self):
+        with pytest.raises(EvaluationError, match="^ranking holds no queries$"):
+            mean_average_precision(RankingResult(queries=()))
+
+    def test_query_without_hits_named(self):
+        r = ranking_from_flags([flags_with_first_hit(1), [False] * 5])
+        for metric in (lambda: average_precision(r.queries[1]), lambda: mean_average_precision(r)):
+            with pytest.raises(EvaluationError, match="^query 'q1' has no relevant gallery items$"):
+                metric()
 
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(1)
@@ -207,6 +221,11 @@ def clusters_of(*groups):
 
 
 class TestClassifyClusters:
+    def test_no_clusters(self):
+        truth = truth_manifest([("t1", "p1"), ("t2", "p1")])
+        with pytest.raises(EvaluationError, match="^no clusters to classify$"):
+            classify_clusters(clusters_of(), truth)
+
     def test_taxonomy(self):
         truth = truth_manifest(
             [

@@ -246,6 +246,15 @@ class TestSidecarLayout:
         ids, X = manifest_embeddings(m)
         assert [list(x) for x in X] == [mean_vector(m.by_id[tid]) for tid in ids]
 
+    def test_embedded_spans_read_back_as_the_per_tracklet_oracle(self, tmp_path):
+        path, sidecar, rows = self.write(tmp_path, self.REFS)
+        m = read_manifest(path, sidecar=sidecar)
+        e = LinearEmbedder.random(3, 2, np.random.default_rng(0))
+        ids, X = manifest_embeddings(m, e)
+        want = [Tracklet(tid, "c", e.embed(rows[lo : lo + n]))
+                for tid, (lo, n) in sorted((f"t{i}", ref) for i, ref in enumerate(self.REFS))]
+        assert [list(x) for x in X] == [mean_vector(t) for t in want]
+
     def test_non_finite_rows_found_in_any_span(self, tmp_path):
         # Spans that hold a bad row, end just before one or start just after one.
         rows = np.arange(30, dtype=np.float64).reshape(10, 3)
