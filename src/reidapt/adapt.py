@@ -442,30 +442,20 @@ def adapt(
         raise AdaptationError("adaptation needs an embedder with parameters, not raw features")
     rounds: list[RoundRecord] = []
     e = source_embedder
-    early_stop = False
     reason = "completed"
     for r in range(cfg.I):
         cs = cluster(build_neighbor_index(target, e, cfg.normalize), cfg)
         count = len(cs.clusters)
-        if count > cfg.cluster_cap:
-            rounds.append(RoundRecord(r, count, cs.clustered_fraction, ()))
-            early_stop, reason = True, "cluster-cap"
-            break
-        if count < 2:
-            rounds.append(RoundRecord(r, count, cs.clustered_fraction, ()))
-            early_stop, reason = True, "no-clusters"
-            break
+        stop = "cluster-cap" if count > cfg.cluster_cap else "no-clusters" if count < 2 else None
         losses: list[float] = []
-        round_cfg = replace(cfg.train, seed=cfg.train.seed + r)
-        e = train_embedder(e, cs, target, round_cfg, progress=lambda _s, l: losses.append(l))
+        if stop is None:
+            round_cfg = replace(cfg.train, seed=cfg.train.seed + r)
+            e = train_embedder(e, cs, target, round_cfg, progress=lambda _s, l: losses.append(l))
         rounds.append(RoundRecord(r, count, cs.clustered_fraction, tuple(losses)))
-    report = AdaptationReport(
-        rounds=tuple(rounds),
-        early_stop=early_stop,
-        reason=reason,
-        checkpoint_id=checkpoint_id(e),
-    )
-    return e, report
+        if stop is not None:
+            reason = stop
+            break
+    return e, AdaptationReport(tuple(rounds), reason != "completed", reason, checkpoint_id(e))
 
 
 # ---------------------------------------------------------------------------

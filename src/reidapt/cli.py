@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -279,29 +280,31 @@ def _cmd_eval(args) -> int:
     queries = None if args.queries is None else io_mod.read_queries(args.queries, m.by_id)
 
     ranking = build_ranking(idx, m, queries=queries)
-    cmc_vals = cmc(ranking, ranks)
+    curve = cmc(ranking, range(1, max(ranks) + 1))
     map_val = mean_average_precision(ranking)
-
     cs = cluster(idx, cfg)
     quality = classify_clusters(cs, m) if cs.clusters else None
     if len(cs.clusters) >= 2:
         intra, inter = inter_intra_distances(cs, m, idx)
     else:
         intra, inter = [], []
-    mean_inter = float(np.mean(inter)) if inter else None
-    mean_intra = float(np.mean(intra)) if intra else None
+    # A metric that does not apply is None here and has no row in the table.
+    summary = {
+        "cmc": {str(k): float(curve[k - 1]) for k in ranks},
+        "map": map_val,
+        "clusters": len(cs.clusters),
+        "cluster_counts": quality.counts if quality else None,
+        "purity": quality.purity if quality else None,
+        "mean_inter_distance": float(np.mean(inter)) if inter else None,
+        "mean_intra_distance": float(np.mean(intra)) if intra else None,
+    }
 
-    rows = [(f"rank-{k}", f"{v:.4f}") for k, v in zip(ranks, cmc_vals)]
-    rows.append(("mAP", f"{map_val:.4f}"))
-    rows.append(("clusters", str(len(cs.clusters))))
-    if quality is not None:
-        for kind in ("GC", "MC", "DC", "MC+DC"):
-            rows.append((f"clusters[{kind}]", str(quality.counts[kind])))
-        rows.append(("purity", f"{quality.purity:.4f}"))
-    if inter:
-        rows.append(("mean-inter-dist", f"{mean_inter:.4f}"))
-    if intra:
-        rows.append(("mean-intra-dist", f"{mean_intra:.4f}"))
+    rows = [(f"rank-{k}", summary["cmc"][str(k)]) for k in ranks]
+    rows += [("mAP", summary["map"]), ("clusters", summary["clusters"])]
+    rows += [(f"clusters[{kind}]", n) for kind, n in (summary["cluster_counts"] or {}).items()]
+    rows += [("purity", summary["purity"]), ("mean-inter-dist", summary["mean_inter_distance"]),
+             ("mean-intra-dist", summary["mean_intra_distance"])]
+    rows = [(k, f"{v:.4f}" if isinstance(v, float) else str(v)) for k, v in rows if v is not None]
     width = max(len(k) for k, _ in rows)
     print(f"{'metric'.ljust(width)}  value")
     for k, v in rows:
@@ -310,18 +313,7 @@ def _cmd_eval(args) -> int:
     if args.out_dir is not None:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        summary = {
-            "cmc": {str(k): float(v) for k, v in zip(ranks, cmc_vals)},
-            "map": map_val,
-            "clusters": len(cs.clusters),
-            "cluster_counts": quality.counts if quality else None,
-            "purity": quality.purity if quality else None,
-            "mean_inter_distance": mean_inter,
-            "mean_intra_distance": mean_intra,
-        }
         io_mod.write_json(summary, out / "summary.json")
-        max_rank = max(ranks)
-        curve = cmc(ranking, range(1, max_rank + 1))
         with io_mod.atomic_write(out / "cmc_curve.csv") as fh:
             fh.write("rank,cmc\n")
             for k, v in enumerate(curve, 1):
@@ -346,17 +338,24 @@ _COMMANDS = {
 _USER_ERRORS = (ValueError, KeyError, OSError, AdaptationError, GenerationError)
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return _COMMANDS[args.command](args)
-    except _USER_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # A warning that the filters let through prints as one line; the filters stay as they are.
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return _COMMANDS[args.command](args)
+        except _USER_ERRORS as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 def main() -> None:

@@ -104,8 +104,8 @@ def cmc(r: RankingResult, ranks=(1, 5, 10, 20)) -> np.ndarray:
         raise ValueError("ranks must be positive integers")
     if not r.queries:
         raise EvaluationError("ranking holds no queries")
-    firsts = _first_hits(r)
-    return np.array([float((firsts <= k).mean()) for k in ranks])
+    firsts = np.sort(_first_hits(r))
+    return np.searchsorted(firsts, ranks, side="right") / firsts.size
 
 
 def average_precision(q: QueryRanking) -> float:

@@ -48,6 +48,17 @@ class MergePolicy:
 
 @dataclass(frozen=True)
 class SourceSummary:
+    """One source's merge outcome and counts.
+
+    reason is None for an included source, and its counts are of what it
+    contributes: its tracklets with distractors and (when required)
+    single-camera identities removed.  "too-few-identities" counts the same
+    curated content, whose identity count fell below policy.min_identities.
+    "exclusion-list" counts the source as given, distractors and
+    single-camera identities included; such a source is neither validated
+    nor checked for labels.
+    """
+
     source: str
     included: bool
     reason: str | None
@@ -66,15 +77,8 @@ class MergeReport:
     tracklets: int
 
     def to_dict(self) -> dict:
-        return {
-            "sources": [asdict(s) for s in self.sources],
-            "merged": {
-                "identities": self.identities,
-                "images": self.images,
-                "cameras": self.cameras,
-                "tracklets": self.tracklets,
-            },
-        }
+        merged = asdict(self)
+        return {"sources": list(merged.pop("sources")), "merged": merged}
 
 
 def _counts(tracklets) -> tuple[int, int, int, int]:
@@ -105,14 +109,18 @@ def merge_domains(
 ) -> tuple[DomainManifest, MergeReport]:
     """Merge labeled source domains into one, applying the policy per source.
 
-    Per source, in order: distractor tracklets are dropped, single-camera
-    identities are removed (when required), and the source is excluded if
-    its surviving identity count falls below policy.min_identities.  Ids are
-    then namespaced and everything is concatenated.  Source order in the
-    output follows ascending source name.
+    A source on policy.exclusion_list is left out as given.  Every other
+    source must be valid and fully labeled; its distractor tracklets are
+    dropped, its single-camera identities are removed (when required), and
+    it is left out if its surviving identity count falls below
+    policy.min_identities.  The included sources' ids are then namespaced
+    and everything is concatenated.  Source order in the output follows
+    ascending source name.
 
-    Returns the merged manifest and a report with per-source counts (of the
-    content each source would contribute) plus merged totals.
+    Returns the merged manifest and a report with merged totals and, per
+    source, its reason and counts: of the curated content for an included
+    or too-small source, of the source as given for an excluded one (see
+    SourceSummary).
     """
     if not sources:
         raise MergeError("no source domains given")
@@ -124,46 +132,28 @@ def merge_domains(
     merged: list[Tracklet] = []
     for src in sorted(sources, key=lambda m: m.name):
         if src.name in policy.exclusion_list:
-            n_id, n_img, n_cam, n_trk = _counts(src.tracklets)
-            summaries.append(
-                SourceSummary(src.name, False, "exclusion-list", n_id, n_img, n_cam, n_trk)
+            usable, reason = src.tracklets, "exclusion-list"
+        else:
+            src.validation.check(f"source {src.name!r}", MergeError)
+            for t in src.tracklets:
+                if t.identity is None:
+                    raise MergeError(f"source {src.name!r}: tracklet {t.tracklet_id!r} is unlabeled")
+            kept = DomainManifest(
+                src.name, tuple(t for t in src.tracklets if t.identity not in DISTRACTOR_LABELS)
             )
-            continue
-
-        src.validation.check(f"source {src.name!r}", MergeError)
-        for t in src.tracklets:
-            if t.identity is None:
-                raise MergeError(f"source {src.name!r}: tracklet {t.tracklet_id!r} is unlabeled")
-
-        usable = DomainManifest(
-            name=src.name,
-            tracklets=tuple(
-                t for t in src.tracklets if t.identity not in DISTRACTOR_LABELS
-            ),
-        )
-        if policy.require_cross_camera and usable.tracklets:
-            usable = filter_cross_camera(usable)
-
-        n_id, n_img, n_cam, n_trk = _counts(usable.tracklets)
-        if n_id < policy.min_identities:
-            summaries.append(
-                SourceSummary(src.name, False, "too-few-identities", n_id, n_img, n_cam, n_trk)
+            if policy.require_cross_camera:
+                kept = filter_cross_camera(kept)
+            usable = kept.tracklets
+            few = len({t.identity for t in usable}) < policy.min_identities
+            reason = "too-few-identities" if few else None
+        summaries.append(SourceSummary(src.name, reason is None, reason, *_counts(usable)))
+        if reason is None:
+            ns = f"{src.name}/"
+            merged.extend(
+                Tracklet(ns + t.tracklet_id, ns + t.camera_id, t.frames, ns + t.identity)
+                if policy.namespace_ids else t
+                for t in usable
             )
-            continue
-        summaries.append(SourceSummary(src.name, True, None, n_id, n_img, n_cam, n_trk))
-
-        for t in usable.tracklets:
-            if policy.namespace_ids:
-                merged.append(
-                    Tracklet(
-                        tracklet_id=f"{src.name}/{t.tracklet_id}",
-                        camera_id=f"{src.name}/{t.camera_id}",
-                        frames=t.frames,
-                        identity=f"{src.name}/{t.identity}",
-                    )
-                )
-            else:
-                merged.append(t)
 
     if not merged:
         raise MergeError("merge produced no tracklets; every source was excluded or empty")
@@ -171,8 +161,7 @@ def merge_domains(
     name = "+".join(s.source for s in summaries if s.included)
     out = DomainManifest(name=name, tracklets=tuple(merged))
     out.validation.check("merged manifest", MergeError)
-    n_id, n_img, n_cam, n_trk = _counts(out.tracklets)
-    return out, MergeReport(tuple(summaries), n_id, n_img, n_cam, n_trk)
+    return out, MergeReport(tuple(summaries), *_counts(out.tracklets))
 
 
 @dataclass(frozen=True)

@@ -94,6 +94,18 @@ MUTANTS = (
          "tests/test_adapt.py::TestInputWidth::test_adapt"),
     ),
     Mutant(
+        "round-stop-two-clusters", "adapt.py",
+        '"no-clusters" if count < 2 else None',
+        '"no-clusters" if count < 1 else None',
+        ("tests/test_adapt.py::TestAdapt::test_stop_after_a_trained_round[no-clusters]",),
+    ),
+    Mutant(
+        "merge-min-identities", "synth.py",
+        "few = len({t.identity for t in usable}) < policy.min_identities",
+        "few = len({t.identity for t in usable}) <= policy.min_identities",
+        ("tests/test_synth.py::TestMergeDomains::test_excluded_source_counted_as_given",),
+    ),
+    Mutant(
         "gemm-scale-exp", "neighbors.py",
         "scale_exp = -int(np.frexp(np.abs(Xc).max())[1])  # 0 when Xc is all zero",
         "scale_exp = 0",

@@ -1,6 +1,7 @@
 import importlib
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -593,6 +594,37 @@ class TestAdapt:
         assert report.early_stop is True
         assert report.reason == "no-clusters"
         assert len(report.rounds) == 1
+
+    @pytest.mark.parametrize("reason,spec,cfg", [
+        # Round 0 finds 8 clusters and trains; round 1 finds more than the cap.
+        pytest.param("cluster-cap", dict(seed=4),
+                     AdaptConfig(K=2, T=2, I=3, cluster_cap=8,
+                                 train=TrainConfig(iterations=20, learning_rate=0.005)),
+                     id="cluster-cap"),
+        # Round 0 finds 3 clusters and trains; round 1 finds exactly one.
+        pytest.param("no-clusters", dict(seed=0, identities=4),
+                     AdaptConfig(K=2, T=3, I=3, train=TrainConfig(iterations=20, learning_rate=0.05)),
+                     id="no-clusters"),
+    ])
+    def test_stop_after_a_trained_round(self, reason, spec, cfg):
+        target = generate_synthetic_domain(target_spec(**spec))
+        e = LinearEmbedder.random(6, 1, np.random.default_rng(spec["seed"]))
+        out, report = adapt(e, target, cfg)
+        assert report.early_stop is True and report.reason == reason
+        first, second = report.rounds
+        assert (first.round_index, second.round_index) == (0, 1)
+        assert 2 <= first.cluster_count <= cfg.cluster_cap
+        if reason == "cluster-cap":
+            assert second.cluster_count > cfg.cluster_cap
+        else:
+            assert second.cluster_count == 1
+        assert len(first.losses) == cfg.train.iterations
+        assert second.losses == ()
+
+        one_round, one_report = adapt(e, target, replace(cfg, I=1))
+        assert one_report.rounds == (first,) and one_report.reason == "completed"
+        assert np.array_equal(out.param_vector(), one_round.param_vector())
+        assert report.checkpoint_id == one_report.checkpoint_id
 
     def test_validates_manifest_once(self, monkeypatch):
         import reidapt.model

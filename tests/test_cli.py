@@ -6,6 +6,7 @@ import pkgutil
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -450,6 +451,31 @@ class TestEvalCommand:
             assert summary[key] is None, key
         assert (out_dir / "cluster_distances.csv").read_text() == "kind,distance\n"
 
+    def test_repeated_ranks_keep_their_order(self, tmp_path, capsys):
+        manifest, queries = write_eval_fixture(tmp_path)
+        out_dir = tmp_path / "report"
+        assert run(["eval", "--manifest", str(manifest), "--queries", str(queries),
+                    "--ranks", "5,1,5", "--out-dir", str(out_dir)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "metric           value",
+            "rank-5           0.7500",
+            "rank-1           0.5000",
+            "rank-5           0.7500",
+            "mAP              0.6250",
+            "clusters         4",
+            "clusters[GC]     2",
+            "clusters[MC]     2",
+            "clusters[DC]     0",
+            "clusters[MC+DC]  0",
+            "purity           0.7500",
+            "mean-inter-dist  166.6367",
+        ]
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["cmc"] == {"5": 0.75, "1": 0.5}
+        assert (out_dir / "cmc_curve.csv").read_text().splitlines() == [
+            "rank,cmc", "1,0.500000", "2,0.500000", "3,0.750000", "4,0.750000", "5,0.750000",
+        ]
+
     def test_eval_with_checkpoint(self, tmp_path, capsys):
         src = tmp_path / "d.jsonl"
         assert run(["--seed", "2", "synth", "--out", str(src), "--identities", "6",
@@ -676,6 +702,29 @@ class TestOverflowingTracklet:
             "error: tracklet 'b': representation overflows float64"
         ]
         assert not out.exists()
+
+
+class TestWarnings:
+    ARGV = ["cluster", "--K", "2", "--k1", "1"]
+
+    def test_a_warning_prints_as_one_line(self, tmp_path, capsys):
+        manifest, _ = write_eval_fixture(tmp_path)
+        filters = list(warnings.filters)
+        assert run(self.ARGV + ["--manifest", str(manifest), "--out", str(tmp_path / "c.tsv")]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: k1=1 is smaller than K=2; an edge s->t is kept iff t is within s's first k1 "
+            "cross-camera neighbors and s within t's first K, so each tracklet keeps at most k1 "
+            "out-edges (weights up to K still survive)",
+            "4 clusters covering 66.7% of 15 tracklets (K=2, T=1, k1=1)",
+        ]
+        assert warnings.filters == filters
+
+    @pytest.mark.filterwarnings("error")
+    def test_an_error_filter_still_raises(self, tmp_path):
+        manifest, _ = write_eval_fixture(tmp_path)
+        with pytest.raises(UserWarning, match="k1=1 is smaller than K=2"):
+            run(self.ARGV + ["--manifest", str(manifest), "--out", str(tmp_path / "c.tsv")])
+        assert not (tmp_path / "c.tsv").exists()
 
 
 class TestUsageErrors:

@@ -62,6 +62,14 @@ class TestCmc:
             assert np.all(np.diff(curve) >= 0)
             assert 0.0 <= curve[0] and curve[-1] <= 1.0
 
+    def test_each_value_is_the_fraction_at_its_rank(self):
+        rng = np.random.default_rng(1)
+        firsts = rng.integers(1, 40, size=37).tolist()
+        r = ranking_from_flags([flags_with_first_hit(k, length=40) for k in firsts])
+        ranks = [7, 1, 7, 39, 3, 100, 2]  # unordered, repeated, past every first hit
+        want = np.array([sum(f <= k for f in firsts) / len(firsts) for k in ranks])
+        assert cmc(r, ranks).tobytes() == want.tobytes()
+
     def test_zero_relevant_query_names_query(self):
         r = ranking_from_flags([flags_with_first_hit(1), [False] * 5])
         with pytest.raises(EvaluationError, match="q1"):

@@ -121,6 +121,29 @@ class TestMergeDomains:
         assert by_name["beta"].reason == "exclusion-list"
         assert {t.tracklet_id.split("/")[0] for t in merged.tracklets} == {"alpha"}
 
+    def test_excluded_source_counted_as_given(self):
+        # An excluded source is neither validated nor checked for labels, and
+        # its counts include its distractor, its single-camera identity and
+        # its unlabeled tracklet (identity None).
+        given = list(make_source("held", 2).tracklets)
+        given += [labeled("junk", "c1", "-1"), labeled("solo", "c3", "id_solo"),
+                  Tracklet("anon", "c1", [[0.0], [1.0]])]
+        held = DomainManifest("held", tuple(given))
+        keep = make_source("keep", 3)  # exactly min_identities
+        merged, report = merge_domains(
+            [keep, held], MergePolicy(min_identities=3, exclusion_list=frozenset({"held"}))
+        )
+        assert merged.name == "keep"
+        assert report.to_dict() == {
+            "sources": [
+                {"source": "held", "included": False, "reason": "exclusion-list",
+                 "identities": 5, "images": 8, "cameras": 3, "tracklets": 7},
+                {"source": "keep", "included": True, "reason": None,
+                 "identities": 3, "images": 6, "cameras": 2, "tracklets": 6},
+            ],
+            "merged": {"identities": 3, "images": 6, "cameras": 2, "tracklets": 6},
+        }
+
     def test_distractors_dropped(self):
         tracklets = list(make_source("src", 3).tracklets)
         tracklets.append(labeled("junk1", "c1", "-1"))
