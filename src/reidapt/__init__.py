@@ -6,6 +6,13 @@ thresholded components become unsupervised person clusters, and those
 clusters serve as pseudo-labels for triplet fine-tuning of the embedder.
 Repeating cluster/fine-tune rounds adapts a source-trained embedder to a new
 camera network without labels.
+
+The name reidapt.adapt is the adaptation function, not its submodule:
+binding the function here replaces the package's attribute for the module,
+so `import reidapt.adapt as m` also gives the function.  Only
+importlib.import_module("reidapt.adapt") and `from reidapt.adapt import
+<name>` reach the module.  The module keeps its name because tools patch
+it by that path (perfbench/tracer.py times its layer metrics there).
 """
 
 from .errors import (

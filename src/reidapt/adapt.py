@@ -24,25 +24,8 @@ import numpy as np
 from .errors import AdaptationError, BatchError, ManifestError
 from .graph import ClusterSet, cluster
 from .io import atomic_write
-from .model import AdaptConfig, ClusterAssignment, DomainManifest, TrainConfig, gather_frames
+from .model import AdaptConfig, ClusterAssignment, DomainManifest, TrainConfig, check_margin, gather_frames
 from .neighbors import build_neighbor_index, exact_sq_dists
-
-__all__ = [
-    "Embedder",
-    "LinearEmbedder",
-    "MlpEmbedder",
-    "TrainConfig",
-    "RoundRecord",
-    "AdaptationReport",
-    "Checkpoint",
-    "batch_hard_triplet_loss",
-    "identity_clusters",
-    "train_embedder",
-    "adapt",
-    "save_checkpoint",
-    "load_checkpoint",
-    "checkpoint_id",
-]
 
 # Indexed by layer count, which is also the KTE1 kind code.
 _KINDS = ("identity", "linear", "mlp")
@@ -238,11 +221,7 @@ def batch_hard_triplet_loss(
     if counts.min() < 2:
         lonely = np.sort(y[counts < 2])[:1].item()  # sort: min() has no loop for str labels
         raise BatchError(f"label {lonely!r} has a single sample; need >= 2 per label")
-    if isinstance(margin, str):
-        if margin != "soft":
-            raise BatchError(f"margin must be 'soft' or a non-negative float, got {margin!r}")
-    elif not (float(margin) >= 0.0):
-        raise BatchError("hard margin must be >= 0")
+    check_margin(margin, BatchError)
 
     D = np.sqrt(exact_sq_dists(X, X))
 

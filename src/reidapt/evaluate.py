@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import EvaluationError
 from .graph import ClusterSet
-from .model import DomainManifest
+from .model import ClusterAssignment, DomainManifest
 from .neighbors import NeighborIndex, count_ranks, exact_sq_dists
 
 GC = "GC"
@@ -131,26 +131,26 @@ class ClusterQuality:
     purity: float
 
 
-def _cluster_identities(clusters: ClusterSet, truth: DomainManifest) -> dict[int, list[str]]:
-    idents: dict[int, list[str]] = {}
-    for c in clusters.clusters:
-        members = sorted(c.members)
-        row = []
-        for tid in members:
+def _identity_profiles(
+    clusters: ClusterSet, truth: DomainManifest
+) -> list[tuple[ClusterAssignment, Counter, str]]:
+    """Per cluster, in cluster-id order: (cluster, identity counts, majority identity).
+
+    Ties for the majority go to the smallest identity string so the choice
+    is deterministic.
+    """
+    profiles = []
+    for c in sorted(clusters.clusters, key=lambda c: c.cluster_id):
+        counts = Counter()
+        for tid in sorted(c.members):
             t = truth.by_id.get(tid)
             if t is None:
                 raise EvaluationError(f"clustered tracklet {tid!r} not present in truth manifest")
             if t.identity is None:
                 raise EvaluationError(f"clustered tracklet {tid!r} has no ground-truth identity")
-            row.append(t.identity)
-        idents[c.cluster_id] = row
-    return idents
-
-
-def _majority_identity(identities: list[str]) -> str:
-    # Ties go to the smallest identity string so the choice is deterministic.
-    counts = Counter(identities)
-    return min(counts, key=lambda ident: (-counts[ident], ident))
+            counts[t.identity] += 1
+        profiles.append((c, counts, min(counts, key=lambda ident: (-counts[ident], ident))))
+    return profiles
 
 
 def classify_clusters(clusters: ClusterSet, truth: DomainManifest) -> ClusterQuality:
@@ -160,24 +160,18 @@ def classify_clusters(clusters: ClusterSet, truth: DomainManifest) -> ClusterQua
     """
     if not clusters.clusters:
         raise EvaluationError("no clusters to classify")
-    idents = _cluster_identities(clusters, truth)
-
-    appearing: dict[str, set[int]] = {}
-    for cid, row in idents.items():
-        for ident in set(row):
-            appearing.setdefault(ident, set()).add(cid)
+    profiles = _identity_profiles(clusters, truth)
+    spread = Counter(ident for _, idents, _ in profiles for ident in idents)
 
     labels: dict[int, str] = {}
     purities = []
-    for cid, row in sorted(idents.items()):
-        uniq = set(row)
-        shared = any(len(appearing[ident]) > 1 for ident in uniq)
-        if len(uniq) == 1:
-            labels[cid] = DC if shared else GC
+    for c, idents, majority in profiles:
+        shared = any(spread[ident] > 1 for ident in idents)
+        if len(idents) == 1:
+            labels[c.cluster_id] = DC if shared else GC
         else:
-            labels[cid] = MC_DC if shared else MC
-        majority = _majority_identity(row)
-        purities.append(row.count(majority) / len(row))
+            labels[c.cluster_id] = MC_DC if shared else MC
+        purities.append(idents[majority] / len(c.members))
 
     counts = {GC: 0, MC: 0, DC: 0, MC_DC: 0}
     for lab in labels.values():
@@ -204,11 +198,9 @@ def inter_intra_distances(
         raise ValueError(f"method must be 'centroid' or 'min-pairwise', got {method!r}")
     if len(clusters.clusters) < 2:
         raise EvaluationError("need at least two clusters to compare distances")
-    idents = _cluster_identities(clusters, truth)
-
-    ordered = sorted(clusters.clusters, key=lambda c: c.cluster_id)
-    member_rows = [np.array([idx.index_of[tid] for tid in sorted(c.members)]) for c in ordered]
-    majorities = np.array([_majority_identity(idents[c.cluster_id]) for c in ordered])
+    profiles = _identity_profiles(clusters, truth)
+    member_rows = [np.array([idx.index_of[tid] for tid in sorted(c.members)]) for c, _, _ in profiles]
+    majorities = np.array([majority for _, _, majority in profiles])
 
     if method == "centroid":
         centroids = np.vstack([idx.X[rows].mean(axis=0) for rows in member_rows])
@@ -220,7 +212,7 @@ def inter_intra_distances(
         starts = np.cumsum([0] + [len(rows) for rows in member_rows[:-1]])
         D2 = np.vstack([np.minimum.reduceat(exact_sq_dists(idx.X[rows], members).min(axis=0), starts)
                         for rows in member_rows])
-    i, j = np.triu_indices(len(ordered), 1)  # pairs in ascending cluster-id order
+    i, j = np.triu_indices(len(profiles), 1)  # pairs in ascending cluster-id order
     d = np.sqrt(D2[i, j])
     intra = majorities[i] == majorities[j]
     return d[intra].tolist(), d[~intra].tolist()

@@ -452,6 +452,15 @@ def manifest_embeddings(
     return tuple(ids[i] for i in pos.tolist()), X
 
 
+def check_margin(margin: float | str, error: type[Exception]) -> None:
+    """Raise error unless margin is "soft" or a float >= 0 (NaN is refused)."""
+    if isinstance(margin, str):
+        if margin != "soft":
+            raise error(f"margin must be 'soft' or a non-negative float, got {margin!r}")
+    elif not (float(margin) >= 0.0):
+        raise error("hard margin must be >= 0")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters for one triplet-loss fine-tuning run.
@@ -474,11 +483,7 @@ class TrainConfig:
             raise ValueError("iterations must be >= 0")
         if self.batch_p < 2 or self.batch_k < 2:
             raise ValueError("batch_p and batch_k must both be >= 2")
-        if isinstance(self.margin, str):
-            if self.margin != "soft":
-                raise ValueError(f"margin must be 'soft' or a non-negative float, got {self.margin!r}")
-        elif not (float(self.margin) >= 0.0):
-            raise ValueError("hard margin must be >= 0")
+        check_margin(self.margin, ValueError)
         if not (self.learning_rate > 0.0):
             raise ValueError("learning_rate must be positive")
         if not (0.0 < self.lr_decay <= 1.0):

@@ -54,9 +54,11 @@ class SourceSummary:
     contributes: its tracklets with distractors and (when required)
     single-camera identities removed.  "too-few-identities" counts the same
     curated content, whose identity count fell below policy.min_identities.
-    "exclusion-list" counts the source as given, distractors and
-    single-camera identities included; such a source is neither validated
-    nor checked for labels.
+    "exclusion-list" counts the source as given, so its distractor labels
+    and single-camera identities count as identities; such a source is
+    neither validated nor checked for labels.  identities counts distinct
+    labels (DomainManifest.identities): an unlabeled tracklet counts toward
+    tracklets and images, never toward identities.
     """
 
     source: str
@@ -81,11 +83,9 @@ class MergeReport:
         return {"sources": list(merged.pop("sources")), "merged": merged}
 
 
-def _counts(tracklets) -> tuple[int, int, int, int]:
-    idents = {t.identity for t in tracklets}
-    images = sum(t.n_frames for t in tracklets)
-    cams = {t.camera_id for t in tracklets}
-    return len(idents), images, len(cams), len(tracklets)
+def _counts(m: DomainManifest) -> tuple[int, int, int, int]:
+    images = sum(t.n_frames for t in m.tracklets)
+    return len(m.identities), images, len(m.cameras), len(m.tracklets)
 
 
 def filter_cross_camera(m: DomainManifest) -> DomainManifest:
@@ -119,8 +119,8 @@ def merge_domains(
 
     Returns the merged manifest and a report with merged totals and, per
     source, its reason and counts: of the curated content for an included
-    or too-small source, of the source as given for an excluded one (see
-    SourceSummary).
+    or too-small source, of the source as given for an excluded one, each
+    read from that part's DomainManifest (see SourceSummary).
     """
     if not sources:
         raise MergeError("no source domains given")
@@ -132,19 +132,18 @@ def merge_domains(
     merged: list[Tracklet] = []
     for src in sorted(sources, key=lambda m: m.name):
         if src.name in policy.exclusion_list:
-            usable, reason = src.tracklets, "exclusion-list"
+            usable, reason = src, "exclusion-list"
         else:
             src.validation.check(f"source {src.name!r}", MergeError)
             for t in src.tracklets:
                 if t.identity is None:
                     raise MergeError(f"source {src.name!r}: tracklet {t.tracklet_id!r} is unlabeled")
-            kept = DomainManifest(
+            usable = DomainManifest(
                 src.name, tuple(t for t in src.tracklets if t.identity not in DISTRACTOR_LABELS)
             )
             if policy.require_cross_camera:
-                kept = filter_cross_camera(kept)
-            usable = kept.tracklets
-            few = len({t.identity for t in usable}) < policy.min_identities
+                usable = filter_cross_camera(usable)
+            few = len(usable.identities) < policy.min_identities
             reason = "too-few-identities" if few else None
         summaries.append(SourceSummary(src.name, reason is None, reason, *_counts(usable)))
         if reason is None:
@@ -152,7 +151,7 @@ def merge_domains(
             merged.extend(
                 Tracklet(ns + t.tracklet_id, ns + t.camera_id, t.frames, ns + t.identity)
                 if policy.namespace_ids else t
-                for t in usable
+                for t in usable.tracklets
             )
 
     if not merged:
@@ -161,7 +160,7 @@ def merge_domains(
     name = "+".join(s.source for s in summaries if s.included)
     out = DomainManifest(name=name, tracklets=tuple(merged))
     out.validation.check("merged manifest", MergeError)
-    return out, MergeReport(tuple(summaries), *_counts(out.tracklets))
+    return out, MergeReport(tuple(summaries), *_counts(out))
 
 
 @dataclass(frozen=True)

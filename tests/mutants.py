@@ -101,9 +101,21 @@ MUTANTS = (
     ),
     Mutant(
         "merge-min-identities", "synth.py",
-        "few = len({t.identity for t in usable}) < policy.min_identities",
-        "few = len({t.identity for t in usable}) <= policy.min_identities",
+        "few = len(usable.identities) < policy.min_identities",
+        "few = len(usable.identities) <= policy.min_identities",
         ("tests/test_synth.py::TestMergeDomains::test_excluded_source_counted_as_given",),
+    ),
+    Mutant(
+        "margin-nan", "model.py",
+        "not (float(margin) >= 0.0)",
+        "float(margin) < 0.0",
+        ("tests/test_adapt.py::TestTripletLossValues::test_margin_refused_as_train_config_refuses_it[nan]",),
+    ),
+    Mutant(
+        "profile-majority-tie", "evaluate.py",
+        "min(counts, key=lambda ident: (-counts[ident], ident))",
+        "min(counts, key=lambda ident: -counts[ident])",
+        ("tests/test_evaluate.py::TestInterIntraDistances::test_majority_tie_breaks_to_smallest_identity",),
     ),
     Mutant(
         "gemm-scale-exp", "neighbors.py",

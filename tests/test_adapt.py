@@ -35,6 +35,23 @@ from reidapt.model import ClusterAssignment
 from oracles import fd_gradient, loop_batch_hard_triplet_loss, loop_train_embedder, rel_error
 
 
+class TestImportForms:
+    def test_adapt_is_the_function_and_its_module_path_the_module(self):
+        # reidapt binds the function adapt over its submodule's attribute, so
+        # both attribute forms give the function; the module path still
+        # reaches the module.  Renaming either is an API decision.
+        import types
+
+        import reidapt
+        import reidapt.adapt as via_as
+        from reidapt.adapt import adapt as via_from
+
+        module = importlib.import_module("reidapt.adapt")
+        assert isinstance(module, types.ModuleType) and module.__name__ == "reidapt.adapt"
+        assert isinstance(reidapt.adapt, types.FunctionType)
+        assert reidapt.adapt is via_as is via_from is module.adapt is adapt
+
+
 class TestTripletLossValues:
     def test_identical_embeddings_hard_margin(self):
         X = np.zeros((4, 3))
@@ -77,6 +94,19 @@ class TestTripletLossValues:
             batch_hard_triplet_loss(X, np.array([0, 0, 1]))  # singleton label
         with pytest.raises(BatchError):
             batch_hard_triplet_loss(np.zeros((4, 2)), np.array([0, 0, 1, 1]), margin=-1.0)
+
+    @pytest.mark.parametrize("margin,message", [
+        pytest.param("hard", "margin must be 'soft' or a non-negative float, got 'hard'", id="hard"),
+        pytest.param(-1.0, "hard margin must be >= 0", id="negative"),
+        pytest.param(float("nan"), "hard margin must be >= 0", id="nan"),
+    ])
+    def test_margin_refused_as_train_config_refuses_it(self, margin, message):
+        with pytest.raises(ValueError) as cfg:
+            TrainConfig(margin=margin)
+        with pytest.raises(BatchError) as loss:
+            batch_hard_triplet_loss(np.zeros((4, 2)), np.array([0, 0, 1, 1]), margin=margin)
+        assert type(cfg.value) is ValueError
+        assert str(cfg.value) == str(loss.value) == message
 
     @pytest.mark.parametrize("labels,lonely", [
         pytest.param([0, 0, 1], "1", id="int"),

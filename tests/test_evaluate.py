@@ -282,6 +282,32 @@ class TestClassifyClusters:
             classify_clusters(cs, truth)
 
 
+class TestClusterOrder:
+    def test_reverse_listed_set_reads_as_the_id_ordered_one(self):
+        truth = truth_manifest(
+            [("t1", "p1"), ("t2", "p1"),                            # GC, purity 1
+             ("t3", "p2"), ("t4", "p3"), ("t5", "p3"),              # MC, 2/3
+             ("t6", "p4"), ("t7", "p4"),                            # DC, 1
+             ("t8", "p4"), ("t9", "p5"), ("t10", "p5"), ("t11", "p6")]  # MC+DC, 2/4
+        )
+        cs = clusters_of({"t1", "t2"}, {"t3", "t4", "t5"}, {"t6", "t7"}, {"t8", "t9", "t10", "t11"})
+        rev = ClusterSet(clusters=cs.clusters[::-1], unclustered=cs.unclustered)
+        q, q_rev = classify_clusters(cs, truth), classify_clusters(rev, truth)
+        assert list(q_rev.labels.items()) == list(q.labels.items()) == [
+            (0, "GC"), (1, "MC"), (2, "DC"), (3, "MC+DC")]
+        assert np.float64(q_rev.purity).tobytes() == np.float64(q.purity).tobytes()
+        idx = build_neighbor_index(truth)
+        for method in ("centroid", "min-pairwise"):
+            assert inter_intra_distances(rev, truth, idx, method) == inter_intra_distances(cs, truth, idx, method)
+
+    def test_lowest_faulty_cluster_id_is_named_first(self):
+        truth = truth_manifest([("t1", "p1"), ("t2", "p1")])
+        cs = clusters_of({"t1", "ghost1"}, {"t2", "ghost0"})
+        rev = ClusterSet(clusters=cs.clusters[::-1], unclustered=cs.unclustered)
+        with pytest.raises(EvaluationError, match="^clustered tracklet 'ghost1' not present"):
+            classify_clusters(rev, truth)
+
+
 class TestInterIntraDistances:
     def placed_truth(self, placements):
         """placements: (tid, identity, coords) with alternating cameras."""

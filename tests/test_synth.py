@@ -123,8 +123,8 @@ class TestMergeDomains:
 
     def test_excluded_source_counted_as_given(self):
         # An excluded source is neither validated nor checked for labels, and
-        # its counts include its distractor, its single-camera identity and
-        # its unlabeled tracklet (identity None).
+        # its counts include its distractor and its single-camera identity;
+        # its unlabeled tracklet counts toward tracklets and images only.
         given = list(make_source("held", 2).tracklets)
         given += [labeled("junk", "c1", "-1"), labeled("solo", "c3", "id_solo"),
                   Tracklet("anon", "c1", [[0.0], [1.0]])]
@@ -137,11 +137,21 @@ class TestMergeDomains:
         assert report.to_dict() == {
             "sources": [
                 {"source": "held", "included": False, "reason": "exclusion-list",
-                 "identities": 5, "images": 8, "cameras": 3, "tracklets": 7},
+                 "identities": 4, "images": 8, "cameras": 3, "tracklets": 7},
                 {"source": "keep", "included": True, "reason": None,
                  "identities": 3, "images": 6, "cameras": 2, "tracklets": 6},
             ],
             "merged": {"identities": 3, "images": 6, "cameras": 2, "tracklets": 6},
+        }
+
+    def test_excluded_unlabeled_source_has_no_identities(self):
+        held = DomainManifest("held", (Tracklet("a", "c1", [[0.0]]), Tracklet("b", "c2", [[1.0], [2.0]])))
+        _, report = merge_domains(
+            [make_source("keep", 1), held], MergePolicy(min_identities=1, exclusion_list=frozenset({"held"}))
+        )
+        assert report.to_dict()["sources"][0] == {
+            "source": "held", "included": False, "reason": "exclusion-list",
+            "identities": 0, "images": 3, "cameras": 2, "tracklets": 2,
         }
 
     def test_distractors_dropped(self):
