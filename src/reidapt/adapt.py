@@ -293,9 +293,7 @@ def _frame_pools(clusters: ClusterSet, m: DomainManifest):
     """
     position = {t.tracklet_id: i for i, t in enumerate(m.tracklets)}  # last one wins, as by_id
     members, first = [], []
-    for c in sorted(clusters.clusters, key=lambda c: c.cluster_id):
-        if not c.members:
-            raise AdaptationError(f"cluster {c.cluster_id} has no members")
+    for c in clusters.clusters:
         first.append(len(members))
         for tid in sorted(c.members):
             i = position.get(tid)
@@ -307,9 +305,8 @@ def _frame_pools(clusters: ClusterSet, m: DomainManifest):
         pool.validation.check(f"manifest {m.name!r}")
         m, members = pool, list(range(len(members)))
     F, start, n = m.frame_layout
-    sizes = n[members]
-    offsets = np.cumsum(sizes) - sizes
-    return gather_frames(F, start[members], sizes), offsets[first], np.add.reduceat(sizes, first)
+    frames, offsets, sizes = gather_frames(F, start[members], n[members])
+    return frames, offsets[first], np.add.reduceat(sizes, first)
 
 
 def train_embedder(
@@ -336,8 +333,6 @@ def train_embedder(
 
     progress, if given, is called as progress(step, loss) after each step.
     """
-    if len(clusters.clusters) == 0:
-        raise AdaptationError("no clusters to train on")
     if len(clusters.clusters) < 2:
         raise AdaptationError("need at least two clusters to form triplets")
 

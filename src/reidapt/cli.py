@@ -280,7 +280,6 @@ def _cmd_eval(args) -> int:
     queries = None if args.queries is None else io_mod.read_queries(args.queries, m.by_id)
 
     ranking = build_ranking(idx, m, queries=queries)
-    curve = cmc(ranking, range(1, max(ranks) + 1))
     map_val = mean_average_precision(ranking)
     cs = cluster(idx, cfg)
     quality = classify_clusters(cs, m) if cs.clusters else None
@@ -290,7 +289,7 @@ def _cmd_eval(args) -> int:
         intra, inter = [], []
     # A metric that does not apply is None here and has no row in the table.
     summary = {
-        "cmc": {str(k): float(curve[k - 1]) for k in ranks},
+        "cmc": {str(k): float(v) for k, v in zip(ranks, cmc(ranking, ranks))},
         "map": map_val,
         "clusters": len(cs.clusters),
         "cluster_counts": quality.counts if quality else None,
@@ -314,10 +313,14 @@ def _cmd_eval(args) -> int:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         io_mod.write_json(summary, out / "summary.json")
+        # No gallery holds len(idx) items, so the curve reads 1 from there on.
+        curve = cmc(ranking, range(1, min(max(ranks), len(idx)) + 1))
         with io_mod.atomic_write(out / "cmc_curve.csv") as fh:
             fh.write("rank,cmc\n")
             for k, v in enumerate(curve, 1):
                 fh.write(f"{k},{v:.6f}\n")
+            for k in range(len(curve) + 1, max(ranks) + 1):
+                fh.write(f"{k},1.000000\n")
         with io_mod.atomic_write(out / "cluster_distances.csv") as fh:
             fh.write("kind,distance\n")
             for kind, values in (("intra", intra), ("inter", inter)):

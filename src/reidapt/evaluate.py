@@ -76,7 +76,7 @@ def build_ranking(idx: NeighborIndex, truth: DomainManifest, queries=None) -> Ra
     keep = idx.codes[targets] != idx.codes[rows[q]]
     q, targets = q[keep], targets[keep]
     ptr = np.r_[0, np.cumsum(np.bincount(q, minlength=len(rows)))]
-    hit = count_ranks(idx, rows, ptr, targets, ident=idents, key=np.sqrt)
+    hit = count_ranks(idx, rows, ptr, targets, ident=idents)
     # Sort each query's hits: q ascends, and a hit is below len(idx).
     hit = np.sort(q * len(idx) + hit) - q * len(idx)
     hit.setflags(write=False)
@@ -140,7 +140,7 @@ def _identity_profiles(
     is deterministic.
     """
     profiles = []
-    for c in sorted(clusters.clusters, key=lambda c: c.cluster_id):
+    for c in clusters.clusters:
         counts = Counter()
         for tid in sorted(c.members):
             t = truth.by_id.get(tid)

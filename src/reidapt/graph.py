@@ -60,7 +60,7 @@ class ReciprocalGraph:
 
 @dataclass(frozen=True)
 class ClusterSet:
-    """Clusters plus the ids that did not make it into any cluster.
+    """Clusters, kept in ascending id order, plus the ids in no cluster.
 
     Cluster ids are distinct, and each tracklet id sits in one cluster or
     in unclustered, never in two places: a ValueError names the first
@@ -71,12 +71,11 @@ class ClusterSet:
     unclustered: frozenset[str]
 
     def __post_init__(self):
-        cluster_ids: set[int] = set()
+        object.__setattr__(self, "clusters", tuple(sorted(self.clusters, key=lambda c: c.cluster_id)))
+        for a, b in zip(self.clusters, self.clusters[1:]):
+            if a.cluster_id == b.cluster_id:
+                raise ValueError(f"cluster id {a.cluster_id} appears twice")
         seen: set[str] = set()
-        for c in self.clusters:
-            if c.cluster_id in cluster_ids:
-                raise ValueError(f"cluster id {c.cluster_id} appears twice")
-            cluster_ids.add(c.cluster_id)
         for members in [c.members for c in self.clusters] + [self.unclustered]:
             if not seen.isdisjoint(members):
                 raise ValueError(f"tracklet {min(seen.intersection(members))!r} is assigned twice")

@@ -110,9 +110,8 @@ def write_manifest(m: DomainManifest, path, sidecar=None) -> None:
     m.validation.check(f"manifest {m.name!r}")
     path = Path(path)
     if sidecar is not None:
-        F, start, n = m.frame_layout
-        write_feature_sidecar(sidecar, gather_frames(F, start, n))
-        offsets = np.cumsum(n) - n
+        F, offsets, n = gather_frames(*m.frame_layout)
+        write_feature_sidecar(sidecar, F)
 
     with atomic_write(path) as fh:
         for i, t in enumerate(m.tracklets):
@@ -269,7 +268,7 @@ def write_assignments(clusters: ClusterSet, path) -> None:
     if bad:
         raise ValueError(f"tracklet id {bad[0]!r}: assignments cannot store a tab or line break")
     with atomic_write(path) as fh:
-        for c in sorted(clusters.clusters, key=lambda c: c.cluster_id):
+        for c in clusters.clusters:
             for tid in sorted(c.members):
                 fh.write(f"{c.cluster_id}\t{tid}\n")
         for tid in sorted(clusters.unclustered):

@@ -180,7 +180,7 @@ class DomainManifest:
 
 @dataclass(frozen=True)
 class ClusterAssignment:
-    """One cluster: a non-negative id and the tracklet ids it contains."""
+    """One cluster: a non-negative id and the tracklet ids it contains, at least one."""
 
     cluster_id: int
     members: frozenset[str]
@@ -189,6 +189,8 @@ class ClusterAssignment:
         object.__setattr__(self, "members", frozenset(self.members))
         if self.cluster_id < 0:
             raise ValueError("cluster_id must be non-negative")
+        if not self.members:
+            raise ValueError(f"cluster {self.cluster_id} has no members")
 
 
 @dataclass(frozen=True)
@@ -317,15 +319,16 @@ def stack_frames(tracklets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return F, np.cumsum(n) - n, n
 
 
-def gather_frames(F, start, n) -> np.ndarray:
-    """The spans F[start[i] : start[i] + n[i]], one after another: stack_frames's F for them.
+def gather_frames(F, start, n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(G, offsets, n): the spans F[start[i] : start[i] + n[i]] laid out as stack_frames lays them.
 
-    F itself, not a copy, when the spans already tile it in order.
+    G holds the spans one after another, span i at G[offsets[i] : offsets[i]
+    + n[i]]; it is F itself, not a copy, when the spans already tile F in order.
     """
     offsets = np.cumsum(n) - n
-    if len(F) == n.sum() and np.array_equal(start, offsets):
-        return F
-    return F[np.arange(n.sum()) + np.repeat(start - offsets, n)]
+    if not (len(F) == n.sum() and np.array_equal(start, offsets)):
+        F = F[np.arange(n.sum()) + np.repeat(start - offsets, n)]
+    return F, offsets, n
 
 
 @np.errstate(over="ignore", invalid="ignore")  # errstate is per thread; overflow fails the proof

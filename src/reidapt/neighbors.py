@@ -47,9 +47,10 @@ orders a row's targets exactly among themselves, sorts the row's float32
 GEMM entries once, and with two searchsorted calls per target counts the
 items surely before its exact threshold and the band the _tol bound cannot
 place.  Only band items are re-checked exactly, each (row, item) once.
-Its order key is d2 for ranks() and the rounded distance sqrt(d2) for
-evaluation; _tol is the one bound for both, and shows that it covers both.
-Every order is therefore the one a full exact sort on (key, id) gives.
+Its order key is d2 for ranks() and, given identities (the evaluation
+protocol), the rounded distance sqrt(d2); _tol is the one bound for both,
+and shows that it covers both.  Every order is therefore the one a full
+exact sort on (key, id) gives.
 
 Callers.  A command builds one index and hands it to cluster(),
 build_ranking and inter_intra_distances, so it embeds its manifest once.
@@ -108,9 +109,9 @@ def exact_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 class NeighborIndex:
     """Representations and camera codes of one manifest, one row per tracklet.
 
-    Takes n >= 1 strictly ascending ids, their cameras (at least two distinct)
-    and finite X of shape (n, d >= 1), else ValueError; keeps a read-only
-    float64 X.
+    Takes n >= 1 strictly ascending ids, their cameras (at least two
+    distinct, else DomainError) and finite X of shape (n, d >= 1), else
+    ValueError; keeps a read-only float64 X.
     """
 
     ids: tuple[str, ...]
@@ -341,25 +342,27 @@ def _smallest(H: np.ndarray, c: int):
     return np.take_along_axis(cols, pick, axis=1), np.minimum(vals.min(axis=1), mins.min(axis=1))
 
 
-def count_ranks(idx: NeighborIndex, rows, ptr, targets, ident: np.ndarray | None = None,
-                key=None) -> np.ndarray:
+def count_ranks(idx: NeighborIndex, rows, ptr, targets, ident: np.ndarray | None = None) -> np.ndarray:
     """Exact 1-based rank of each target in the gallery of its row, by counting.
 
     Row rows[i] owns targets[ptr[i]:ptr[i + 1]]: distinct tracklets in
-    ascending order, each inside the row's gallery.  A row's gallery is every
-    tracklet outside its own camera, or with ident (an integer label per
-    tracklet) every tracklet but those sharing both its camera and its label.
-    It is ordered on (key(d2), id), key defaulting to d2 itself, and a rank
-    is 1 plus the number of gallery items before the target.  Rows are taken
-    in blocks of _BLOCK // W, each block a task on one of W threads
-    (_tasks.workers()) that writes only its own targets' slots.  A block
-    sorts its rows' GEMM entries once and gathers at most _BLOCK // W of
-    them again at a time for band items, so working memory is O(_BLOCK·n)
-    however many targets a row has.
+    ascending order, each inside the row's gallery.  Without ident, a row's
+    gallery is every tracklet outside its own camera, ordered on (d2, id).
+    With ident (an integer label per tracklet) it is the evaluation protocol:
+    every tracklet but those sharing both the row's camera and its label,
+    ordered on the rounded distance, (sqrt(d2), id).  A rank is 1 plus the
+    number of gallery items before the target.  Rows are taken in blocks of
+    _BLOCK // W, each block a task on one of W threads (_tasks.workers())
+    that writes only its own targets' slots.  A block sorts its rows' GEMM
+    entries once and gathers at most _BLOCK // W of them again at a time for
+    band items, so working memory is O(_BLOCK·n) however many targets a row
+    has.
     """
     rows, ptr, targets = (np.asarray(a, dtype=np.intp) for a in (rows, ptr, targets))
     # 0 <= code < codes.max() + 1, so the label determines (code, ident).
-    label = idx.codes if ident is None else idx.codes + (idx.codes.max() + 1) * ident
+    label, key = idx.codes, None
+    if ident is not None:
+        label, key = idx.codes + (idx.codes.max() + 1) * ident, np.sqrt
     size = np.diff(ptr)
     live = np.flatnonzero(size)
     out = np.empty(len(targets), dtype=np.int64)
@@ -457,14 +460,10 @@ def build_neighbor_index(m: DomainManifest, embedder=None, normalize: bool = Fal
 
     Each tracklet's exact mean (optionally embedded, optionally
     L2-normalized) frame vector from manifest_embeddings, which validates the
-    manifest, and its camera.  The manifest must also span at least two
-    cameras (DomainError).
+    manifest, and its camera.  NeighborIndex refuses a single camera
+    (DomainError).
     """
     ids, X = manifest_embeddings(m, embedder=embedder, normalize=normalize)
-    if len(m.cameras) < 2:
-        raise DomainError(
-            f"cross-camera neighbors undefined: manifest {m.name!r} has a single camera"
-        )
     return NeighborIndex(ids, tuple(m.by_id[tid].camera_id for tid in ids), X)
 
 

@@ -118,6 +118,22 @@ MUTANTS = (
         ("tests/test_evaluate.py::TestInterIntraDistances::test_majority_tie_breaks_to_smallest_identity",),
     ),
     Mutant(
+        "cluster-set-order", "graph.py",
+        'object.__setattr__(self, "clusters", tuple(sorted(self.clusters, key=lambda c: c.cluster_id)))',
+        'object.__setattr__(self, "clusters", tuple(self.clusters))',
+        ("tests/test_evaluate.py::TestClusterOrder::test_reverse_listed_set_reads_as_the_id_ordered_one",
+         "tests/test_graph.py::TestClusterSet::test_clusters_kept_in_id_order",
+         "tests/test_io.py::TestAssignments::test_reverse_listed_set_writes_the_same_bytes",
+         "tests/test_adapt.py::TestTrainEmbedder::test_reverse_listed_set_trains_the_same"),
+    ),
+    Mutant(
+        "empty-cluster", "model.py",
+        '        if not self.members:\n            raise ValueError(f"cluster {self.cluster_id} has no members")\n',
+        "",
+        ("tests/test_graph.py::TestClusterSet::test_empty_cluster_rejected",
+         "tests/test_adapt.py::TestTrainEmbedder::test_empty_cluster_rejected"),
+    ),
+    Mutant(
         "gemm-scale-exp", "neighbors.py",
         "scale_exp = -int(np.frexp(np.abs(Xc).max())[1])  # 0 when Xc is all zero",
         "scale_exp = 0",
@@ -135,6 +151,12 @@ MUTANTS = (
         '            @np.errstate(over="ignore", invalid="ignore")\n            def block(',
         "            def block(",
         ("tests/test_neighbors.py::TestDenseReference::test_identical_to_dense_index[overflow_1e160]",),
+    ),
+    Mutant(
+        "eval-order-key", "neighbors.py",
+        "* ident, np.sqrt",
+        "* ident, None",
+        ("tests/test_evaluate.py::TestRankingReference::test_identical_to_naive_ranking[sqrt_ties]",),
     ),
     Mutant(
         "count-tie-term", "neighbors.py",

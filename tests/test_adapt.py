@@ -451,13 +451,24 @@ class TestTrainEmbedder:
                 TrainConfig(iterations=1),
             )
 
-    def test_empty_cluster_rejected(self):
+    def test_reverse_listed_set_trains_the_same(self):
+        # Four equal-sized clusters: a pool taken in listed order would pair
+        # each sampled index with another cluster's frames.
         m = two_blob_manifest()
-        cs = identity_clusters(m)
-        cs = ClusterSet(clusters=cs.clusters + (ClusterAssignment(9, frozenset()),),
-                        unclustered=frozenset())
-        with pytest.raises(AdaptationError, match="cluster 9 has no members"):
-            train_embedder(LinearEmbedder.identity(2), cs, m, TrainConfig(iterations=1))
+        groups = [frozenset(t.tracklet_id for t in m.tracklets
+                            if t.identity == f"blob{b}" and int(t.tracklet_id[-1]) // 2 == h)
+                  for b in range(2) for h in range(2)]
+        cs = ClusterSet(tuple(ClusterAssignment(i, g) for i, g in enumerate(groups)), frozenset())
+        rev = ClusterSet(cs.clusters[::-1], cs.unclustered)
+        cfg = TrainConfig(iterations=20, seed=3)
+        want = train_embedder(LinearEmbedder.identity(2), cs, m, cfg).param_vector()
+        got = train_embedder(LinearEmbedder.identity(2), rev, m, cfg).param_vector()
+        assert got.tobytes() == want.tobytes()
+
+    def test_empty_cluster_rejected(self):
+        # An empty cluster cannot be built, so it never reaches training.
+        with pytest.raises(ValueError, match="cluster 9 has no members"):
+            ClusterAssignment(9, frozenset())
 
     def test_unclustered_tracklets_not_sampled(self):
         # Poison the unclustered tracklet's frames: training only touches

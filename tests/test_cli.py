@@ -476,6 +476,30 @@ class TestEvalCommand:
             "rank,cmc", "1,0.500000", "2,0.500000", "3,0.750000", "4,0.750000", "5,0.750000",
         ]
 
+    def test_rank_past_the_manifest_computes_nothing_past_it(self, tmp_path, capsys, monkeypatch):
+        # No gallery of the 15-tracklet fixture holds 15 items, so no CMC
+        # value past rank 15 is computed, however large the rank asked for.
+        real_cmc = cli.cmc
+
+        def bounded_cmc(ranking, ranks):
+            assert len(ranks) <= 15
+            return real_cmc(ranking, ranks)
+
+        monkeypatch.setattr(cli, "cmc", bounded_cmc)
+        manifest, queries = write_eval_fixture(tmp_path)
+        assert run(["eval", "--manifest", str(manifest), "--queries", str(queries),
+                    "--ranks", "1,1000000000"]) == 0
+        rows = dict(line.split() for line in capsys.readouterr().out.splitlines()[1:])
+        assert (rows["rank-1"], rows["rank-1000000000"]) == ("0.5000", "1.0000")
+
+        out_dir = tmp_path / "report"
+        assert run(["eval", "--manifest", str(manifest), "--queries", str(queries),
+                    "--ranks", "1,40", "--out-dir", str(out_dir)]) == 0
+        assert json.loads((out_dir / "summary.json").read_text())["cmc"] == {"1": 0.5, "40": 1.0}
+        assert (out_dir / "cmc_curve.csv").read_text().splitlines() == [
+            "rank,cmc", "1,0.500000", "2,0.500000", "3,0.750000", "4,0.750000", "5,0.750000",
+            *(f"{k},1.000000" for k in range(6, 41))]
+
     def test_eval_with_checkpoint(self, tmp_path, capsys):
         src = tmp_path / "d.jsonl"
         assert run(["--seed", "2", "synth", "--out", str(src), "--identities", "6",

@@ -475,7 +475,7 @@ class TestRankingReference:
             ptr.append(ptr[-1] + len(rel))
             targets += [j for j, _ in rel]
             want += [r for _, r in rel]
-        got = count_ranks(idx, rows, ptr, targets, ident=labels, key=np.sqrt)
+        got = count_ranks(idx, rows, ptr, targets, ident=labels)
         assert got.tolist() == want
 
     @pytest.mark.parametrize("n_ids,n_cams", [(4, 3), (100, 4)])

@@ -223,6 +223,7 @@ class TestClusterSet:
         pytest.param([(0, {"a", "b"}), (1, {"a", "c"})], {"d"}, "tracklet 'a'", id="two_clusters"),
         pytest.param([(0, {"a", "b"})], {"b", "c"}, "tracklet 'b'", id="cluster_and_unclustered"),
         pytest.param([(0, {"a", "b"}), (0, {"c", "d"})], set(), "cluster id 0", id="cluster_id"),
+        pytest.param([(2, {"a"}), (1, {"b"}), (2, {"c"})], set(), "cluster id 2", id="cluster_id_apart"),
     ])
     def test_repeats_rejected(self, clusters, unclustered, repeat):
         # A repeated tracklet would be counted twice by n_tracklets and
@@ -231,6 +232,16 @@ class TestClusterSet:
         assignments = tuple(ClusterAssignment(i, frozenset(m)) for i, m in clusters)
         with pytest.raises(ValueError, match=repeat):
             ClusterSet(assignments, frozenset(unclustered))
+
+    def test_clusters_kept_in_id_order(self):
+        c0, c1 = ClusterAssignment(0, frozenset({"b"})), ClusterAssignment(1, frozenset({"a"}))
+        cs = ClusterSet((c1, c0), frozenset({"z"}))
+        assert cs.clusters == (c0, c1)
+        assert cs == ClusterSet((c0, c1), frozenset({"z"}))
+
+    def test_empty_cluster_rejected(self):
+        with pytest.raises(ValueError, match="^cluster 3 has no members$"):
+            ClusterAssignment(3, [])
 
 
 class TestClusterPipeline:

@@ -418,6 +418,12 @@ class TestAssignments:
         write_assignments(cs, path)
         assert read_assignments(path) == cs
 
+    def test_reverse_listed_set_writes_the_same_bytes(self, tmp_path):
+        cs = self.cluster_fixture()
+        write_assignments(cs, tmp_path / "a.tsv")
+        write_assignments(ClusterSet(cs.clusters[::-1], cs.unclustered), tmp_path / "b.tsv")
+        assert (tmp_path / "b.tsv").read_bytes() == (tmp_path / "a.tsv").read_bytes()
+
     @pytest.mark.parametrize("ch", ["\t", "\n", "\r"], ids=["tab", "newline", "return"])
     @pytest.mark.parametrize("where", ["clustered", "unclustered"])
     def test_id_that_cannot_read_back_rejected_before_writing(self, tmp_path, ch, where):

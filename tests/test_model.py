@@ -106,10 +106,19 @@ class TestTracklet:
             n = rng.integers(0, 4, size=int(rng.integers(0, 6)))
             start = rng.integers(0, 10 - n)  # spans may overlap, skip rows or run backwards
             want = [F[a : a + c] for a, c in zip(start, n)]
-            got = model.gather_frames(F, start, n)
+            got, _, _ = model.gather_frames(F, start, n)
             assert np.array_equal(got, np.concatenate(want) if want else np.empty((0, 2)))
         n = np.array([2, 3, 4])
-        assert model.gather_frames(F, np.cumsum(n) - n, n) is F  # already in order: no copy
+        assert model.gather_frames(F, np.cumsum(n) - n, n)[0] is F  # already in order: no copy
+
+    def test_gather_frames_gives_its_layout(self):
+        F = np.arange(20.0).reshape(10, 2)
+        n = np.array([2, 0, 3])
+        G, offsets, n_out = model.gather_frames(F, np.array([5, 9, 1]), n)
+        assert offsets.tolist() == (np.cumsum(n) - n).tolist() == [0, 2, 2]
+        assert np.array_equal(n_out, n)
+        for a, o, c in zip([5, 9, 1], offsets, n):
+            assert np.array_equal(G[o : o + c], F[a : a + c])
 
     def test_equality_by_value(self):
         a = T("a", "c", [[1.0, 2.0]], identity="p1")

@@ -71,8 +71,14 @@ class TestBuildIndex:
 
     def test_single_camera_rejected(self):
         m = scalar_manifest([("a", "A", 0.0), ("b", "A", 1.0)])
-        with pytest.raises(DomainError, match="single camera"):
+        with pytest.raises(DomainError, match="all on camera"):
             build_neighbor_index(m)
+
+    def test_single_camera_named_by_the_index(self):
+        m = scalar_manifest([("a", "cam7", 0.0), ("b", "cam7", 1.0)])
+        with pytest.raises(DomainError) as exc:
+            build_neighbor_index(m)
+        assert str(exc.value) == "cross-camera neighbors undefined: all on camera 'cam7'"
 
     def test_invalid_manifest_rejected(self):
         m = DomainManifest(
