@@ -176,12 +176,46 @@ class MlpEmbedder(Embedder):
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    pos = x >= 0  # NaN takes the second form
+    e = np.exp(np.where(pos, -x, x))  # at most 1, so neither form overflows
+    d = 1.0 + e
+    return np.where(pos, 1.0 / d, e / d)
+
+
+# (key, state) of the last label vector.  It is replaced whole, so a reader
+# on another thread never pairs one vector's key with another's state.
+_LABEL_MEMO: tuple = (None, None)
+
+
+def _label_state(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(same, pos, at) of labels y after both label checks, memoized by value.
+
+    same[a, b] says a and b share a label, pos is same without its diagonal,
+    and at holds the flat offset a * B of each row of a (B, B) array, twice.
+    The memo holds one label vector, keyed by its dtype and bytes.  An object
+    array's bytes are pointers, and a vector of more than 1024 labels would
+    keep megabytes of masks alive, so neither is memoized.  A refused vector
+    is never stored, so every call raises.
+    """
+    global _LABEL_MEMO
+    key = None if y.dtype.hasobject or y.size > 1024 else (y.dtype.str, y.tobytes())
+    memo = _LABEL_MEMO
+    if key is not None and memo[0] == key:
+        return memo[1]
+    same = y[:, None] == y
+    if same.all():
+        raise BatchError("triplets require at least two distinct labels in the batch")
+    counts = same.sum(axis=1)
+    if counts.min() < 2:
+        lonely = np.sort(y[counts < 2])[:1].item()  # sort: min() has no loop for str labels
+        raise BatchError(f"label {lonely!r} has a single sample; need >= 2 per label")
+    pos = same & ~np.eye(y.size, dtype=bool)
+    state = (same, pos, np.tile(np.arange(0, y.size**2, y.size), 2))
+    for a in state:
+        a.setflags(write=False)
+    if key is not None:
+        _LABEL_MEMO = (key, state)
+    return state
 
 
 def batch_hard_triplet_loss(
@@ -211,16 +245,10 @@ def batch_hard_triplet_loss(
     if X.ndim != 2:
         raise BatchError(f"embeddings must be 2-D, got shape {X.shape}")
     y = np.asarray(labels)
-    B = X.shape[0]
+    B, d = X.shape
     if y.shape != (B,):
         raise BatchError(f"labels shape {y.shape} does not match batch size {B}")
-    same = y[:, None] == y
-    if same.all():
-        raise BatchError("triplets require at least two distinct labels in the batch")
-    counts = same.sum(axis=1)
-    if counts.min() < 2:
-        lonely = np.sort(y[counts < 2])[:1].item()  # sort: min() has no loop for str labels
-        raise BatchError(f"label {lonely!r} has a single sample; need >= 2 per label")
+    same, pos, at = _label_state(y)
     check_margin(margin, BatchError)
 
     D = np.sqrt(exact_sq_dists(X, X))
@@ -228,16 +256,12 @@ def batch_hard_triplet_loss(
     # One masked copy of D per side.  d+ and d- are read from these copies,
     # not from D: a row whose negatives all overflowed to +inf has its
     # argmin on a masked entry, where D holds a same-label distance.
-    far = np.where(same, D, -np.inf)
-    np.fill_diagonal(far, -np.inf)
+    far = np.where(pos, D, -np.inf)
     near = np.where(same, np.inf, D)
-    p_idx = far.argmax(axis=1)
-    n_idx = near.argmin(axis=1)
-    rows = np.arange(B)
-    d_pos = far[rows, p_idx]
-    d_neg = near[rows, n_idx]
-
-    raw = d_pos - d_neg
+    # idx[i] is anchor i's hardest positive and idx[B + i] its hardest negative.
+    idx = np.concatenate((far.argmax(axis=1), near.argmin(axis=1)))
+    flat = at + idx
+    raw = far.take(flat[:B]) - near.take(flat[B:])
     if margin == "soft":
         losses = np.logaddexp(0.0, raw)
         w = _sigmoid(raw)
@@ -247,19 +271,16 @@ def batch_hard_triplet_loss(
     loss = float(losses.mean())
 
     # d(||a-b||)/da is the unit vector (a-b)/||a-b||; define it as 0 for
-    # coincident points (the loss is locally flat there).
-    def _unit(idx):
-        vec = X - X[idx]
-        norm = D[rows, idx]
-        safe = np.where(norm > 0.0, norm, 1.0)
-        return np.where((norm > 0.0)[:, None], vec / safe[:, None], 0.0)
-
-    u_pos = _unit(p_idx)
-    u_neg = _unit(n_idx)
+    # coincident points (the loss is locally flat there).  Rows of u follow idx.
+    vec = (X - X[idx].reshape(2, B, d)).reshape(2 * B, d)
+    norm = D.take(flat)[:, None]
+    u = np.divide(vec, norm, out=np.zeros_like(vec), where=norm > 0.0)
+    u_pos, u_neg = u[:B], u[B:]
     scale = (w / B)[:, None]
     grad = scale * (u_pos - u_neg)
-    np.add.at(grad, p_idx, -scale * u_pos)
-    np.add.at(grad, n_idx, scale * u_neg)
+    # One ordered scatter: the positive terms, then the negative ones.  The
+    # two products stay apart, as their signs are part of the bytes.
+    np.add.at(grad, idx, np.concatenate((-scale * u_pos, scale * u_neg)))
     return loss, grad
 
 
@@ -309,6 +330,64 @@ def _frame_pools(clusters: ClusterSet, m: DomainManifest):
     return frames, offsets[first], np.add.reduceat(sizes, first)
 
 
+class _Draws:
+    """What rng.choice(n, k, replace=False) and rng.integers(0, n, k) draw, from raw words.
+
+    rng is a fresh np.random.default_rng(seed).  Its PCG64 serves each 32-bit
+    word as the low half of its next 64-bit output, then the high half; here
+    the words come from random_raw in blocks.  numpy draws in [0, h], for
+    h < 2**32 - 1, by Lemire's method (ACM TOMACS 29(1), 2019) from those
+    words, and choice without replacement by Floyd's algorithm (CACM 30(9),
+    1987) and a shuffle, or by a partial shuffle of arange(n) when n > 10000
+    and k > n // 50.  tests/test_adapt.py pins each form to numpy's own calls.
+    """
+
+    _BLOCK = 1024  # 64-bit outputs per refill, so 2048 buffered words
+
+    def __init__(self, seed: int):
+        self._bits = np.random.default_rng(seed).bit_generator
+        self._word = self._words().__next__
+
+    def _words(self):
+        while True:
+            yield from self._bits.random_raw(self._BLOCK).astype("<u8").view("<u4").tolist()
+
+    def below(self, highs) -> list[int]:
+        """One draw in [0, h] for each h of highs, in order; h == 0 takes no word."""
+        word, out = self._word, []
+        for h in highs:
+            m = 0
+            if h:
+                r = h + 1
+                m = word() * r
+                if m & 0xFFFFFFFF < r:
+                    t = (0xFFFFFFFF - h) % r
+                    while m & 0xFFFFFFFF < t:
+                        m = word() * r
+            out.append(m >> 32)
+        return out
+
+    def integers(self, n: int, k: int) -> list[int]:
+        return self.below([n - 1] * k)
+
+    def choice(self, n: int, k: int) -> list[int]:
+        # No loop's ranges depend on its draws, so each loop draws up front.
+        if n > 10000 and k > n // 50:
+            out, swaps = list(range(n)), range(n - 1, max(n - k, 1) - 1, -1)
+            for i, j in zip(swaps, self.below(swaps)):
+                out[i], out[j] = out[j], out[i]
+            return out[n - k :]
+        out, taken = [], set()
+        for j, x in zip(range(n - k, n), self.below(range(n - k, n))):
+            if x in taken:
+                x = j
+            taken.add(x)
+            out.append(x)
+        for i, j in zip(range(k - 1, 0, -1), self.below(range(k - 1, 0, -1))):
+            out[i], out[j] = out[j], out[i]
+        return out
+
+
 def train_embedder(
     embedder: Embedder,
     clusters: ClusterSet,
@@ -325,11 +404,14 @@ def train_embedder(
     with the exponentially decaying rate from cfg.  The incoming embedder is
     left untouched.
 
-    The random stream is part of the contract: each step draws one
-    rng.choice of P clusters, then for each chosen cluster, in chosen order,
-    one rng.choice of batch_k frames without replacement, or one
-    rng.integers call when the cluster holds fewer than batch_k frames.
-    Results for a seed, criterion 6's among them, depend on this stream.
+    The random stream is part of the contract.  With rng =
+    np.random.default_rng(cfg.seed), each step draws what rng.choice(n, P,
+    replace=False) draws for P of the n clusters, then for each chosen
+    cluster, in chosen order, what rng.choice(size, batch_k, replace=False)
+    draws, or rng.integers(0, size, batch_k) when the cluster holds fewer
+    than batch_k frames.  _Draws makes these draws from raw PCG64 words, and
+    tests pin them to numpy's own calls.  Results for a seed, criterion 6's
+    among them, depend on this stream.
 
     progress, if given, is called as progress(step, loss) after each step.
     """
@@ -337,24 +419,22 @@ def train_embedder(
         raise AdaptationError("need at least two clusters to form triplets")
 
     frames, starts, sizes = _frame_pools(clusters, m)
-    rng = np.random.default_rng(cfg.seed)
+    draws = _Draws(cfg.seed)
     out = embedder.clone()
     params = out.param_vector()
 
-    n_pools = len(sizes)
-    P, K = min(cfg.batch_p, n_pools), cfg.batch_k
-    # chosen holds distinct clusters, so these labels give the same masks
+    pools = list(zip(starts.tolist(), sizes.tolist()))
+    P, K = min(cfg.batch_p, len(pools)), cfg.batch_k
+    # A batch's P clusters are distinct, so these labels give the same masks
     # as the cluster ids themselves.
     labels = np.repeat(np.arange(P), K)
-    sel = np.empty((P, K), dtype=np.intp)
     for step in range(cfg.iterations):
-        chosen = rng.choice(n_pools, size=P, replace=False)
-        for i, size in enumerate(sizes[chosen].tolist()):
-            if size >= K:
-                sel[i] = rng.choice(size, size=K, replace=False)
-            else:
-                sel[i] = rng.integers(0, size, size=K)
-        x = frames[(starts[chosen][:, None] + sel).ravel()]
+        rows = []
+        for c in draws.choice(len(pools), P):
+            start, size = pools[c]
+            sel = draws.choice(size, K) if size >= K else draws.integers(size, K)
+            rows += [start + s for s in sel]
+        x = frames[rows]
 
         yhat = out.embed(x)
         loss, gy = batch_hard_triplet_loss(yhat, labels, cfg.margin)

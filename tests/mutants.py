@@ -100,6 +100,40 @@ MUTANTS = (
         ("tests/test_adapt.py::TestAdapt::test_stop_after_a_trained_round[no-clusters]",),
     ),
     Mutant(
+        "sampler-shuffle-draw", "adapt.py",
+        "self.below(range(k - 1, 0, -1))",
+        # numpy's masked draw in [0, i]: w & mask for the first word w where that is <= i
+        "[next(w & m for w in iter(self._word, None) if w & m <= i)"
+        " for i in range(k - 1, 0, -1) for m in [(1 << i.bit_length()) - 1]]",
+        ("tests/test_adapt.py::TestDraws::test_choice[clusters]",
+         "tests/test_adapt.py::TestLoopReference::test_training_matches_loop_form"),
+    ),
+    Mutant(
+        "sampler-floyd-collision", "adapt.py",
+        "            if x in taken:\n                x = j\n",
+        "",
+        ("tests/test_adapt.py::TestDraws::test_choice[n_eq_k]",
+         "tests/test_adapt.py::TestDraws::test_long_mixed_sequence_crosses_refills"),
+    ),
+    Mutant(
+        "sampler-tail-cutoff", "adapt.py",
+        "if n > 10000 and k > n // 50:",
+        "if n > 1000 and k > n // 50:",
+        ("tests/test_adapt.py::TestDraws::test_choice[floyd_at_cutoff_n]",),
+    ),
+    Mutant(
+        "loss-memo-key", "adapt.py",
+        "key = None if y.dtype.hasobject or y.size > 1024 else (y.dtype.str, y.tobytes())",
+        "key = id(y)",  # y is labels itself when labels is an array
+        ("tests/test_adapt.py::TestTripletLossMemo::test_label_array_mutated_in_place",),
+    ),
+    Mutant(
+        "loss-memo-size", "adapt.py",
+        "y.dtype.hasobject or y.size > 1024 else",
+        "y.dtype.hasobject else",
+        ("tests/test_adapt.py::TestTripletLossMemo::test_large_label_vector_is_not_kept",),
+    ),
+    Mutant(
         "merge-min-identities", "synth.py",
         "few = len(usable.identities) < policy.min_identities",
         "few = len(usable.identities) <= policy.min_identities",

@@ -29,6 +29,7 @@ from reidapt import (
     save_checkpoint,
     train_embedder,
 )
+from reidapt.adapt import _Draws
 from reidapt.graph import ClusterSet
 from reidapt.model import ClusterAssignment
 
@@ -119,6 +120,12 @@ class TestTripletLossValues:
         with pytest.raises(BatchError) as exc:
             batch_hard_triplet_loss(X, np.array(labels))
         assert str(exc.value) == f"label {lonely} has a single sample; need >= 2 per label"
+
+    def test_zero_width_embeddings(self):
+        X, y = np.zeros((4, 0)), np.array([0, 0, 1, 1])
+        loss, grad = batch_hard_triplet_loss(X, y)
+        want_loss, want_grad = loop_batch_hard_triplet_loss(X, y)
+        assert loss == want_loss == math.log(2.0) and grad.shape == want_grad.shape == (4, 0)
 
     def test_overflowed_negatives(self):
         # Label 0 sits at 1e308, so every distance across labels overflows
@@ -238,6 +245,118 @@ class TestTripletLossGradient:
 
             fd = fd_gradient(f, X.copy().ravel()).reshape(X.shape)
             assert rel_error(grad, fd) <= 1e-4
+
+
+class TestTripletLossMemo:
+    """The loss memoizes its label masks by label value; every call still checks."""
+
+    def assert_matches_loop_form(self, X, y):
+        loss, grad = batch_hard_triplet_loss(X, y)
+        want_loss, want_grad = loop_batch_hard_triplet_loss(X, y)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+
+    def test_str_labels(self):
+        X = np.random.default_rng(3).normal(size=(6, 2))
+        for y in (["b", "a", "b", "c", "a", "c"], ["b", "a", "b", "c", "a", "c"], [1, 0, 1, 2, 0, 2],
+                  ["bb", "a", "bb", "c", "a", "c"], ["b", "a", "c", "b", "a", "c"]):
+            self.assert_matches_loop_form(X, np.array(y))
+        self.assert_matches_loop_form(X, np.array(["b", "a", "b", "c", "a", "c"], dtype=object))
+
+    def test_label_array_mutated_in_place(self):
+        X = np.random.default_rng(4).normal(size=(6, 2))
+        y = np.array([0, 0, 1, 1, 2, 2])
+        self.assert_matches_loop_form(X, y)
+        y[:] = [0, 1, 1, 0, 2, 2]
+        self.assert_matches_loop_form(X, y)
+        y[:] = [0, 1, 1, 0, 0, 1]
+        self.assert_matches_loop_form(X, y)
+
+    def test_large_label_vector_is_not_kept(self):
+        # (B, B) masks of more than 1024 labels would outlive the call.
+        module = importlib.import_module("reidapt.adapt")
+        X = np.random.default_rng(5).normal(size=(1026, 2))
+        batch_hard_triplet_loss(X[:4], np.array([0, 0, 1, 1]))
+        kept = module._LABEL_MEMO
+        batch_hard_triplet_loss(X, np.repeat(np.arange(513), 2))
+        assert module._LABEL_MEMO is kept
+        batch_hard_triplet_loss(X[:1024], np.repeat(np.arange(512), 2))
+        assert module._LABEL_MEMO is not kept
+
+    @pytest.mark.parametrize("labels,message", [
+        pytest.param([0, 0, 0, 0], "triplets require at least two distinct labels in the batch",
+                     id="one_label"),
+        pytest.param([0, 0, 1, 2], "label 1 has a single sample; need >= 2 per label", id="singleton"),
+        pytest.param(["x", "x", "y", "z"], "label 'y' has a single sample; need >= 2 per label",
+                     id="str_singleton"),
+    ])
+    def test_every_call_checks_its_labels(self, labels, message):
+        X = np.zeros((4, 2))
+        for _ in range(2):  # right after a memoized vector, and again in a row
+            batch_hard_triplet_loss(X, np.array([0, 0, 1, 1]))
+            for _ in range(2):
+                with pytest.raises(BatchError) as exc:
+                    batch_hard_triplet_loss(X, np.array(labels))
+                assert str(exc.value) == message
+
+
+def assert_draws_as_numpy(calls, seed=0):
+    """_Draws(seed) and a fresh default_rng(seed) agree on a sequence of calls.
+
+    Each call is ("choice", n, k) for rng.choice(n, size=k, replace=False) or
+    ("integers", n, k) for rng.integers(0, n, size=k).
+    """
+    rng, draws = np.random.default_rng(seed), _Draws(seed)
+    for kind, n, k in calls:
+        if kind == "choice":
+            want, got = rng.choice(n, size=k, replace=False), draws.choice(n, k)
+        else:
+            want, got = rng.integers(0, n, size=k), draws.integers(n, k)
+        assert got == want.tolist(), (kind, n, k)
+
+
+class TestDraws:
+    """train_embedder's draws are those of numpy's own choice and integers calls."""
+
+    @pytest.mark.parametrize("n,k", [
+        pytest.param(1, 1, id="one_of_one"),
+        pytest.param(5, 5, id="n_eq_k"),
+        pytest.param(300, 300, id="n_eq_k_large"),
+        pytest.param(7, 1, id="k1"),
+        pytest.param(4000, 1, id="k1_large"),
+        pytest.param(53, 16, id="clusters"),
+        pytest.param(10000, 201, id="floyd_at_cutoff_n"),
+        pytest.param(10001, 200, id="floyd_at_cutoff_k"),
+        pytest.param(10001, 201, id="tail_past_cutoff"),
+        pytest.param(20000, 400, id="floyd_below_cutoff_k"),
+        pytest.param(20000, 401, id="tail_above_cutoff_k"),
+        pytest.param(20000, 20000, id="tail_n_eq_k"),
+    ])
+    def test_choice(self, n, k):
+        for seed in (0, 1, 2):
+            assert_draws_as_numpy([("choice", n, k)] * 3, seed)
+
+    def test_one_frame_pools_draw_nothing(self):
+        # integers(0, 1) takes no word, so the next call reads the same words.
+        assert_draws_as_numpy([("integers", 1, 5), ("choice", 9, 4), ("integers", 1, 3),
+                               ("integers", 3, 4), ("choice", 1, 1), ("integers", 7, 2)])
+
+    @pytest.mark.parametrize("n", [2**31 + 1, 3 * 2**30 + 1], ids=["h_2p31", "h_3x2p30"])
+    def test_rejection_heavy_ranges(self, n):
+        # Lemire's method rejects about half (h = 2**31) or a quarter of all words.
+        assert_draws_as_numpy([("integers", n, 400), ("choice", 9, 4), ("integers", n, 400)], seed=5)
+
+    def test_long_mixed_sequence_crosses_refills(self):
+        rng = np.random.default_rng(8)
+        calls = []
+        for _ in range(3000):
+            n = int(rng.integers(1, 500))
+            calls.append(("choice", n, int(rng.integers(1, n + 1))) if rng.random() < 0.7
+                         else ("integers", n, int(rng.integers(1, 20))))
+        # A lower bound on the words read: every draw in a range [0, h > 0].
+        words = sum(2 * k - 1 - (n == k) if kind == "choice" else k * (n > 1) for kind, n, k in calls)
+        assert words > 20 * 2 * _Draws._BLOCK
+        assert_draws_as_numpy(calls, seed=9)
 
 
 class TestEmbedders:
