@@ -8,9 +8,10 @@ tree.  Set-up runs once, through the base tree's CLI: the adapt-300
 workload's synthetic source and target domains and its source checkpoint,
 made by the set-up commands of perfbench/run.py at the workload's seed 1.
 
-Every pass is a fresh process per side; the base side runs first in odd
-passes and second in even ones.  A pass clusters the target with the source
-checkpoint as round 0 of `adapt` does, then times, in process time:
+Each side runs 11 passes (2 at --size tiny), each in a fresh process; the
+base side runs first in odd passes and second in even ones.  A pass clusters
+the target with the source checkpoint as round 0 of `adapt` does, then
+times, in process time:
 
 - train_embedder for 1000 steps (60 at --size tiny) with adapt-300's
   round-0 settings (--lr 0.1, --batch-p 16, CLI seed 0), after a short
@@ -25,9 +26,9 @@ The file records, per side and metric, every pass, the median and the
 quartiles; then the head/base ratio of the medians, the median of the
 head/base ratios of the pairs (which a host whose speed drifts between
 pairs moves less), the pairs the head won, and "unresolved" when the head
-median lies inside the base quartiles.  It also
-compares the bytes of the trained parameters of both sides, and records an
-environment block.  BLAS is pinned to one thread in every child.
+median lies inside the base quartiles.  It also compares the bytes of the
+trained parameters of both sides, and records an environment block.  BLAS
+is pinned to one thread in every child.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ ROOT = Path(__file__).resolve().parent.parent
 BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 P, K = 16, 4  # adapt-300's --batch-p and the default batch_k: 64 rows of 3-d embeddings
 SEED = 1  # adapt-300's workload seed
-CALLS = {"full": 1000, "tiny": 60}  # timed training steps, and as many loss calls
+# --size: (timed training steps, and as many loss calls; passes per side)
+SIZES = {"full": (1000, 11), "tiny": (60, 2)}
 WARMUP_STEPS = 100
 BLOCKS = 5
 
@@ -198,7 +200,7 @@ def record(args) -> dict:
         data.mkdir()
         setup(trees["base"], data, args.size == "tiny")
         passes = {"base": [], "head": []}
-        for i in range(args.passes):
+        for i in range(SIZES[args.size][1]):
             for side in ("base", "head") if i % 2 == 0 else ("head", "base"):
                 passes[side].append(run_pass(trees[side], data, args, tmp / f"{side}.params"))
         same = (tmp / "base.params").read_bytes() == (tmp / "head.params").read_bytes()
@@ -208,8 +210,8 @@ def record(args) -> dict:
         "workload": f"adapt-300 at --seed {SEED}, --size {args.size}: round-0 clusters",
         "base": rev_name(args.base),
         "head": rev_name(args.head),
-        "steps": CALLS[args.size],
-        "loss_calls": CALLS[args.size],
+        "steps": SIZES[args.size][0],
+        "loss_calls": SIZES[args.size][0],
         "batch": f"{P}x{K} frames, 3-d embeddings",
         "metrics": summarize(passes["base"], passes["head"]),
         "trained_params_equal": same,
@@ -222,15 +224,12 @@ def main(argv=None) -> int:
     ap.add_argument("--base", default="HEAD")
     ap.add_argument("--head", default=".")
     ap.add_argument("--size", choices=("full", "tiny"), default="full")
-    ap.add_argument("--passes", type=int, default=7)
     ap.add_argument("--out", type=Path)
     ap.add_argument("--child", type=Path, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child is not None:
-        print(json.dumps(measure(args.child, CALLS[args.size], args.out)))
+        print(json.dumps(measure(args.child, SIZES[args.size][0], args.out)))
         return 0
-    if args.passes < 2:
-        ap.error("--passes must be at least 2")
     text = json.dumps(record(args), indent=2) + "\n"
     if args.out is None:
         print(text, end="")

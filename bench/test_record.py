@@ -19,7 +19,7 @@ sys.path.insert(0, str(HERE))
 
 import record  # noqa: E402
 
-TINY = ("--size", "tiny", "--passes", "2")
+TINY = ("--size", "tiny")
 # Every run names its sides by their git commits.
 needs_git = pytest.mark.skipif(shutil.which("git") is None or not (REPO / ".git").exists(),
                                reason="needs a git checkout")
