@@ -3,8 +3,10 @@
 Manifest: UTF-8 JSON lines, one tracklet per line with keys tracklet_id,
 camera_id, identity (string or null) and either "frames" (array of arrays
 of JSON numbers) or "frames_ref" ({"offset", "count"} rows in a binary
-sidecar).  A bad record fails as "<path>:<line>: ...", a manifest-level
-violation as "<path> is invalid (<count> violations; first: ...)".
+sidecar).  read_manifest parses the file line by line, each record once,
+and keeps no record past its tracklet.  A bad record fails as
+"<path>:<line>: ...", a manifest-level violation as "<path> is invalid
+(<count> violations; first: ...)".
 
 Sidecar: magic "KTF1", u32 row count, u32 dim, then row-major little-endian
 float32 rows.  read_manifest converts a sidecar to float64 once, as one
@@ -21,9 +23,7 @@ Every writer goes through atomic_write, so a failed write leaves the old file
 
 from __future__ import annotations
 
-import io
 import json
-import math
 import os
 import secrets
 import struct
@@ -39,6 +39,7 @@ from .model import ClusterAssignment, DomainManifest, Tracklet, gather_frames
 _SIDECAR_MAGIC = b"KTF1"
 _SIDECAR_HEADER = struct.Struct("<4sII")
 _READ_VALUES = 1 << 16  # float32 values read from a sidecar at a time
+_decode = json.JSONDecoder().raw_decode  # the scanner behind json.loads, without its checks
 
 
 @contextmanager
@@ -141,50 +142,29 @@ def _numbered_lines(fh, path, error):
         yield lineno, line
 
 
-def _records_by_line(path, text):
-    """(lineno, record) for each non-blank line, each line parsed on its own.
+def _manifest_records(path, fh):
+    """(lineno, record) for each non-blank line of a manifest, each line parsed on its own.
 
     Lazy, so a line's error comes only once the records before it have been
-    checked: this is the parse whose errors name the line.
+    checked.  A line that raw_decode does not read whole is read again by
+    json.loads, which words the error (a UTF-8 BOM, extra data, ...).
     """
-    for lineno, line in _numbered_lines(io.StringIO(text, newline="\n"), path, ManifestError):
+    for lineno, line in _numbered_lines(fh, path, ManifestError):
         line = line.strip()
         if not line:
             continue
         try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ManifestError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        except RecursionError as exc:
-            raise ManifestError(f"{path}:{lineno}: JSON nested too deeply") from exc
-        yield lineno, rec
-
-
-def _manifest_records(path, text):
-    """(lineno, record) for each non-blank line of a manifest's text.
-
-    One json.loads reads every line at once: the lines are joined with a
-    NaN between each two, which parses to a separator object.  When the text
-    has no NaN of its own and the parse gives record, separator, record,
-    ..., every separator stood between two lines that each held one whole
-    value, so the parse is the line-by-line one.  Otherwise (a line with two
-    records, a record over two lines, an error) the lines are read one by
-    one, as is text that is not ASCII, so that each line's UTF-8 is checked
-    as it is read.
-    """
-    if text.isascii() and "NaN" not in text:
-        numbered = [(i, s) for i, s in enumerate(map(str.strip, text.split("\n")), 1) if s]
-        separator = object()
-        constants = {"NaN": separator, "Infinity": math.inf, "-Infinity": -math.inf}
-        try:
-            out = json.loads("[" + ",NaN,".join(s for _, s in numbered) + "]",
-                             parse_constant=constants.__getitem__)
+            rec, end = _decode(line)
         except (ValueError, RecursionError):  # JSONDecodeError is a ValueError
-            out = []
-        n = len(numbered)
-        if len(out) == 2 * n - 1 and out[1::2].count(separator) == n - 1:
-            return zip([i for i, _ in numbered], out[::2])
-    return _records_by_line(path, text)
+            end = -1
+        if end != len(line):
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ManifestError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            except RecursionError as exc:
+                raise ManifestError(f"{path}:{lineno}: JSON nested too deeply") from exc
+        yield lineno, rec
 
 
 def read_manifest(path, sidecar=None, name=None) -> DomainManifest:
@@ -199,54 +179,52 @@ def read_manifest(path, sidecar=None, name=None) -> DomainManifest:
     if sidecar is not None:
         features = read_feature_sidecar(sidecar)
         features.setflags(write=False)
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        text = fh.read()
-
     tracklets, starts, counts = [], [], []
-    for lineno, rec in _manifest_records(path, text):
-        if not isinstance(rec, dict):
-            raise ManifestError(f"{path}:{lineno}: record is not a JSON object")
-        try:
-            tid = rec["tracklet_id"]
-            cam = rec["camera_id"]
-        except KeyError as exc:
-            raise ManifestError(f"{path}:{lineno}: missing field {exc}") from exc
-        identity = rec.get("identity")
-        if not (isinstance(tid, str) and isinstance(cam, str)):
-            raise ManifestError(f"{path}:{lineno}: tracklet_id and camera_id must be strings")
-        if not (identity is None or isinstance(identity, str)):
-            raise ManifestError(f"{path}:{lineno}: identity must be a string or null")
-        if "frames" in rec:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, rec in _manifest_records(path, fh):
+            if not isinstance(rec, dict):
+                raise ManifestError(f"{path}:{lineno}: record is not a JSON object")
             try:
-                t = Tracklet(tracklet_id=tid, camera_id=cam, frames=rec["frames"],
-                             identity=identity)
-            except ManifestError as exc:
-                raise ManifestError(f"{path}:{lineno}: {exc}") from exc
-            tracklets.append(t)
-            continue
-        if "frames_ref" not in rec:
-            raise ManifestError(f"{path}:{lineno}: record has neither frames nor frames_ref")
-        if features is None:
-            raise ManifestError(f"{path}:{lineno}: frames_ref present but no sidecar was given")
-        ref = rec["frames_ref"]
-        # type() rather than isinstance: JSON true/false must not pass as 1/0.
-        if not (isinstance(ref, dict) and type(ref.get("offset")) is int
-                and type(ref.get("count")) is int):
-            raise ManifestError(
-                f"{path}:{lineno}: frames_ref must be an object with integer offset and count"
-            )
-        lo, count = ref["offset"], ref["count"]
-        if lo < 0 or count < 0 or lo + count > features.shape[0]:
-            raise ManifestError(
-                f"{path}:{lineno}: frames_ref [{lo}, {lo + count}) outside sidecar "
-                f"of {features.shape[0]} rows"
-            )
-        frames = features[lo : lo + count]
-        if frames.size == 0:  # as Tracklet normalises empty frames
-            frames, count = features[:0, :0], 0
-        tracklets.append(Tracklet._view(tid, cam, frames, identity))
-        starts.append(lo)
-        counts.append(count)
+                tid = rec["tracklet_id"]
+                cam = rec["camera_id"]
+            except KeyError as exc:
+                raise ManifestError(f"{path}:{lineno}: missing field {exc}") from exc
+            identity = rec.get("identity")
+            if not (isinstance(tid, str) and isinstance(cam, str)):
+                raise ManifestError(f"{path}:{lineno}: tracklet_id and camera_id must be strings")
+            if not (identity is None or isinstance(identity, str)):
+                raise ManifestError(f"{path}:{lineno}: identity must be a string or null")
+            if "frames" in rec:
+                try:
+                    t = Tracklet(tracklet_id=tid, camera_id=cam, frames=rec["frames"],
+                                 identity=identity)
+                except ManifestError as exc:
+                    raise ManifestError(f"{path}:{lineno}: {exc}") from exc
+                tracklets.append(t)
+                continue
+            if "frames_ref" not in rec:
+                raise ManifestError(f"{path}:{lineno}: record has neither frames nor frames_ref")
+            if features is None:
+                raise ManifestError(f"{path}:{lineno}: frames_ref present but no sidecar was given")
+            ref = rec["frames_ref"]
+            # type() rather than isinstance: JSON true/false must not pass as 1/0.
+            if not (isinstance(ref, dict) and type(ref.get("offset")) is int
+                    and type(ref.get("count")) is int):
+                raise ManifestError(
+                    f"{path}:{lineno}: frames_ref must be an object with integer offset and count"
+                )
+            lo, count = ref["offset"], ref["count"]
+            if lo < 0 or count < 0 or lo + count > features.shape[0]:
+                raise ManifestError(
+                    f"{path}:{lineno}: frames_ref [{lo}, {lo + count}) outside sidecar "
+                    f"of {features.shape[0]} rows"
+                )
+            frames = features[lo : lo + count]
+            if frames.size == 0:  # as Tracklet normalises empty frames
+                frames, count = features[:0, :0], 0
+            tracklets.append(Tracklet._view(tid, cam, frames, identity))
+            starts.append(lo)
+            counts.append(count)
 
     name = name if name is not None else path.stem
     if counts and len(counts) == len(tracklets):  # all frames_ref: the sidecar is the layout

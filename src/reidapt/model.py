@@ -456,12 +456,14 @@ def manifest_embeddings(
 
 
 def check_margin(margin: float | str, error: type[Exception]) -> None:
-    """Raise error unless margin is "soft" or a float >= 0 (NaN is refused)."""
+    """Raise error unless margin is "soft" or a finite float >= 0 (NaN is refused)."""
     if isinstance(margin, str):
         if margin != "soft":
             raise error(f"margin must be 'soft' or a non-negative float, got {margin!r}")
     elif not (float(margin) >= 0.0):
         raise error("hard margin must be >= 0")
+    elif float(margin) == math.inf:
+        raise error("hard margin must be finite")
 
 
 @dataclass(frozen=True)
@@ -469,8 +471,9 @@ class TrainConfig:
     """Hyperparameters for one triplet-loss fine-tuning run.
 
     margin is either the string "soft" (softplus formulation, the default)
-    or a non-negative float used as a hard hinge margin.  The learning rate
-    decays exponentially: step t uses learning_rate * lr_decay**t.
+    or a finite non-negative float used as a hard hinge margin.  The learning
+    rate is positive and finite, and decays exponentially: step t uses
+    learning_rate * lr_decay**t.
     """
 
     iterations: int = 25_000
@@ -487,8 +490,8 @@ class TrainConfig:
         if self.batch_p < 2 or self.batch_k < 2:
             raise ValueError("batch_p and batch_k must both be >= 2")
         check_margin(self.margin, ValueError)
-        if not (self.learning_rate > 0.0):
-            raise ValueError("learning_rate must be positive")
+        if not (0.0 < self.learning_rate < math.inf):
+            raise ValueError("learning_rate must be positive and finite")
         if not (0.0 < self.lr_decay <= 1.0):
             raise ValueError("lr_decay must be in (0, 1]")
 

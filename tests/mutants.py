@@ -41,22 +41,23 @@ class Mutant:
 
 MUTANTS = (
     Mutant(
-        "bulk-parse-record-count", "io.py",
-        "if len(out) == 2 * n - 1 and out[1::2].count(separator) == n - 1:",
-        "if out[1::2].count(separator) == n - 1:",
-        ("tests/test_io.py::TestBulkParse::test_two_records_on_one_line",),
+        "line-parse-whole-line", "io.py",
+        "if end != len(line):",
+        "if end < 0:",
+        ("tests/test_io.py::TestLineParse::test_two_records_on_one_line",
+         "tests/test_io.py::TestLineParse::test_text_after_a_record_is_extra_data"),
     ),
     Mutant(
-        "bulk-parse-separator-check", "io.py",
-        "if len(out) == 2 * n - 1 and out[1::2].count(separator) == n - 1:",
-        "if len(out) == 2 * n - 1:",
-        ("tests/test_io.py::TestBulkParse::test_both_at_once_still_name_the_first_bad_line",),
+        "line-parse-error-wording", "io.py",
+        "rec = json.loads(line)",
+        "rec = _decode(line)[0]",
+        ("tests/test_io.py::TestLineParse::test_a_leading_utf8_bom_is_refused_in_json_loads_words",),
     ),
     Mutant(
-        "bulk-parse-literal-nan", "io.py",
-        'if text.isascii() and "NaN" not in text:',
-        "if text.isascii():",
-        ("tests/test_io.py::TestBulkParse::test_a_literal_nan_reads_as_nan",),
+        "line-parse-deep-nesting", "io.py",
+        "except (ValueError, RecursionError):",
+        "except ValueError:",
+        ("tests/test_io.py::TestLineParse::test_too_deep_names_its_line",),
     ),
     Mutant(
         "sidecar-matrix-writeable", "io.py",

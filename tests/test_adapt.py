@@ -36,6 +36,23 @@ from reidapt.model import ClusterAssignment
 from oracles import fd_gradient, loop_batch_hard_triplet_loss, loop_train_embedder, rel_error
 
 
+@pytest.mark.parametrize("make,error,message", [
+    pytest.param(lambda: batch_hard_triplet_loss(np.zeros(4), np.array([0, 0, 1, 1])),
+                 BatchError, "embeddings must be 2-D, got shape (4,)", id="loss_1d"),
+    pytest.param(lambda: batch_hard_triplet_loss(np.zeros((4, 2)), np.array([0, 0, 1])),
+                 BatchError, "labels shape (3,) does not match batch size 4", id="loss_labels"),
+    pytest.param(lambda: LinearEmbedder.identity(2).set_param_vector(np.zeros(5)),
+                 ValueError, "expected 6 parameters, got (5,)", id="param_vector_size"),
+    pytest.param(lambda: LinearEmbedder.identity(2).embed(np.zeros((1, 2, 2))),
+                 ValueError, "expected a vector or a batch of vectors, got shape (1, 2, 2)",
+                 id="embed_3d"),
+])
+def test_refusal_message(make, error, message):
+    with pytest.raises(error) as exc:
+        make()
+    assert type(exc.value) is error and str(exc.value) == message
+
+
 class TestImportForms:
     def test_adapt_is_the_function_and_its_module_path_the_module(self):
         # reidapt binds the function adapt over its submodule's attribute, so
@@ -100,6 +117,7 @@ class TestTripletLossValues:
         pytest.param("hard", "margin must be 'soft' or a non-negative float, got 'hard'", id="hard"),
         pytest.param(-1.0, "hard margin must be >= 0", id="negative"),
         pytest.param(float("nan"), "hard margin must be >= 0", id="nan"),
+        pytest.param(math.inf, "hard margin must be finite", id="inf"),
     ])
     def test_margin_refused_as_train_config_refuses_it(self, margin, message):
         with pytest.raises(ValueError) as cfg:

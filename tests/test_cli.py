@@ -289,6 +289,22 @@ class TestTrainAndAdapt:
         assert outs[0] == outs[1]
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("flag,message", [
+        pytest.param("--lr", "learning_rate must be positive and finite", id="lr"),
+        pytest.param("--margin", "hard margin must be finite", id="margin"),
+    ])
+    def test_infinite_flag_is_one_line_error(self, tmp_path, capsys, flag, message):
+        # An infinite rate once wrote a checkpoint of NaN parameters, and an
+        # infinite margin a loss of inf that report.json holds as Infinity.
+        src, _ = self.make_domains(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        code = run(["train-source", "--manifest", str(src), "--out", str(tmp_path / "out.kte"),
+                    "--iterations", "5", flag, "inf"])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert sorted(tmp_path.iterdir()) == before
+
     @pytest.mark.parametrize("command", ["train-source", "adapt"])
     def test_seed_beyond_u64_is_one_line_error(self, tmp_path, capsys, command):
         # KTE1 stores the seed as a u64: the checkpoint is refused before

@@ -71,6 +71,19 @@ def edge_set(g):
     return {(v[s], v[t], w) for s, t, w in zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist())}
 
 
+@pytest.mark.parametrize("make,error,message", [
+    *(pytest.param(lambda a=a: ReciprocalGraph(("a", "b"), *a), ValueError,
+                   "src, dst and weight must be 1-D arrays of one length", id=name)
+      for name, a in [("dst_short", ([0, 1], [1], [1, 1])),
+                      ("weight_long", ([0], [1], [1, 1])),
+                      ("two_d", ([[0]], [[1]], [[1]]))]),
+])
+def test_refusal_message(make, error, message):
+    with pytest.raises(error) as exc:
+        make()
+    assert type(exc.value) is error and str(exc.value) == message
+
+
 class TestBuildGraph:
     def test_toy_k1_1(self, toy):
         g = build_graph(build_neighbor_index(toy), k1=1)
@@ -238,6 +251,10 @@ class TestClusterSet:
         cs = ClusterSet((c1, c0), frozenset({"z"}))
         assert cs.clusters == (c0, c1)
         assert cs == ClusterSet((c0, c1), frozenset({"z"}))
+
+    def test_empty_set_has_no_clustered_fraction_to_divide(self):
+        cs = ClusterSet((), frozenset())
+        assert cs.n_tracklets == 0 and cs.clustered_fraction == 0.0
 
     def test_empty_cluster_rejected(self):
         with pytest.raises(ValueError, match="^cluster 3 has no members$"):

@@ -39,6 +39,17 @@ def sample_manifest(name="sample"):
     return DomainManifest(name, tuple(tracklets))
 
 
+@pytest.mark.parametrize("make,error,message", [
+    pytest.param(lambda path: write_feature_sidecar(path, np.zeros(3)), ValueError,
+                 "sidecar rows must be 2-D, got shape (3,)", id="sidecar_1d"),
+])
+def test_refusal_message(tmp_path, make, error, message):
+    with pytest.raises(error) as exc:
+        make(tmp_path / "out")
+    assert type(exc.value) is error and str(exc.value) == message
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestManifestRoundTrip:
     def test_inline_frames_lossless(self, tmp_path):
         m = sample_manifest()
@@ -332,8 +343,8 @@ GOOD = '{"tracklet_id": "a", "camera_id": "A", "frames": [[1.0]]}'
 GOOD_B = '{"tracklet_id": "b", "camera_id": "B", "frames": [[2.0]]}'
 
 
-class TestBulkParse:
-    """One json.loads reads a manifest; wherever that could differ, lines are read one by one."""
+class TestLineParse:
+    """Each line is parsed on its own, and a bad line fails in json.loads' words."""
 
     @staticmethod
     def line_error(path, lineno, line):
@@ -395,6 +406,36 @@ class TestBulkParse:
         path = tmp_path / "m.jsonl"
         data = f"\r\n{GOOD}\r\n  \n{GOOD_B}\r{{\"camera_id\": \"A\"}}\n".encode()
         assert self.read_error(path, data) == f"{path}:5: missing field 'tracklet_id'"
+
+    def test_a_leading_utf8_bom_is_refused_in_json_loads_words(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        data = f"\ufeff{GOOD}\n{GOOD_B}\n".encode()
+        message = self.read_error(path, data)
+        assert message == self.line_error(path, 1, f"\ufeff{GOOD}")
+        assert "Unexpected UTF-8 BOM" in message
+
+    def test_text_after_a_record_is_extra_data(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        line = GOOD + " trailing"
+        message = self.read_error(path, f"{GOOD_B}\n{line}\n".encode())
+        assert message == self.line_error(path, 2, line)
+        assert message.startswith(f"{path}:2: invalid JSON: Extra data: ")
+
+    def test_non_ascii_ids_read_as_their_escaped_form(self, tmp_path):
+        m = DomainManifest("m", (
+            Tracklet("é-1", "カメラA", [[1.0, 2.0]], identity="人"),
+            Tracklet("🚶", "B", [[3.0, 4.0], [5.0, 6.0]]),
+            Tracklet("t", "カメラA", [[0.5, -0.5]], identity="人"),
+        ))
+        escaped, raw = tmp_path / "escaped.jsonl", tmp_path / "raw.jsonl"
+        write_manifest(m, escaped)
+        assert escaped.read_bytes().isascii()
+        raw.write_text("".join(
+            json.dumps(json.loads(line), ensure_ascii=False) + "\n"
+            for line in escaped.read_text().splitlines()
+        ), encoding="utf-8")
+        assert not raw.read_bytes().isascii()
+        assert read_manifest(raw, name="m") == read_manifest(escaped, name="m") == m
 
 
 class TestAssignments:

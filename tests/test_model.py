@@ -29,6 +29,35 @@ def T(tid, cam, frames, identity=None):
     return Tracklet(tid, cam, frames, identity=identity)
 
 
+@pytest.mark.parametrize("make,error,message", [
+    pytest.param(lambda: TrainConfig(iterations=-1), ValueError, "iterations must be >= 0",
+                 id="iterations"),
+    *(pytest.param(lambda lr=lr: TrainConfig(learning_rate=lr), ValueError,
+                   "learning_rate must be positive and finite", id=f"learning_rate_{lr}")
+      for lr in (0.0, -1.0, math.nan, math.inf)),
+    *(pytest.param(lambda d=d: TrainConfig(lr_decay=d), ValueError,
+                   "lr_decay must be in (0, 1]", id=f"lr_decay_{d}")
+      for d in (0.0, 1.5, math.nan)),
+    pytest.param(lambda: TrainConfig(margin=math.inf), ValueError, "hard margin must be finite",
+                 id="margin_inf"),
+    pytest.param(lambda: AdaptConfig(I=-1), ValueError, "I must be >= 0", id="I"),
+    pytest.param(lambda: AdaptConfig(cluster_cap=0), ValueError, "cluster_cap must be positive",
+                 id="cluster_cap"),
+    pytest.param(lambda: AdaptConfig(connectivity="both"), ValueError,
+                 "connectivity must be 'weak' or 'strong', got 'both'", id="connectivity"),
+    pytest.param(lambda: AdaptConfig(k1=0), ValueError, "k1 must be a positive integer", id="k1"),
+    pytest.param(lambda: model.ClusterAssignment(-1, frozenset({"a"})), ValueError,
+                 "cluster_id must be non-negative", id="cluster_id"),
+    pytest.param(lambda: Tracklet("a", "A", [[[1.0]]]), ManifestError,
+                 "frames must be a sequence of equal-length vectors, got shape (1, 1, 1)",
+                 id="frames_3d"),
+])
+def test_refusal_message(make, error, message):
+    with pytest.raises(error) as exc:
+        make()
+    assert type(exc.value) is error and str(exc.value) == message
+
+
 class TestTracklet:
     def test_frames_normalized_to_float64(self):
         t = T("a", "c", [[1, 2], [3, 4]])

@@ -40,6 +40,28 @@ def make_source(name, n_ids, cameras=("c1", "c2"), frames_per=1):
     return DomainManifest(name, tuple(tracklets))
 
 
+@pytest.mark.parametrize("make,error,message", [
+    pytest.param(lambda: SyntheticSpec(identities=0, cameras=2, dim=2), ValueError,
+                 "identities must be positive", id="identities"),
+    pytest.param(lambda: SyntheticSpec(identities=2, cameras=2, dim=0), ValueError,
+                 "dim must be positive", id="dim"),
+    *(pytest.param(lambda r=r: SyntheticSpec(identities=2, cameras=2, dim=2,
+                                             tracklets_per_identity_per_camera=r),
+                   ValueError,
+                   "tracklets_per_identity_per_camera must satisfy 0 <= lo <= hi, hi >= 1",
+                   id=f"tracklets_{r[0]}_{r[1]}")
+      for r in ((-1, 1), (2, 1), (0, 0))),
+    pytest.param(lambda: MergePolicy(min_identities=0), ValueError,
+                 "min_identities must be positive", id="min_identities"),
+    pytest.param(lambda: merge_domains([], MergePolicy()), MergeError, "no source domains given",
+                 id="no_sources"),
+])
+def test_refusal_message(make, error, message):
+    with pytest.raises(error) as exc:
+        make()
+    assert type(exc.value) is error and str(exc.value) == message
+
+
 class TestFilterCrossCamera:
     def test_drops_single_camera_identities(self):
         m = DomainManifest(
