@@ -11,7 +11,9 @@ made by the set-up commands of perfbench/run.py at the workload's seed 1.
 Each side runs 11 passes (2 at --size tiny), each in a fresh process; the
 base side runs first in odd passes and second in even ones.  A pass clusters
 the target with the source checkpoint as round 0 of `adapt` does, then
-times, in process time:
+times, by the wall clock (time.perf_counter, so a training step's time
+includes the batch sampler process that train_embedder may fork and any
+wait for its rows, which process time would leave out):
 
 - train_embedder for 1000 steps (60 at --size tiny) with adapt-300's
   round-0 settings (--lr 0.1, --batch-p 16, CLI seed 0), after a short
@@ -27,8 +29,9 @@ quartiles; then the head/base ratio of the medians, the median of the
 head/base ratios of the pairs (which a host whose speed drifts between
 pairs moves less), the pairs the head won, and "unresolved" when the head
 median lies inside the base quartiles.  It also compares the bytes of the
-trained parameters of both sides, and records an environment block.  BLAS
-is pinned to one thread in every child.
+trained parameters of both sides, and records an environment block with
+the W = _tasks.workers() the head side's children see.  BLAS is pinned to
+one thread in every child.
 """
 
 from __future__ import annotations
@@ -107,9 +110,9 @@ def measure(data: Path, calls: int, params_out: Path) -> dict:
     train_embedder(source, clusters, target, TrainConfig(iterations=WARMUP_STEPS, batch_p=P))
     step_s = []
     for _ in range(BLOCKS):
-        t0 = time.process_time()
+        t0 = time.perf_counter()
         trained = train_embedder(source, clusters, target, cfg.train)
-        step_s.append((time.process_time() - t0) / calls)
+        step_s.append((time.perf_counter() - t0) / calls)
     params_out.write_bytes(trained.param_vector().tobytes())
 
     rng = np.random.default_rng(0)
@@ -124,10 +127,10 @@ def measure(data: Path, calls: int, params_out: Path) -> dict:
         batch_hard_triplet_loss(X, labels)
     loss_s = []
     for _ in range(BLOCKS):
-        t0 = time.process_time()
+        t0 = time.perf_counter()
         for i in range(calls):
             batch_hard_triplet_loss(batches[i % len(batches)], labels)
-        loss_s.append((time.process_time() - t0) / calls)
+        loss_s.append((time.perf_counter() - t0) / calls)
     return {"train_step_us": 1e6 * min(step_s), "loss_call_us": 1e6 * min(loss_s)}
 
 
@@ -159,7 +162,7 @@ def summarize(base: list[dict], head: list[dict]) -> dict:
     return out
 
 
-def environment() -> dict:
+def environment(tree: Path) -> dict:
     import numpy as np
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -176,6 +179,8 @@ def environment() -> dict:
         "numpy": np.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
         "blas_threads": BLAS_ENV,
+        "workers": int(run_in(tree, [sys.executable, "-c",
+                                     "from reidapt._tasks import workers; print(workers())"])),
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "python_c_pass_s": statistics.median(starts),
     }
@@ -204,9 +209,10 @@ def record(args) -> dict:
             for side in ("base", "head") if i % 2 == 0 else ("head", "base"):
                 passes[side].append(run_pass(trees[side], data, args, tmp / f"{side}.params"))
         same = (tmp / "base.params").read_bytes() == (tmp / "head.params").read_bytes()
+        env = environment(trees["head"])
     return {
         "what": "in-process train_embedder step and batch_hard_triplet_loss call, "
-                f"process time, fastest of {BLOCKS} blocks per pass",
+                f"wall clock, fastest of {BLOCKS} blocks per pass",
         "workload": f"adapt-300 at --seed {SEED}, --size {args.size}: round-0 clusters",
         "base": rev_name(args.base),
         "head": rev_name(args.head),
@@ -215,7 +221,7 @@ def record(args) -> dict:
         "batch": f"{P}x{K} frames, 3-d embeddings",
         "metrics": summarize(passes["base"], passes["head"]),
         "trained_params_equal": same,
-        "environment": environment(),
+        "environment": env,
     }
 
 

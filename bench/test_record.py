@@ -60,6 +60,7 @@ def test_working_tree_against_itself_trains_equal_parameters():
     env = r["environment"]
     assert env["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1" and env["python_c_pass_s"] > 0
     assert {"cpus", "affinity", "numpy", "blas", "PYTHONDONTWRITEBYTECODE"} <= set(env)
+    assert env["workers"] >= 1
 
 
 @needs_git

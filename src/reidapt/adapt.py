@@ -16,11 +16,15 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import os
 import struct
+import threading
+from contextlib import closing
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from . import _tasks
 from .errors import AdaptationError, BatchError, ManifestError
 from .graph import ClusterSet, cluster
 from .io import atomic_write
@@ -388,6 +392,65 @@ class _Draws:
         return out
 
 
+_CHUNK = 32  # training steps per chunk of batch rows
+_FORK_CHUNKS = 4  # the fewest chunks in a round that a sampler process draws
+
+
+def _batch_rows(seed: int, pools, P: int, K: int, steps: int):
+    """Each chunk's batches: an int64 (n, P * K) array of frame rows for n <= _CHUNK steps."""
+    draws = _Draws(seed)
+    for first in range(0, steps, _CHUNK):
+        rows = []
+        for _ in range(min(_CHUNK, steps - first)):
+            for c in draws.choice(len(pools), P):
+                start, size = pools[c]
+                sel = draws.choice(size, K) if size >= K else draws.integers(size, K)
+                rows += [start + s for s in sel]
+        yield np.array(rows, dtype=np.int64).reshape(-1, P * K)
+
+
+def _batch_chunks(seed: int, pools, P: int, K: int, steps: int):
+    """The chunks of _batch_rows, drawn by a forked process when a core is free.
+
+    It draws when W >= 2, os.fork exists, no other thread runs (a fork copies
+    none, nor the locks they hold) and the round has _FORK_CHUNKS chunks or
+    more.  It writes the chunks to a pipe, never calls BLAS, and leaves by
+    os._exit, so nothing of the parent's runs twice.  Else, or if the fork
+    fails, the generator runs inline.  Closing this generator, or its end,
+    closes the pipe and reaps the process.
+    """
+    rows, pid = _batch_rows(seed, pools, P, K, steps), None
+    if (steps >= _FORK_CHUNKS * _CHUNK and _tasks.workers() >= 2 and hasattr(os, "fork")
+            and threading.active_count() == 1):
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+    if pid is None:
+        yield from rows
+        return
+    if pid == 0:
+        try:
+            os.close(r)
+            with open(w, "wb") as fh:
+                fh.writelines(rows)
+        finally:  # a failure shows in the parent as a short read
+            os._exit(0)
+    os.close(w)
+    try:
+        with open(r, "rb") as fh:
+            for first in range(0, steps, _CHUNK):
+                size = 8 * P * K * min(_CHUNK, steps - first)
+                buf = fh.read(size)
+                if len(buf) != size:
+                    raise AdaptationError("batch sampler process ended early")
+                yield np.frombuffer(buf, dtype=np.int64).reshape(-1, P * K)
+    finally:
+        os.waitpid(pid, 0)
+
+
 def train_embedder(
     embedder: Embedder,
     clusters: ClusterSet,
@@ -411,7 +474,9 @@ def train_embedder(
     draws, or rng.integers(0, size, batch_k) when the cluster holds fewer
     than batch_k frames.  _Draws makes these draws from raw PCG64 words, and
     tests pin them to numpy's own calls.  Results for a seed, criterion 6's
-    among them, depend on this stream.
+    among them, depend on this stream.  The draws never read the parameters,
+    so they run ahead of the steps: in a forked process beside them when a
+    core is free (_batch_chunks), else inline, with the same stream and result.
 
     progress, if given, is called as progress(step, loss) after each step.
     """
@@ -419,7 +484,6 @@ def train_embedder(
         raise AdaptationError("need at least two clusters to form triplets")
 
     frames, starts, sizes = _frame_pools(clusters, m)
-    draws = _Draws(cfg.seed)
     out = embedder.clone()
     params = out.param_vector()
 
@@ -428,22 +492,16 @@ def train_embedder(
     # A batch's P clusters are distinct, so these labels give the same masks
     # as the cluster ids themselves.
     labels = np.repeat(np.arange(P), K)
-    for step in range(cfg.iterations):
-        rows = []
-        for c in draws.choice(len(pools), P):
-            start, size = pools[c]
-            sel = draws.choice(size, K) if size >= K else draws.integers(size, K)
-            rows += [start + s for s in sel]
-        x = frames[rows]
-
-        yhat = out.embed(x)
-        loss, gy = batch_hard_triplet_loss(yhat, labels, cfg.margin)
-        grad = out.param_grad(x, gy)
-        lr = cfg.learning_rate * cfg.lr_decay**step
-        params = params - lr * grad
-        out.set_param_vector(params)
-        if progress is not None:
-            progress(step, loss)
+    with closing(_batch_chunks(cfg.seed, pools, P, K, cfg.iterations)) as chunks:
+        for step, x in enumerate(batch for rows in chunks for batch in frames[rows]):
+            yhat = out.embed(x)
+            loss, gy = batch_hard_triplet_loss(yhat, labels, cfg.margin)
+            grad = out.param_grad(x, gy)
+            lr = cfg.learning_rate * cfg.lr_decay**step
+            params = params - lr * grad
+            out.set_param_vector(params)
+            if progress is not None:
+                progress(step, loss)
     return out
 
 

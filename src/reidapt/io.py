@@ -160,7 +160,7 @@ def _manifest_records(path, fh):
         if end != len(line):
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
                 raise ManifestError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             except RecursionError as exc:
                 raise ManifestError(f"{path}:{lineno}: JSON nested too deeply") from exc

@@ -60,6 +60,12 @@ MUTANTS = (
         ("tests/test_io.py::TestLineParse::test_too_deep_names_its_line",),
     ),
     Mutant(
+        "line-parse-long-integer", "io.py",
+        "except ValueError as exc:  # JSONDecodeError, or",
+        "except json.JSONDecodeError as exc:  # JSONDecodeError, or",
+        ("tests/test_io.py::TestLineParse::test_an_integer_past_the_digit_limit_names_its_line",),
+    ),
+    Mutant(
         "sidecar-matrix-writeable", "io.py",
         "features.setflags(write=False)",
         "pass",
@@ -121,6 +127,19 @@ MUTANTS = (
         "if n > 10000 and k > n // 50:",
         "if n > 1000 and k > n // 50:",
         ("tests/test_adapt.py::TestDraws::test_choice[floyd_at_cutoff_n]",),
+    ),
+    Mutant(
+        "sampler-chunk-remainder", "adapt.py",
+        "for _ in range(min(_CHUNK, steps - first)):",
+        "for _ in range(_CHUNK):",
+        ("tests/test_adapt.py::TestBatchSampler::test_forked_draws_train_the_inline_bytes[linear]",),
+    ),
+    Mutant(
+        "sampler-reap", "adapt.py",
+        "os.waitpid(pid, 0)",
+        "pass",
+        ("tests/test_adapt.py::TestBatchSampler::test_reaped_when_progress_raises",
+         "tests/test_adapt.py::TestBatchSampler::test_reaped_when_the_loss_raises"),
     ),
     Mutant(
         "loss-memo-key", "adapt.py",

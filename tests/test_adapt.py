@@ -1,6 +1,9 @@
 import importlib
+import itertools
 import math
+import os
 import struct
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -29,7 +32,8 @@ from reidapt import (
     save_checkpoint,
     train_embedder,
 )
-from reidapt.adapt import _Draws
+from reidapt import _tasks
+from reidapt.adapt import _CHUNK, _FORK_CHUNKS, _Draws
 from reidapt.graph import ClusterSet
 from reidapt.model import ClusterAssignment
 
@@ -375,6 +379,140 @@ class TestDraws:
         words = sum(2 * k - 1 - (n == k) if kind == "choice" else k * (n > 1) for kind, n, k in calls)
         assert words > 20 * 2 * _Draws._BLOCK
         assert_draws_as_numpy(calls, seed=9)
+
+
+def pool_manifest():
+    """Five identity clusters; those of 1 and 3 frames, fewer than batch_k 4, draw by integers."""
+    rng = np.random.default_rng(11)
+    tracklets = []
+    for c, n_frames in enumerate([1, 2, 3, 5, 7]):
+        for cam in ("A", "B")[: 1 + c % 2]:
+            tracklets.append(Tracklet(f"{cam}{c}", cam, rng.normal(3.0 * c, 1.0, size=(n_frames, 4)),
+                                      identity=f"p{c}"))
+    return DomainManifest("pools", tuple(tracklets))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+class TestBatchSampler:
+    """Draws made in a forked sampler process train to the inline bytes, and it is always reaped."""
+
+    STEPS = _FORK_CHUNKS * _CHUNK + 5  # the fewest chunks that fork, and a part chunk
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """W = 2, and the pid of each process os.fork starts."""
+        monkeypatch.setattr(_tasks, "workers", lambda: 2)
+        pids, real = [], os.fork
+
+        def fork():
+            pid = real()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        return pids
+
+    def train(self, arch="linear", steps=STEPS, progress=None):
+        m = pool_manifest()
+        rng = np.random.default_rng(5)
+        emb = LinearEmbedder.random(4, 3, rng) if arch == "linear" else MlpEmbedder.random(4, 6, 3, rng)
+        cfg = TrainConfig(iterations=steps, batch_p=3, batch_k=4, learning_rate=0.05, seed=4)
+        return emb, identity_clusters(m), m, cfg, progress
+
+    @staticmethod
+    def assert_reaped(pids):
+        assert len(pids) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pids[0], os.WNOHANG)
+
+    @pytest.mark.parametrize("arch", ["linear", "mlp"])
+    def test_forked_draws_train_the_inline_bytes(self, forks, monkeypatch, arch):
+        args = self.train(arch)
+        forked = train_embedder(*args).param_vector()
+        self.assert_reaped(forks)
+        monkeypatch.setattr(_tasks, "workers", lambda: 1)
+        inline = train_embedder(*args).param_vector()
+        assert len(forks) == 1
+        assert forked.tobytes() == inline.tobytes()
+        assert forked.tobytes() == loop_train_embedder(*args[:4]).param_vector().tobytes()
+
+    def test_every_step_reports_progress(self, forks):
+        steps = []
+        train_embedder(*self.train(progress=lambda step, loss: steps.append(step)))
+        assert steps == list(range(self.STEPS)) and len(forks) == 1
+
+    def test_reaped_when_progress_raises(self, forks):
+        def progress(step, loss):
+            if step == _CHUNK + 3:
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            train_embedder(*self.train(progress=progress))
+        self.assert_reaped(forks)
+
+    def test_reaped_when_the_loss_raises(self, forks, monkeypatch):
+        module = importlib.import_module("reidapt.adapt")
+        calls = itertools.count()
+
+        def failing(*args, **kwargs):
+            if next(calls) == 2 * _CHUNK:
+                raise BatchError("refused")
+            return batch_hard_triplet_loss(*args, **kwargs)
+
+        monkeypatch.setattr(module, "batch_hard_triplet_loss", failing)
+        with pytest.raises(BatchError, match="refused"):
+            train_embedder(*self.train())
+        self.assert_reaped(forks)
+
+    def test_a_sampler_that_ends_early_is_an_error(self, forks, monkeypatch):
+        module = importlib.import_module("reidapt.adapt")
+        real = module._batch_rows
+        monkeypatch.setattr(module, "_batch_rows", lambda *a: itertools.islice(real(*a), 2))
+        with pytest.raises(AdaptationError, match="^batch sampler process ended early$"):
+            train_embedder(*self.train())
+        self.assert_reaped(forks)
+
+    def test_no_fork_with_one_worker(self, forks, monkeypatch):
+        monkeypatch.setattr(_tasks, "workers", lambda: 1)
+        train_embedder(*self.train())
+        assert forks == []
+
+    def test_no_fork_while_another_thread_runs(self, forks):
+        args = self.train()
+        stop = threading.Event()
+        t = threading.Thread(target=stop.wait)
+        t.start()
+        try:
+            got = train_embedder(*args).param_vector()
+        finally:
+            stop.set()
+            t.join(timeout=10)
+        assert not t.is_alive() and forks == []
+        assert got.tobytes() == loop_train_embedder(*args[:4]).param_vector().tobytes()
+
+    def test_no_fork_for_fewer_chunks(self, forks):
+        train_embedder(*self.train(steps=_FORK_CHUNKS * _CHUNK - 1))
+        assert forks == []
+        train_embedder(*self.train(steps=_FORK_CHUNKS * _CHUNK))
+        assert len(forks) == 1
+
+    def test_a_failing_fork_draws_inline(self, forks, monkeypatch):
+        args = self.train()
+        want = train_embedder(*args).param_vector()
+        assert len(forks) == 1
+
+        def refuse():
+            raise OSError(11, "Resource temporarily unavailable")
+
+        pipes, real_pipe = [], os.pipe
+        monkeypatch.setattr(os, "pipe", lambda: pipes.append(real_pipe()) or pipes[-1])
+        monkeypatch.setattr(os, "fork", refuse)
+        assert train_embedder(*args).param_vector().tobytes() == want.tobytes()
+        assert len(pipes) == 1
+        for fd in pipes[0]:  # both ends closed
+            with pytest.raises(OSError):
+                os.fstat(fd)
 
 
 class TestEmbedders:

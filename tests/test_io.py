@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -420,6 +421,15 @@ class TestLineParse:
         message = self.read_error(path, f"{GOOD_B}\n{line}\n".encode())
         assert message == self.line_error(path, 2, line)
         assert message.startswith(f"{path}:2: invalid JSON: Extra data: ")
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no limit on integer string conversion")
+    def test_an_integer_past_the_digit_limit_names_its_line(self, tmp_path):
+        # json.loads raises a plain ValueError here, not JSONDecodeError.
+        path = tmp_path / "m.jsonl"
+        line = '{"tracklet_id": "a", "camera_id": "A", "frames": [[' + "7" * 5000 + "]]}"
+        message = self.read_error(path, f"{GOOD_B}\n{line}\n".encode())
+        assert message.startswith(f"{path}:2: invalid JSON: Exceeds the limit (")
 
     def test_non_ascii_ids_read_as_their_escaped_form(self, tmp_path):
         m = DomainManifest("m", (
