@@ -433,7 +433,7 @@ class TestBatchSampler:
         self.assert_reaped(forks)
         monkeypatch.setattr(_tasks, "workers", lambda: 1)
         inline = train_embedder(*args).param_vector()
-        assert len(forks) == 1
+        assert len(forks) == 1  # none at W = 1
         assert forked.tobytes() == inline.tobytes()
         assert forked.tobytes() == loop_train_embedder(*args[:4]).param_vector().tobytes()
 
@@ -472,11 +472,6 @@ class TestBatchSampler:
         with pytest.raises(AdaptationError, match="^batch sampler process ended early$"):
             train_embedder(*self.train())
         self.assert_reaped(forks)
-
-    def test_no_fork_with_one_worker(self, forks, monkeypatch):
-        monkeypatch.setattr(_tasks, "workers", lambda: 1)
-        train_embedder(*self.train())
-        assert forks == []
 
     def test_no_fork_while_another_thread_runs(self, forks):
         args = self.train()
