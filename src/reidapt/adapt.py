@@ -19,6 +19,7 @@ import hashlib
 import os
 import struct
 import threading
+import traceback
 from contextlib import closing
 from dataclasses import asdict, dataclass, replace
 
@@ -393,7 +394,6 @@ class _Draws:
 
 
 _CHUNK = 32  # training steps per chunk of batch rows
-_FORK_CHUNKS = 4  # the fewest chunks in a round that a sampler process draws
 
 
 def _batch_rows(seed: int, pools, P: int, K: int, steps: int):
@@ -409,46 +409,59 @@ def _batch_rows(seed: int, pools, P: int, K: int, steps: int):
         yield np.array(rows, dtype=np.int64).reshape(-1, P * K)
 
 
+def _sampler(rows, r: int, w: int) -> int:
+    """The forked process's work: every chunk of rows written to the pipe; its exit status."""
+    try:
+        os.close(r)
+        with open(w, "wb") as fh:
+            fh.writelines(rows)
+        return 0
+    except Exception as exc:  # a BrokenPipeError means the parent stopped reading
+        if not isinstance(exc, BrokenPipeError):  # fd 2 itself: not the parent's stderr buffer
+            os.write(2, traceback.format_exc().encode())
+        return 1
+
+
 def _batch_chunks(seed: int, pools, P: int, K: int, steps: int):
     """The chunks of _batch_rows, drawn by a forked process when a core is free.
 
-    It draws when W >= 2, os.fork exists, no other thread runs (a fork copies
-    none, nor the locks they hold) and the round has _FORK_CHUNKS chunks or
-    more.  It writes the chunks to a pipe, never calls BLAS, and leaves by
-    os._exit, so nothing of the parent's runs twice.  Else, or if the fork
-    fails, the generator runs inline.  Closing this generator, or its end,
-    closes the pipe and reaps the process.
+    That is when W >= 2, os.fork exists and no other thread runs (a fork
+    copies none, nor their locks).  The process writes the chunks to a pipe,
+    never calls BLAS and leaves only by os._exit (0 once all are written),
+    so nothing of the parent's runs twice.  Else, or if the fork fails, the
+    draws run inline.  Closing this generator, or its end, reaps the process.
     """
     rows, pid = _batch_rows(seed, pools, P, K, steps), None
-    if (steps >= _FORK_CHUNKS * _CHUNK and _tasks.workers() >= 2 and hasattr(os, "fork")
-            and threading.active_count() == 1):
-        r, w = os.pipe()
+    if _tasks.workers() >= 2 and hasattr(os, "fork") and threading.active_count() == 1:
+        parent, code, (r, w) = os.getpid(), 1, os.pipe()
         try:
             pid = os.fork()
-        except OSError:
-            os.close(r)
-            os.close(w)
+            if pid == 0:
+                code = _sampler(rows, r, w)
+        except OSError:  # no process to spare: the draws run inline
+            pass
+        finally:  # the child never leaves; a parent holding a pid calls nothing here
+            if not pid and os.getpid() != parent:
+                os._exit(code)
+            if pid is None:
+                os.close(r)
+                os.close(w)
     if pid is None:
         yield from rows
         return
-    if pid == 0:
-        try:
-            os.close(r)
-            with open(w, "wb") as fh:
-                fh.writelines(rows)
-        finally:  # a failure shows in the parent as a short read
-            os._exit(0)
-    os.close(w)
     try:
         with open(r, "rb") as fh:
+            os.close(w)
             for first in range(0, steps, _CHUNK):
-                size = 8 * P * K * min(_CHUNK, steps - first)
-                buf = fh.read(size)
+                buf = fh.read(size := 8 * P * K * min(_CHUNK, steps - first))
                 if len(buf) != size:
-                    raise AdaptationError("batch sampler process ended early")
+                    break
                 yield np.frombuffer(buf, dtype=np.int64).reshape(-1, P * K)
+            else:
+                return
     finally:
-        os.waitpid(pid, 0)
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    raise AdaptationError(f"batch sampler process ended early (exit status {code})")
 
 
 def train_embedder(

@@ -136,10 +136,22 @@ MUTANTS = (
     ),
     Mutant(
         "sampler-reap", "adapt.py",
-        "os.waitpid(pid, 0)",
-        "pass",
+        "code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])",
+        "code = 0",
         ("tests/test_adapt.py::TestBatchSampler::test_reaped_when_progress_raises",
          "tests/test_adapt.py::TestBatchSampler::test_reaped_when_the_loss_raises"),
+    ),
+    Mutant(
+        "sampler-child-exit", "adapt.py",
+        "if not pid and os.getpid() != parent:",
+        "if pid == 0:",
+        ("tests/test_adapt.py::TestBatchSampler::test_an_exception_at_the_fork_stays_in_the_child",),
+    ),
+    Mutant(
+        "sampler-traceback", "adapt.py",
+        "os.write(2, traceback.format_exc().encode())",
+        "pass",
+        ("tests/test_adapt.py::TestBatchSampler::test_a_failing_sampler_exits_1_with_its_traceback",),
     ),
     Mutant(
         "loss-memo-key", "adapt.py",

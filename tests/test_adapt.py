@@ -33,7 +33,7 @@ from reidapt import (
     train_embedder,
 )
 from reidapt import _tasks
-from reidapt.adapt import _CHUNK, _FORK_CHUNKS, _Draws
+from reidapt.adapt import _CHUNK, _Draws
 from reidapt.graph import ClusterSet
 from reidapt.model import ClusterAssignment
 
@@ -396,7 +396,7 @@ def pool_manifest():
 class TestBatchSampler:
     """Draws made in a forked sampler process train to the inline bytes, and it is always reaped."""
 
-    STEPS = _FORK_CHUNKS * _CHUNK + 5  # the fewest chunks that fork, and a part chunk
+    STEPS = 3 * _CHUNK + 5  # whole chunks and a part chunk
 
     @pytest.fixture
     def forks(self, monkeypatch):
@@ -469,9 +469,58 @@ class TestBatchSampler:
         module = importlib.import_module("reidapt.adapt")
         real = module._batch_rows
         monkeypatch.setattr(module, "_batch_rows", lambda *a: itertools.islice(real(*a), 2))
-        with pytest.raises(AdaptationError, match="^batch sampler process ended early$"):
+        with pytest.raises(AdaptationError, match=r"^batch sampler process ended early \(exit status 0\)$"):
             train_embedder(*self.train())
         self.assert_reaped(forks)
+
+    def test_a_failing_sampler_exits_1_with_its_traceback(self, forks, monkeypatch, capfd):
+        module = importlib.import_module("reidapt.adapt")
+        real = module._batch_rows
+
+        def failing(*args):
+            yield next(real(*args))
+            raise RuntimeError("no more rows")
+
+        monkeypatch.setattr(module, "_batch_rows", failing)
+        with pytest.raises(AdaptationError, match=r"^batch sampler process ended early \(exit status 1\)$"):
+            train_embedder(*self.train())
+        self.assert_reaped(forks)
+        err = capfd.readouterr().err
+        assert "Traceback" in err and "RuntimeError: no more rows" in err
+
+    def test_an_exception_at_the_fork_stays_in_the_child(self, forks, monkeypatch, capfd):
+        """A signal's exception raised as os.fork returns in the child ends the child there."""
+        real = os.fork  # the fixture's, which records the pid
+
+        def fork():
+            pid = real()
+            if pid == 0:
+                raise KeyboardInterrupt
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        with pytest.raises(AdaptationError, match=r"^batch sampler process ended early \(exit status 1\)$"):
+            train_embedder(*self.train())
+        self.assert_reaped(forks)
+        assert capfd.readouterr() == ("", "")
+
+    def test_a_parent_interrupted_at_the_fork_closes_the_pipe(self, forks, monkeypatch):
+        pipes, real_pipe, real_fork = [], os.pipe, os.fork
+        monkeypatch.setattr(os, "pipe", lambda: pipes.append(real_pipe()) or pipes[-1])
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                raise KeyboardInterrupt
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        with pytest.raises(KeyboardInterrupt):
+            train_embedder(*self.train())
+        for fd in pipes[0]:  # both ends closed: the child's writes fail once the pipe is full
+            with pytest.raises(OSError):
+                os.fstat(fd)
+        os.waitpid(forks[0], 0)  # the caller's pid was lost; the test's own record reaps it
 
     def test_no_fork_while_another_thread_runs(self, forks):
         args = self.train()
@@ -485,12 +534,6 @@ class TestBatchSampler:
             t.join(timeout=10)
         assert not t.is_alive() and forks == []
         assert got.tobytes() == loop_train_embedder(*args[:4]).param_vector().tobytes()
-
-    def test_no_fork_for_fewer_chunks(self, forks):
-        train_embedder(*self.train(steps=_FORK_CHUNKS * _CHUNK - 1))
-        assert forks == []
-        train_embedder(*self.train(steps=_FORK_CHUNKS * _CHUNK))
-        assert len(forks) == 1
 
     def test_a_failing_fork_draws_inline(self, forks, monkeypatch):
         args = self.train()
