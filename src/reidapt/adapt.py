@@ -395,9 +395,8 @@ class _Draws:
 _CHUNK = 32  # training steps per chunk of batch rows
 
 
-def _batch_rows(seed: int, pools, P: int, K: int, steps: int):
+def _batch_rows(draws: _Draws, pools, P: int, K: int, steps: int):
     """Each chunk's batches: an int64 (n, P * K) array of frame rows for n <= _CHUNK steps."""
-    draws = _Draws(seed)
     for first in range(0, steps, _CHUNK):
         rows = []
         for _ in range(min(_CHUNK, steps - first)):
@@ -432,7 +431,9 @@ def _batch_chunks(seed: int, pools, P: int, K: int, steps: int):
     so nothing of the parent's runs twice.  Else, or if the fork fails, the
     draws run inline.  Closing this generator, or its end, reaps the process.
     """
-    rows, pid = _batch_rows(seed, pools, P, K, steps), None
+    # _Draws is made here, so numpy.random's import (about 10 ms) happens once per
+    # process, not in every round's sampler process while the steps wait.
+    rows, pid = _batch_rows(_Draws(seed), pools, P, K, steps), None
     if _tasks.workers() >= 2 and hasattr(os, "fork") and threading.active_count() == 1:
         parent, code, (r, w) = os.getpid(), 1, os.pipe()
         try:

@@ -142,6 +142,12 @@ MUTANTS = (
          "tests/test_adapt.py::TestBatchSampler::test_reaped_when_the_loss_raises"),
     ),
     Mutant(
+        "sampler-draws-in-child", "adapt.py",
+        "rows, pid = _batch_rows(_Draws(seed), pools, P, K, steps), None",
+        "rows, pid = (x for s in [seed] for x in _batch_rows(_Draws(s), pools, P, K, steps)), None",
+        ("tests/test_adapt.py::TestBatchSampler::test_the_draws_are_made_before_the_fork",),
+    ),
+    Mutant(
         "sampler-child-exit", "adapt.py",
         "if not pid and os.getpid() != parent:",
         "if pid == 0:",

@@ -437,6 +437,22 @@ class TestBatchSampler:
         assert forked.tobytes() == inline.tobytes()
         assert forked.tobytes() == loop_train_embedder(*args[:4]).param_vector().tobytes()
 
+    def test_the_draws_are_made_before_the_fork(self, forks, monkeypatch):
+        """The sampler process inherits numpy.random and its _Draws instead of importing it anew."""
+        module = importlib.import_module("reidapt.adapt")
+        made = []
+
+        class Draws(_Draws):
+            def __init__(self, seed):
+                made.append(os.getpid())
+                super().__init__(seed)
+
+        monkeypatch.setattr(module, "_Draws", Draws)
+        args = self.train()
+        assert train_embedder(*args).param_vector().tobytes() == \
+            loop_train_embedder(*args[:4]).param_vector().tobytes()
+        assert made == [os.getpid()] and len(forks) == 1
+
     def test_every_step_reports_progress(self, forks):
         steps = []
         train_embedder(*self.train(progress=lambda step, loss: steps.append(step)))
