@@ -1,13 +1,13 @@
-"""Independent numpy tasks on the cores that BLAS leaves idle.
+"""Row blocks on the cores that BLAS leaves idle.
 
-Neighbor-index row blocks and chunks of tracklet means are independent: each
-task writes only its own rows, so the outputs do not depend on how many
-threads run them.  numpy releases the GIL inside its large loops and BLAS
-calls, so threads overlap there.  A BLAS pool that is not pinned spins on
-every core between calls, so the thread count is derived from the pinning
-and is 1 without it; there is no option and no pool that outlives a call.
-The same idle core serves training: with W >= 2, adapt._batch_chunks forks
-one short-lived process that draws a round's batches beside its steps.
+Neighbor-index row blocks are independent: each block writes only its own
+rows, so the outputs do not depend on how many threads run them.  numpy
+releases the GIL inside its large loops and BLAS calls, so threads overlap
+there.  A BLAS pool that is not pinned spins on every core between calls, so
+the thread count is derived from the pinning and is 1 without it; there is
+no option and no pool that outlives a call.  The same idle core serves
+training: with W >= 2, adapt._batch_chunks forks one short-lived process
+that draws a round's batches beside its steps.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import threading
 
 
 def workers() -> int:
-    """W = max(1, cpus // blas), the threads run() is given.
+    """W = max(1, cpus // blas), the threads blocks() runs on.
 
     cpus counts the CPUs this process may run on (os.cpu_count() where
     sched_getaffinity does not exist).  blas is the first positive integer
@@ -40,34 +40,34 @@ def workers() -> int:
     return max(1, cpus // blas)
 
 
-def run(fn, items, w: int) -> list:
-    """[fn(item) for item in items] on the calling thread plus up to w - 1 threads.
+def blocks(fn, rows, size: int) -> None:
+    """fn(block) for consecutive blocks of max(1, size // W) rows, W = workers().
 
-    Free threads take the next item in order; each result lands in its
-    item's slot.  With w <= 1 or one item no thread starts.  Once a task has
-    raised no further item starts, and the first exception is raised again
-    after every thread has ended.
+    So at most size rows are in flight in total.  The calling thread and up
+    to W - 1 threads take the next block in order; with W = 1 or one block
+    no thread starts.  Once a block has raised no further block starts, and
+    the first exception is raised again after every thread has ended, so no
+    thread outlives the call.
     """
-    if w <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    out, errors = [None] * len(items), []
-    todo, lock = iter(range(len(items))), threading.Lock()
+    w = workers()
+    step = max(1, size // w)
+    todo, errors, lock = iter(range(0, len(rows), step)), [], threading.Lock()
 
     def work():
         while True:
             with lock:
-                i = None if errors else next(todo, None)
-            if i is None:
+                a = None if errors else next(todo, None)
+            if a is None:
                 return
             try:
-                out[i] = fn(items[i])
+                fn(rows[a : a + step])
             except BaseException as exc:  # raised again below, on the calling thread
                 with lock:
                     errors.append(exc)
 
     started = []
     try:
-        for _ in range(min(w, len(items)) - 1):
+        for _ in range(min(w, -(-len(rows) // step)) - 1):
             t = threading.Thread(target=work)
             t.start()
             started.append(t)
@@ -77,4 +77,3 @@ def run(fn, items, w: int) -> list:
             t.join()
     if errors:
         raise errors[0]
-    return out

@@ -494,6 +494,7 @@ def train_embedder(
     core is free (_batch_chunks), else inline, with the same stream and result.
 
     progress, if given, is called as progress(step, loss) after each step.
+    Parameters that end non-finite (the rate diverged) are an AdaptationError.
     """
     if len(clusters.clusters) < 2:
         raise AdaptationError("need at least two clusters to form triplets")
@@ -517,6 +518,9 @@ def train_embedder(
             out.set_param_vector(params)
             if progress is not None:
                 progress(step, loss)
+    if not np.isfinite(params).all():
+        raise AdaptationError(f"training diverged: parameters are not finite after "
+                              f"{cfg.iterations} steps at learning rate {cfg.learning_rate:g}")
     return out
 
 

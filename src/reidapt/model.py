@@ -17,7 +17,6 @@ from itertools import chain
 
 import numpy as np
 
-from . import _tasks
 from .errors import ManifestError
 
 
@@ -331,14 +330,14 @@ def gather_frames(F, start, n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return F, offsets, n
 
 
-@np.errstate(over="ignore", invalid="ignore")  # errstate is per thread; overflow fails the proof
 def _proven_means(F, start, n) -> tuple[np.ndarray, np.ndarray]:
     """(means, proven): each block's column means, and which rows are exact.
 
     Block i is F[start[i] : start[i] + n[i]], n[i] >= 1, read in place as a
     frame layout gives it.  All blocks are summed together, one frame
     position at a time (longest first, so the blocks with a frame at
-    position p are a prefix).
+    position p are a prefix).  Overflow only fails the proof, so callers
+    run this under np.errstate(over="ignore", invalid="ignore").
     Every addition s = a + x records its TwoSum error (a - (s - v)) + (x - v),
     v = s - a, which is the exact rounding error of s whenever nothing
     overflowed (Knuth; Ogita, Rump & Oishi 2005), and is inf or nan, never 0,
@@ -386,10 +385,9 @@ def manifest_embeddings(
     validate_manifest (its cached ``validation``), else ManifestError.  Each
     tracklet is represented by the mean of its (optionally embedded) frame
     vectors, correctly rounded: math.fsum of each column divided by the
-    frame count.  Raw frames are split into contiguous chunks of tracklets,
-    at least W (from _tasks.workers()) and small enough that a chunk's sums
-    stay in cache, run as tasks on W threads; each task sums its chunk's
-    spans of m.frame_layout in place with _proven_means, and a tracklet
+    frame count.  Raw frames are summed in contiguous chunks of tracklets,
+    small enough that a chunk's sums stay in cache: each chunk's spans of
+    m.frame_layout are summed in place with _proven_means, and a tracklet
     keeps that sum only where TwoSum proves it exact.  The rest,
     and embedder outputs (whose sums rarely pass), take _exact_mean's fsum.
     Tracklets are returned in ascending tracklet_id order, which is the
@@ -419,17 +417,13 @@ def manifest_embeddings(
     # Overflow shows as a non-finite mean below, not as a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
         if embedder is None:
-            # Contiguous chunks in id order, one task each: a row's sums
-            # never depend on the other rows summed with it.
-            workers = _tasks.workers()
-            step = max(1, min(-(-len(pos) // workers), _MEAN_ELEMENTS // max(1, F.shape[1])))
+            # Contiguous chunks in id order: a row's sums never depend on
+            # the other rows summed with it.
+            step = max(1, _MEAN_ELEMENTS // max(1, F.shape[1]))
             X, proven = np.empty((len(pos), F.shape[1])), np.empty(len(pos), dtype=bool)
-
-            def mean_chunk(a):
+            for a in range(0, len(pos), step):
                 c = pos[a : a + step]
                 X[a : a + step], proven[a : a + step] = _proven_means(F, start[c], n[c])
-
-            _tasks.run(mean_chunk, range(0, len(pos), step), workers)
             for i in np.flatnonzero(~proven).tolist():
                 a, b = spans[i]
                 X[i] = _exact_mean(F[a:b])

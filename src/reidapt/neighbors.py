@@ -13,12 +13,10 @@ camera codes, the id-to-row map, and for the GEMM the float32 matrix Xc (X
 minus its column midranges, which cannot overflow for finite X, and scaled
 by one power of two) with its squared norms, all O(n·d) and indexed by row.
 No n×n matrix is ever stored: lists and ranks are computed on demand in
-blocks of 256 // W rows, each block one task on one of W threads, so at most
-256 rows are in flight in total, working memory is O(256·n) and results are
-O(n·k).  W = max(1, cpus // BLAS threads), the BLAS count read from
-OPENBLAS_NUM_THREADS, then OMP_NUM_THREADS, else all CPUs
-(_tasks.workers()): an unpinned BLAS gives W = 1, and a block writes only
-its own rows, so no output depends on W.  A row's gallery is every tracklet
+row blocks run by _tasks.blocks, which sets their size and thread count, so
+at most _BLOCK = 256 rows are in flight in total, working memory is
+O(256·n) and results are O(n·k).  A block writes only its own rows, so no
+output depends on the thread count.  A row's gallery is every tracklet
 whose label differs from its own: the camera code, or for evaluation the
 camera combined with the identity.  heads() goes camera by camera: it
 gathers the other cameras' centred rows and norms once, and each block of
@@ -166,14 +164,14 @@ class NeighborIndex:
         """First min(k, L) entries of every row's list, padded with -1.
 
         Returns an (n, min(k, max L)) array of row indices.  Rows are taken
-        one camera at a time, in blocks of _BLOCK // W rows (W from
-        _tasks.workers()), each block a task on one of W threads against a
-        float32 GEMM over the other cameras' columns only.  _smallest picks
-        each row's c = 2k + 8 smallest entries from chunk minima; the exact
-        kernel sorts them, and the row stands only if its k-th exact
-        distance is below the least non-candidate entry's lower bound, else
-        the row is redone exactly over the same other-camera columns.  A
-        block writes only its own rows, so the output does not depend on W.
+        one camera at a time, in _tasks.blocks of at most _BLOCK rows in
+        all, each block against a float32 GEMM over the other cameras'
+        columns only.  _smallest picks each row's c = 2k + 8 smallest
+        entries from chunk minima; the exact kernel sorts them, and the row
+        stands only if its k-th exact distance is below the least
+        non-candidate entry's lower bound, else the row is redone exactly
+        over the same other-camera columns.  A block writes only its own
+        rows, so the output does not depend on the thread count.
         Rows of a camera whose gallery is shorter than the output keep -1
         past its end.
         """
@@ -183,8 +181,6 @@ class NeighborIndex:
         size = np.bincount(self.codes)
         w = min(k, n - int(size.min()))
         out = np.full((n, w), -1, dtype=np.intp)
-        workers = _tasks.workers()
-        step = max(1, _BLOCK // workers)  # at most _BLOCK rows in flight
         for cam in range(len(size)):
             mine, other = np.flatnonzero(self.codes == cam), np.flatnonzero(self.codes != cam)
             XoT, sqo = self.Xc[other].T, self.sq[other]
@@ -206,7 +202,7 @@ class NeighborIndex:
                     head[redo] = self._sorted_exact(rows[redo], other, width)[0]
                 out[rows, :width] = head
 
-            _tasks.run(block, [mine[a : a + step] for a in range(0, len(mine), step)], workers)
+            _tasks.blocks(block, mine, _BLOCK)
         return out
 
     def ranks(self, t, s) -> np.ndarray:
@@ -351,12 +347,11 @@ def count_ranks(idx: NeighborIndex, rows, ptr, targets, ident: np.ndarray | None
     With ident (an integer label per tracklet) it is the evaluation protocol:
     every tracklet but those sharing both the row's camera and its label,
     ordered on the rounded distance, (sqrt(d2), id).  A rank is 1 plus the
-    number of gallery items before the target.  Rows are taken in blocks of
-    _BLOCK // W, each block a task on one of W threads (_tasks.workers())
-    that writes only its own targets' slots.  A block sorts its rows' GEMM
-    entries once and gathers at most _BLOCK // W of them again at a time for
-    band items, so working memory is O(_BLOCK·n) however many targets a row
-    has.
+    number of gallery items before the target.  Rows are taken in
+    _tasks.blocks of at most _BLOCK rows in all, each block writing only its
+    own targets' slots.  A block sorts its rows' GEMM entries once and, for
+    band items, gathers no more GEMM rows again at a time than it has rows,
+    so working memory is O(_BLOCK·n) however many targets a row has.
     """
     rows, ptr, targets = (np.asarray(a, dtype=np.intp) for a in (rows, ptr, targets))
     # 0 <= code < codes.max() + 1, so the label determines (code, ident).
@@ -366,15 +361,13 @@ def count_ranks(idx: NeighborIndex, rows, ptr, targets, ident: np.ndarray | None
     size = np.diff(ptr)
     live = np.flatnonzero(size)
     out = np.empty(len(targets), dtype=np.int64)
-    workers = _tasks.workers()
-    step = max(1, _BLOCK // workers)
 
     def block(blk):
         r = size[blk]
         flat = np.repeat(ptr[blk] - np.cumsum(r) + r, r) + np.arange(r.sum())
         out[flat] = _count_block(idx, rows[blk], r, targets[flat], label, key)
 
-    _tasks.run(block, [live[a : a + step] for a in range(0, len(live), step)], workers)
+    _tasks.blocks(block, live, _BLOCK)
     return out
 
 

@@ -225,6 +225,19 @@ MUTANTS = (
         ("tests/test_neighbors.py::TestDenseReference::test_identical_to_dense_index[overflow_1e160]",),
     ),
     Mutant(
+        "blocks-stop-after-error", "_tasks.py",
+        "None if errors else next(todo, None)",
+        "next(todo, None)",
+        ("tests/test_neighbors.py::TestWorkerThreads::test_no_block_starts_after_one_raised[1]",
+         "tests/test_neighbors.py::TestWorkerThreads::test_no_block_starts_after_one_raised[2]"),
+    ),
+    Mutant(
+        "blocks-size", "_tasks.py",
+        "step = max(1, size // w)",
+        "step = max(1, size)",
+        ("tests/test_neighbors.py::TestWorkerThreads::test_blocks_cover_every_row_once_in_order[2]",),
+    ),
+    Mutant(
         "eval-order-key", "neighbors.py",
         "* ident, np.sqrt",
         "* ident, None",

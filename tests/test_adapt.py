@@ -724,6 +724,14 @@ class TestTrainEmbedder:
         assert np.array_equal(out.param_vector(), e.param_vector())
         assert out is not e
 
+    def test_divergence_is_an_adaptation_error(self):
+        m = two_blob_manifest()
+        cfg = TrainConfig(iterations=20, learning_rate=1e300)
+        with np.errstate(all="ignore"), pytest.raises(  # the diverging loss warns
+                AdaptationError, match=r"^training diverged: parameters are not finite "
+                                       r"after 20 steps at learning rate 1e\+300$"):
+            train_embedder(LinearEmbedder.identity(2), identity_clusters(m), m, cfg)
+
     def test_incoming_embedder_untouched(self):
         m = two_blob_manifest()
         cs = identity_clusters(m)

@@ -350,6 +350,30 @@ class TestTrainAndAdapt:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: checkpoint seed must be in 0..2**64-1, got {seed}"]
 
+    @pytest.mark.filterwarnings("default::RuntimeWarning")  # the diverging loss warns
+    @pytest.mark.parametrize("command", ["train-source", "adapt"])
+    def test_diverged_training_writes_nothing(self, tmp_path, capsys, command):
+        # A diverged run once exited 0 with an all-NaN checkpoint and a
+        # report.json of bare NaN tokens.
+        src, tgt = self.make_domains(tmp_path)
+        ckpt = tmp_path / "src.kte"
+        assert run(["train-source", "--manifest", str(src), "--out", str(ckpt),
+                    "--iterations", "5", "--lr", "0.01"]) == 0
+        before = sorted(tmp_path.iterdir())
+        args = {
+            "train-source": ["--manifest", str(src)],
+            "adapt": ["--checkpoint", str(ckpt), "--manifest", str(tgt),
+                      "--report", str(tmp_path / "report.json"), "--rounds", "1"],
+        }[command]
+        capsys.readouterr()
+        code = run(["--seed", "1", command, "--out", str(tmp_path / "out.kte"),
+                    "--iterations", "50", "--lr", "1e300", *args])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == ("error: training diverged: parameters are not finite "
+                           "after 50 steps at learning rate 1e+300"), err
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_mlp_architecture(self, tmp_path):
         src, _ = self.make_domains(tmp_path)
         ckpt = tmp_path / "mlp.kte"

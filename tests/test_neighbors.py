@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -471,7 +472,7 @@ def test_centre_of_finite_x_cannot_overflow(X, cams):
 
 
 class TestWorkerThreads:
-    """Row blocks and mean chunks on W threads give the W = 1 bytes."""
+    """Row blocks on W threads give the W = 1 bytes, and every thread ends with its call."""
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("case", ["chunk_grid_ties", "chunk_unequal_cameras",
@@ -519,9 +520,38 @@ class TestWorkerThreads:
             raise AssertionError("no thread may start")
 
         monkeypatch.setattr(threading, "Thread", refuse)
-        assert _tasks.run(lambda x: x * x, [1, 2, 3], 1) == [1, 4, 9]
-        assert _tasks.run(lambda x: x * x, [5], 4) == [25]
-        assert _tasks.run(lambda x: x * x, [], 4) == []
+        for w, n, size, want in ((1, 10, 4, [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]),
+                                 (4, 3, 16, [[0, 1, 2]]), (4, 0, 16, [])):
+            monkeypatch.setattr(_tasks, "workers", lambda: w)
+            seen = []
+            _tasks.blocks(lambda b: seen.append(b.tolist()), np.arange(n), size)
+            assert seen == want
+
+    @pytest.mark.parametrize("w", [1, 2, 3])
+    def test_blocks_cover_every_row_once_in_order(self, monkeypatch, w):
+        monkeypatch.setattr(_tasks, "workers", lambda: w)
+        rows, seen = np.arange(1000, 1100), []
+        _tasks.blocks(seen.append, rows, 12)
+        seen.sort(key=lambda b: b[0])
+        assert all(0 < len(b) <= 12 // w for b in seen)
+        assert np.array_equal(np.concatenate(seen), rows)  # consecutive, ascending, each once
+
+    @pytest.mark.parametrize("w", [1, 2])
+    def test_no_block_starts_after_one_raised(self, monkeypatch, w):
+        monkeypatch.setattr(_tasks, "workers", lambda: w)
+        calls = []
+
+        def fn(block):
+            calls.append(block[0])
+            if block[0] == 3:
+                raise ArithmeticError("block 3")
+            time.sleep(0.001)  # a block in flight on the other thread ends well after the raise
+
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError, match="block 3"):
+            _tasks.blocks(fn, np.arange(200), w)  # blocks of one row
+        assert threading.active_count() == before
+        assert sorted(calls)[:4] == [0, 1, 2, 3] and len(calls) <= 4 + 2 * (w - 1)
 
     @pytest.mark.parametrize("env,want", [
         ({}, 1),
