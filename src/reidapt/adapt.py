@@ -494,7 +494,8 @@ def train_embedder(
     core is free (_batch_chunks), else inline, with the same stream and result.
 
     progress, if given, is called as progress(step, loss) after each step.
-    Parameters that end non-finite (the rate diverged) are an AdaptationError.
+    Parameters that turn non-finite (the rate diverged) are an AdaptationError,
+    raised at the end of the chunk of _CHUNK steps where they did.
     """
     if len(clusters.clusters) < 2:
         raise AdaptationError("need at least two clusters to form triplets")
@@ -509,18 +510,19 @@ def train_embedder(
     # as the cluster ids themselves.
     labels = np.repeat(np.arange(P), K)
     with closing(_batch_chunks(cfg.seed, pools, P, K, cfg.iterations)) as chunks:
-        for step, x in enumerate(batch for rows in chunks for batch in frames[rows]):
-            yhat = out.embed(x)
-            loss, gy = batch_hard_triplet_loss(yhat, labels, cfg.margin)
-            grad = out.param_grad(x, gy)
-            lr = cfg.learning_rate * cfg.lr_decay**step
-            params = params - lr * grad
-            out.set_param_vector(params)
-            if progress is not None:
-                progress(step, loss)
-    if not np.isfinite(params).all():
-        raise AdaptationError(f"training diverged: parameters are not finite after "
-                              f"{cfg.iterations} steps at learning rate {cfg.learning_rate:g}")
+        for rows, first in zip(chunks, range(0, cfg.iterations, _CHUNK)):
+            for step, x in enumerate(frames[rows], first):
+                yhat = out.embed(x)
+                loss, gy = batch_hard_triplet_loss(yhat, labels, cfg.margin)
+                grad = out.param_grad(x, gy)
+                lr = cfg.learning_rate * cfg.lr_decay**step
+                params = params - lr * grad
+                out.set_param_vector(params)
+                if progress is not None:
+                    progress(step, loss)
+            if not np.isfinite(params).all():  # once a chunk, so a diverged run stops early
+                raise AdaptationError(f"training diverged: parameters are not finite after "
+                                      f"{step + 1} steps at learning rate {cfg.learning_rate:g}")
     return out
 
 

@@ -337,8 +337,10 @@ _COMMANDS = {
     "eval": _cmd_eval,
 }
 
-# Every other library error subclasses ValueError.
-_USER_ERRORS = (ValueError, KeyError, OSError, AdaptationError, GenerationError)
+# Every other library error subclasses ValueError.  numpy words a flag value
+# past int64 (OverflowError) or past memory (MemoryError) on one line.
+_USER_ERRORS = (ValueError, KeyError, OSError, OverflowError, MemoryError, AdaptationError,
+                GenerationError)
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:

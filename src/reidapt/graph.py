@@ -123,8 +123,9 @@ def build_graph(idx: NeighborIndex, k1: int, K: int | None = None) -> Reciprocal
         weight = idx.ranks(dst, src)
     else:
         # heads is exact, so s at column c of t's first K entries has rank c+1.
+        # No rank exceeds len(idx) - 1, so a K past it needs no larger fill.
         found = heads[dst, :K] == src[:, None]
-        weight = np.where(found.any(axis=1), found.argmax(axis=1) + 1, K + 1)
+        weight = np.where(found.any(axis=1), found.argmax(axis=1) + 1, min(K, len(idx)) + 1)
     return ReciprocalGraph(vertices=idx.ids, src=src, dst=dst, weight=weight)
 
 

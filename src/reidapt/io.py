@@ -128,43 +128,45 @@ def write_manifest(m: DomainManifest, path, sidecar=None) -> None:
             fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
 
-def _numbered_lines(fh, path, error):
-    """(lineno, line) over a text file opened with errors="surrogateescape".
+def _each_line(path, error, parse) -> None:
+    """Call parse(lineno, line) on each line of a UTF-8 text file, in order.
 
-    A line holding bytes that are not UTF-8 raises error("<path>:<line>: ...").
+    Read with errors="surrogateescape", so a line holding bytes that are not
+    UTF-8 fails on its own, as error("not UTF-8: ...").  That error, and any
+    `error` that parse raises with a bare message, ends the read as
+    error("<path>:<line>: <message>").
     """
-    for lineno, line in enumerate(fh, 1):
-        if not line.isascii():
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, 1):
             try:
-                line.encode("utf-8", "surrogateescape").decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise error(f"{path}:{lineno}: not UTF-8: {exc}") from exc
-        yield lineno, line
+                if not line.isascii():
+                    try:
+                        line.encode("utf-8", "surrogateescape").decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise error(f"not UTF-8: {exc}") from exc
+                parse(lineno, line)
+            except error as exc:
+                raise error(f"{path}:{lineno}: {exc}") from exc
 
 
-def _manifest_records(path, fh):
-    """(lineno, record) for each non-blank line of a manifest, each line parsed on its own.
+def _json_record(line: str):
+    """The JSON value of one stripped manifest line.
 
-    Lazy, so a line's error comes only once the records before it have been
-    checked.  A line that raw_decode does not read whole is read again by
-    json.loads, which words the error (a UTF-8 BOM, extra data, ...).
+    A line that raw_decode does not read whole is read again by json.loads,
+    which words the error (a UTF-8 BOM, extra data, ...).
     """
-    for lineno, line in _numbered_lines(fh, path, ManifestError):
-        line = line.strip()
-        if not line:
-            continue
+    try:
+        rec, end = _decode(line)
+    except (ValueError, RecursionError):  # JSONDecodeError is a ValueError
+        end = -1
+    if end != len(line):
         try:
-            rec, end = _decode(line)
-        except (ValueError, RecursionError):  # JSONDecodeError is a ValueError
-            end = -1
-        if end != len(line):
-            try:
-                rec = json.loads(line)
-            except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
-                raise ManifestError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            except RecursionError as exc:
-                raise ManifestError(f"{path}:{lineno}: JSON nested too deeply") from exc
-        yield lineno, rec
+            rec = json.loads(line)
+        except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+            raise ManifestError(f"invalid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise ManifestError("JSON nested too deeply") from exc
+    return rec
 
 
 def read_manifest(path, sidecar=None, name=None) -> DomainManifest:
@@ -180,52 +182,49 @@ def read_manifest(path, sidecar=None, name=None) -> DomainManifest:
         features = read_feature_sidecar(sidecar)
         features.setflags(write=False)
     tracklets, starts, counts = [], [], []
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, rec in _manifest_records(path, fh):
-            if not isinstance(rec, dict):
-                raise ManifestError(f"{path}:{lineno}: record is not a JSON object")
-            try:
-                tid = rec["tracklet_id"]
-                cam = rec["camera_id"]
-            except KeyError as exc:
-                raise ManifestError(f"{path}:{lineno}: missing field {exc}") from exc
-            identity = rec.get("identity")
-            if not (isinstance(tid, str) and isinstance(cam, str)):
-                raise ManifestError(f"{path}:{lineno}: tracklet_id and camera_id must be strings")
-            if not (identity is None or isinstance(identity, str)):
-                raise ManifestError(f"{path}:{lineno}: identity must be a string or null")
-            if "frames" in rec:
-                try:
-                    t = Tracklet(tracklet_id=tid, camera_id=cam, frames=rec["frames"],
-                                 identity=identity)
-                except ManifestError as exc:
-                    raise ManifestError(f"{path}:{lineno}: {exc}") from exc
-                tracklets.append(t)
-                continue
-            if "frames_ref" not in rec:
-                raise ManifestError(f"{path}:{lineno}: record has neither frames nor frames_ref")
-            if features is None:
-                raise ManifestError(f"{path}:{lineno}: frames_ref present but no sidecar was given")
-            ref = rec["frames_ref"]
-            # type() rather than isinstance: JSON true/false must not pass as 1/0.
-            if not (isinstance(ref, dict) and type(ref.get("offset")) is int
-                    and type(ref.get("count")) is int):
-                raise ManifestError(
-                    f"{path}:{lineno}: frames_ref must be an object with integer offset and count"
-                )
-            lo, count = ref["offset"], ref["count"]
-            if lo < 0 or count < 0 or lo + count > features.shape[0]:
-                raise ManifestError(
-                    f"{path}:{lineno}: frames_ref [{lo}, {lo + count}) outside sidecar "
-                    f"of {features.shape[0]} rows"
-                )
-            frames = features[lo : lo + count]
-            if frames.size == 0:  # as Tracklet normalises empty frames
-                frames, count = features[:0, :0], 0
-            tracklets.append(Tracklet._view(tid, cam, frames, identity))
-            starts.append(lo)
-            counts.append(count)
 
+    def parse(_lineno, line):
+        line = line.strip()
+        if not line:
+            return
+        rec = _json_record(line)
+        if not isinstance(rec, dict):
+            raise ManifestError("record is not a JSON object")
+        try:
+            tid, cam = rec["tracklet_id"], rec["camera_id"]
+        except KeyError as exc:
+            raise ManifestError(f"missing field {exc}") from exc
+        identity = rec.get("identity")
+        if not (isinstance(tid, str) and isinstance(cam, str)):
+            raise ManifestError("tracklet_id and camera_id must be strings")
+        if not (identity is None or isinstance(identity, str)):
+            raise ManifestError("identity must be a string or null")
+        if "frames" in rec:
+            tracklets.append(Tracklet(tracklet_id=tid, camera_id=cam, frames=rec["frames"],
+                                      identity=identity))
+            return
+        if "frames_ref" not in rec:
+            raise ManifestError("record has neither frames nor frames_ref")
+        if features is None:
+            raise ManifestError("frames_ref present but no sidecar was given")
+        ref = rec["frames_ref"]
+        # type() rather than isinstance: JSON true/false must not pass as 1/0.
+        if not (isinstance(ref, dict) and type(ref.get("offset")) is int
+                and type(ref.get("count")) is int):
+            raise ManifestError("frames_ref must be an object with integer offset and count")
+        lo, count = ref["offset"], ref["count"]
+        if lo < 0 or count < 0 or lo + count > features.shape[0]:
+            raise ManifestError(
+                f"frames_ref [{lo}, {lo + count}) outside sidecar of {features.shape[0]} rows"
+            )
+        frames = features[lo : lo + count]
+        if frames.size == 0:  # as Tracklet normalises empty frames
+            frames, count = features[:0, :0], 0
+        tracklets.append(Tracklet._view(tid, cam, frames, identity))
+        starts.append(lo)
+        counts.append(count)
+
+    _each_line(path, ManifestError, parse)
     name = name if name is not None else path.stem
     if counts and len(counts) == len(tracklets):  # all frames_ref: the sidecar is the layout
         layout = (features, np.array(starts, dtype=np.intp), np.array(counts, dtype=np.intp))
@@ -258,29 +257,29 @@ def read_assignments(path) -> ClusterSet:
     members: dict[int, set[str]] = {}
     unclustered: set[str] = set()
     line_of: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in _numbered_lines(fh, path, ValueError):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                cid_str, tid = line.split("\t")
-                cid = int(cid_str)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad assignment line {line!r}") from exc
-            if cid < -1:
-                raise ValueError(f"{path}:{lineno}: cluster id must be -1 or non-negative")
-            if not tid:
-                raise ValueError(f"{path}:{lineno}: empty tracklet id")
-            if tid in line_of:
-                raise ValueError(
-                    f"{path}:{lineno}: tracklet {tid!r} already assigned on line {line_of[tid]}"
-                )
-            line_of[tid] = lineno
-            if cid == -1:
-                unclustered.add(tid)
-            else:
-                members.setdefault(cid, set()).add(tid)
+
+    def parse(lineno, line):
+        line = line.rstrip("\n")
+        if not line:
+            return
+        try:
+            cid_str, tid = line.split("\t")
+            cid = int(cid_str)
+        except ValueError as exc:
+            raise ValueError(f"bad assignment line {line!r}") from exc
+        if cid < -1:
+            raise ValueError("cluster id must be -1 or non-negative")
+        if not tid:
+            raise ValueError("empty tracklet id")
+        if tid in line_of:
+            raise ValueError(f"tracklet {tid!r} already assigned on line {line_of[tid]}")
+        line_of[tid] = lineno
+        if cid == -1:
+            unclustered.add(tid)
+        else:
+            members.setdefault(cid, set()).add(tid)
+
+    _each_line(path, ValueError, parse)
     clusters = tuple(
         ClusterAssignment(cluster_id=cid, members=frozenset(members[cid]))
         for cid in sorted(members)
@@ -291,18 +290,18 @@ def read_assignments(path) -> ClusterSet:
 def read_queries(path, known) -> list[str]:
     """Query ids in file order; a non-UTF-8 line, an unknown or a repeated id names its line."""
     line_of: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in _numbered_lines(fh, path, ValueError):
-            tid = line.strip()
-            if not tid:
-                continue
-            if tid not in known:
-                raise ValueError(f"{path}:{lineno}: unknown query tracklet id {tid!r}")
-            if tid in line_of:
-                raise ValueError(
-                    f"{path}:{lineno}: query {tid!r} already listed on line {line_of[tid]}"
-                )
-            line_of[tid] = lineno
+
+    def parse(lineno, line):
+        tid = line.strip()
+        if not tid:
+            return
+        if tid not in known:
+            raise ValueError(f"unknown query tracklet id {tid!r}")
+        if tid in line_of:
+            raise ValueError(f"query {tid!r} already listed on line {line_of[tid]}")
+        line_of[tid] = lineno
+
+    _each_line(path, ValueError, parse)
     return list(line_of)
 
 

@@ -472,5 +472,8 @@ def k_reciprocal_distance(idx: NeighborIndex, s: str, t: str) -> int:
     si, ti = idx._lookup(s), idx._lookup(t)
     if idx.codes[si] == idx.codes[ti]:
         raise idx._same_camera(ti, si)
-    # For one pair, one row's exact sort is far cheaper than ranks()' set-up.
+    # One row's exact sort beats ranks() only on small indexes: per pair 0.05
+    # against 0.18 ms at 316 tracklets, but 1.92 against 0.48 ms at 9002 (2-core
+    # x86).  It stays for its one heavy caller, criterion 1, which checks
+    # 126,886 pairs on manifests of at most 50 tracklets in about 5 s (30 s bound).
     return int(np.flatnonzero(idx._row(ti) == si)[0]) + 1

@@ -199,6 +199,9 @@ class SyntheticSpec:
             raise ValueError("frames_per_tracklet must satisfy 1 <= lo <= hi")
         if not (0 <= tlo <= thi) or thi < 1:
             raise ValueError("tracklets_per_identity_per_camera must satisfy 0 <= lo <= hi, hi >= 1")
+        for name in ("identity_separation", "camera_shift", "noise_sigma"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not (self.identity_separation > 0.0):
             raise ValueError("identity_separation must be positive")
         if self.camera_shift < 0.0 or self.noise_sigma < 0.0:
@@ -211,6 +214,8 @@ _PLACEMENT_TRIES = 500
 def _place_centroids(rng: np.random.Generator, spec: SyntheticSpec) -> np.ndarray:
     sep = spec.identity_separation
     extent = sep * max(2.0, 2.0 * spec.identities ** (1.0 / spec.dim))
+    if not np.isfinite(extent):
+        raise GenerationError(f"separation {sep} places centroids past the float64 range")
     placed = np.empty((spec.identities, spec.dim), dtype=np.float64)
     for i in range(spec.identities):
         for _ in range(_PLACEMENT_TRIES):

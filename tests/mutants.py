@@ -66,6 +66,14 @@ MUTANTS = (
         ("tests/test_io.py::TestLineParse::test_an_integer_past_the_digit_limit_names_its_line",),
     ),
     Mutant(
+        "each-line-prefix", "io.py",
+        'raise error(f"{path}:{lineno}: {exc}") from exc',
+        "raise",
+        ("tests/test_io.py::test_each_reader_names_path_and_line[manifest]",
+         "tests/test_io.py::test_each_reader_names_path_and_line[assignments]",
+         "tests/test_io.py::test_each_reader_names_path_and_line[queries]"),
+    ),
+    Mutant(
         "sidecar-matrix-writeable", "io.py",
         "features.setflags(write=False)",
         "pass",
@@ -158,6 +166,12 @@ MUTANTS = (
         "os.write(2, traceback.format_exc().encode())",
         "pass",
         ("tests/test_adapt.py::TestBatchSampler::test_a_failing_sampler_exits_1_with_its_traceback",),
+    ),
+    Mutant(
+        "divergence-chunk-check", "adapt.py",
+        "if not np.isfinite(params).all():  # once a chunk",
+        "if step + 1 == cfg.iterations and not np.isfinite(params).all():  # once a chunk",
+        ("tests/test_adapt.py::TestTrainEmbedder::test_divergence_stops_at_the_end_of_its_chunk",),
     ),
     Mutant(
         "loss-memo-key", "adapt.py",

@@ -732,6 +732,17 @@ class TestTrainEmbedder:
                                        r"after 20 steps at learning rate 1e\+300$"):
             train_embedder(LinearEmbedder.identity(2), identity_clusters(m), m, cfg)
 
+    def test_divergence_stops_at_the_end_of_its_chunk(self):
+        # The parameters are checked once a 32-step chunk, so a run that
+        # diverges at once no longer runs all its steps on NaN.
+        m = two_blob_manifest()
+        steps = []
+        cfg = TrainConfig(iterations=20_000, learning_rate=1e300)
+        with np.errstate(all="ignore"), pytest.raises(AdaptationError, match="after 32 steps"):
+            train_embedder(LinearEmbedder.identity(2), identity_clusters(m), m, cfg,
+                           progress=lambda step, _loss: steps.append(step))
+        assert steps == list(range(32))
+
     def test_incoming_embedder_untouched(self):
         m = two_blob_manifest()
         cs = identity_clusters(m)

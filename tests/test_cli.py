@@ -108,6 +108,25 @@ class TestSynthCommand:
         assert len(m) > 0
 
 
+    @pytest.mark.parametrize("flag,value,message", [
+        pytest.param("--camera-shift", "nan", "camera_shift must be finite", id="camera_shift_nan"),
+        pytest.param("--noise-sigma", "inf", "noise_sigma must be finite", id="noise_sigma_inf"),
+        pytest.param("--separation", "inf", "identity_separation must be finite",
+                     id="separation_inf"),
+        pytest.param("--separation", "1e308",
+                     "separation 1e+308 places centroids past the float64 range",
+                     id="separation_1e308"),
+    ])
+    def test_bad_float_flag_is_one_line_error(self, tmp_path, capsys, flag, value, message):
+        # NaN and inf once passed the spec and were blamed on the manifest, and
+        # an overflowing placement extent ended in numpy's OverflowError.
+        code = run(["synth", "--out", str(tmp_path / "d.jsonl"), "--identities", "5",
+                    "--cameras", "2", "--dim", "3", flag, value])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestClusterCommand:
     def synth(self, tmp_path, **kw):
         out = tmp_path / "d.jsonl"
@@ -131,6 +150,15 @@ class TestClusterCommand:
         assert run(["cluster", "--manifest", str(manifest), "--out", str(a)]) == 0
         assert run(["cluster", "--manifest", str(manifest), "--out", str(b)]) == 0
         assert sha(a) == sha(b)
+
+    def test_K_past_int64_clusters_as_K_n(self, tmp_path):
+        # The "above K" fill K + 1 once overflowed int64 in build_graph.
+        manifest = self.synth(tmp_path)
+        n = len(read_manifest(manifest))
+        a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+        for out, K in ((a, 10**20), (b, n)):
+            assert run(["cluster", "--manifest", str(manifest), "--out", str(out), "--K", str(K)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_assignments_independent_of_blas_threads(self, tmp_path):
         # GEMM distances only preselect neighbors; exact re-checks decide, so
@@ -371,7 +399,28 @@ class TestTrainAndAdapt:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert err[-1] == ("error: training diverged: parameters are not finite "
-                           "after 50 steps at learning rate 1e+300"), err
+                           "after 32 steps at learning rate 1e+300"), err
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("command", ["train-source", "adapt"])
+    def test_batch_k_past_int64_is_one_line_error(self, tmp_path, capsys, command):
+        # numpy's OverflowError once ended the run in a traceback.
+        src, tgt = self.make_domains(tmp_path)
+        ckpt = tmp_path / "src.kte"
+        assert run(["train-source", "--manifest", str(src), "--out", str(ckpt),
+                    "--iterations", "5", "--lr", "0.01"]) == 0
+        before = sorted(tmp_path.iterdir())
+        args = {
+            "train-source": ["--manifest", str(src)],
+            "adapt": ["--checkpoint", str(ckpt), "--manifest", str(tgt),
+                      "--report", str(tmp_path / "report.json"), "--rounds", "1"],
+        }[command]
+        capsys.readouterr()
+        code = run([command, "--out", str(tmp_path / "out.kte"), "--iterations", "5",
+                    "--batch-k", str(10**20), *args])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
         assert sorted(tmp_path.iterdir()) == before
 
     def test_mlp_architecture(self, tmp_path):

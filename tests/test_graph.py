@@ -114,6 +114,17 @@ class TestBuildGraph:
         with pytest.raises(ValueError):
             build_graph(build_neighbor_index(toy), 0)
 
+    def test_K_past_int64_builds_the_graph_of_K_n(self):
+        # No rank reaches len(idx), so every K from there on keeps every edge
+        # at its exact weight; the "above K" fill once overflowed int64.
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            idx = build_neighbor_index(random_manifest(rng, max_tracklets=16, max_dim=3))
+            n = build_graph(idx, 1, K=len(idx))
+            for big in (build_graph(idx, 1, K=2**63 - 1), build_graph(idx, 1, K=10**20)):
+                for name in ("src", "dst", "weight"):
+                    assert np.array_equal(getattr(big, name), getattr(n, name))
+
 
 class TestThreshold:
     def test_toy_K1_drops_weight3(self, toy):

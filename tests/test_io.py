@@ -448,6 +448,24 @@ class TestLineParse:
         assert read_manifest(raw, name="m") == read_manifest(escaped, name="m") == m
 
 
+@pytest.mark.parametrize("read,text,error,message", [
+    pytest.param(read_manifest,
+                 f'{GOOD}\n{{"tracklet_id": "b", "camera_id": "B", "frames": [["1.5"]]}}\n',
+                 ManifestError, "frame values must be numbers, found str", id="manifest"),
+    pytest.param(read_assignments, "0\ta\n-4\tb\n", ValueError,
+                 "cluster id must be -1 or non-negative", id="assignments"),
+    pytest.param(lambda path: io_mod.read_queries(path, {"a"}), "a\nb\n", ValueError,
+                 "unknown query tracklet id 'b'", id="queries"),
+])
+def test_each_reader_names_path_and_line(tmp_path, read, text, error, message):
+    # One loop prefixes every reader's line errors, Tracklet's among them.
+    path = tmp_path / "input"
+    path.write_text(text)
+    with pytest.raises(error) as exc:
+        read(path)
+    assert type(exc.value) is error and str(exc.value) == f"{path}:2: {message}"
+
+
 class TestAssignments:
     def cluster_fixture(self):
         return ClusterSet(

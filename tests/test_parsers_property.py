@@ -9,7 +9,6 @@ small sizes, so even a loader that allocated before checking its header
 would stay small.
 """
 
-import io
 import json
 import struct
 
@@ -241,11 +240,25 @@ class TestManifest:
         if m is not None:
             assert m.tracklets and m.validation.ok
 
+    @staticmethod
+    def records_by_each_line(path):
+        """(lineno, record) as read_manifest parses them: _json_record of each
+        stripped non-blank line, through _each_line."""
+        records = []
+
+        def parse(lineno, line):
+            if line.strip():
+                records.append((lineno, io_mod._json_record(line.strip())))
+
+        io_mod._each_line(path, ManifestError, parse)
+        yield from records
+
     @bounded
     @given(reshaped_manifests())
-    def test_one_parse_of_all_lines_is_the_parse_of_each(self, text):
-        records = io_mod._manifest_records("m.jsonl", io.StringIO(text))
-        assert parse_outcome(records) == parse_outcome(records_by_json_loads("m.jsonl", text))
+    def test_one_parse_of_all_lines_is_the_parse_of_each(self, path, text):
+        path.write_bytes(text.encode("utf-8"))
+        records = self.records_by_each_line(path)
+        assert parse_outcome(records) == parse_outcome(records_by_json_loads(path, text))
 
     @bounded
     @given(small_manifests, st.booleans(), st.data())
