@@ -1,12 +1,14 @@
-"""Record a training step and a loss call of two source trees into a BENCH file.
+"""Record a training step and a loss call, or one CLI command, of two source trees into a BENCH file.
 
     python bench/record.py --base HEAD~1 --head . --out BENCH_train_step.json
+    python bench/record.py --record synth-9k --base HEAD~1 --head . --out BENCH_synth_9k.json
 
 Each side is a directory holding src/ ("." from the repository root is the
 working tree), or else a git revision; either is copied into a temporary
-tree.  Set-up runs once, through the base tree's CLI: the adapt-300
-workload's synthetic source and target domains and its source checkpoint,
-made by the set-up commands of perfbench/run.py at the workload's seed 1.
+tree.  With --record train-step (the default), set-up runs once, through
+the base tree's CLI: the adapt-300 workload's synthetic source and target
+domains and its source checkpoint, made by the set-up commands of
+perfbench/run.py at the workload's seed 1.
 
 Each side runs 11 passes (2 at --size tiny), each in a fresh process; the
 base side runs first in odd passes and second in even ones.  A pass clusters
@@ -27,11 +29,23 @@ block slowed by other load on a shared host drops out.
 The file records, per side and metric, every pass, the median and the
 quartiles; then the head/base ratio of the medians, the median of the
 head/base ratios of the pairs (which a host whose speed drifts between
-pairs moves less), the pairs the head won, and "unresolved" when the head
-median lies inside the base quartiles.  It also compares the bytes of the
+pairs moves less), the pairs the head won, "unresolved" when the head
+median lies inside the base quartiles, and "win" when at least 10 pairs
+ran, the head won 9 in 10 of them, and its median is below the base median
+by more than the base quartile distance.  It also compares the bytes of the
 trained parameters of both sides, and records an environment block with
 the W = _tasks.workers() the head side's children see.  BLAS is pinned to
 one thread in every child.
+
+--record synth-9k instead times one CLI command: cluster-9k's set-up `synth`
+(its argv from perfbench/run.py at seed 1; 60 identities at --size tiny).
+Each side runs it 11 times (2 at --size tiny) in alternating pairs, each in a
+fresh process started by a thin launcher, a bare interpreter that spawns the
+command and reads its wall time and its own ru_maxrss from os.wait4 (a
+child's ru_maxrss starts from its parent's size at exec, so a parent that
+had imported numpy would raise it).  Both sides write to the same paths, and
+the record compares the manifest, the sidecar and the stderr of each side's
+last run.
 """
 
 from __future__ import annotations
@@ -58,6 +72,16 @@ SEED = 1  # adapt-300's workload seed
 SIZES = {"full": (1000, 11), "tiny": (60, 2)}
 WARMUP_STEPS = 100
 BLOCKS = 5
+# Run by a bare interpreter: argv[1] is the command's stderr file, argv[2:] the command.
+LAUNCHER = """import json, os, subprocess, sys, time
+with open(sys.argv[1], "wb") as err:
+    t0 = time.perf_counter()
+    proc = subprocess.Popen(sys.argv[2:], stdout=subprocess.DEVNULL, stderr=err)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - t0
+print(json.dumps({"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024,
+                  "exit": os.waitstatus_to_exitcode(status)}))
+"""
 
 
 def make_tree(rev: str, dest: Path) -> Path:
@@ -134,6 +158,15 @@ def measure(data: Path, calls: int, params_out: Path) -> dict:
     return {"train_step_us": 1e6 * min(step_s), "loss_call_us": 1e6 * min(loss_s)}
 
 
+def run_command(tree: Path, argv: list[str], stderr: Path) -> dict:
+    """{wall_s, peak_rss_mb} of `reidapt argv` run with tree's src/, through the launcher."""
+    cmd = [sys.executable, "-m", "reidapt.cli", *argv]
+    r = json.loads(run_in(tree, [sys.executable, "-c", LAUNCHER, str(stderr), *cmd]))
+    if r.pop("exit"):
+        raise SystemExit(f"{' '.join(cmd)} failed:\n{stderr.read_text(errors='replace')}")
+    return r
+
+
 def run_pass(tree: Path, data: Path, args, params_out: Path) -> dict:
     argv = [sys.executable, str(Path(__file__).resolve()), "--child", str(data),
             "--size", args.size, "--out", str(params_out)]
@@ -150,14 +183,16 @@ def summarize(base: list[dict], head: list[dict]) -> dict:
     for metric in base[0]:
         b, h = [p[metric] for p in base], [p[metric] for p in head]
         (bq1, bmed, bq3), (hq1, hmed, hq3) = quartiles(b), quartiles(h)
+        wins = sum(y < x for x, y in zip(b, h))
         out[metric] = {
             "base": {"passes": b, "median": bmed, "q1": bq1, "q3": bq3},
             "head": {"passes": h, "median": hmed, "q1": hq1, "q3": hq3},
             "ratio": hmed / bmed,
             "pair_ratio_median": statistics.median(y / x for x, y in zip(b, h)),
-            "head_wins": sum(y < x for x, y in zip(b, h)),
+            "head_wins": wins,
             "pairs": len(b),
             "unresolved": bq1 <= hmed <= bq3,
+            "win": len(b) >= 10 and wins >= 0.9 * len(b) and bmed - hmed > bq3 - bq1,
         }
     return out
 
@@ -196,11 +231,43 @@ def rev_name(rev: str) -> str:
     return f"working tree on {commit}" if path == ROOT else commit
 
 
+def record_synth(args, trees: dict, tmp: Path) -> dict:
+    """The synth-9k record: wall time and peak of cluster-9k's set-up synth, and its outputs."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from run import Cluster9k
+
+    run_dir = tmp / "run"
+    run_dir.mkdir()
+    argv = Cluster9k(args.size == "tiny").setup(SEED, run_dir)[0]
+    passes = {"base": [], "head": []}
+    for i in range(SIZES[args.size][1]):
+        for side in ("base", "head") if i % 2 == 0 else ("head", "base"):
+            passes[side].append(run_command(trees[side], argv, run_dir / "stderr"))
+            (tmp / f"{side}-out").mkdir(exist_ok=True)
+            for f in run_dir.iterdir():
+                f.replace(tmp / f"{side}-out" / f.name)
+    names = sorted(f.name for f in (tmp / "base-out").iterdir())
+    return {
+        "what": "wall clock and os.wait4 ru_maxrss of one CLI command, each run in a fresh "
+                "process from a thin launcher",
+        "workload": f"cluster-9k set-up synth at --seed {SEED}, --size {args.size}",
+        "command": ["reidapt", *(a.replace(str(run_dir), "<dir>") for a in argv)],
+        "base": rev_name(args.base),
+        "head": rev_name(args.head),
+        "metrics": summarize(passes["base"], passes["head"]),
+        "outputs_equal": {n: (tmp / "base-out" / n).read_bytes()
+                          == (tmp / "head-out" / n).read_bytes() for n in names},
+        "environment": environment(trees["head"]),
+    }
+
+
 def record(args) -> dict:
     with tempfile.TemporaryDirectory(prefix="reidapt-bench-") as tmp:
         tmp = Path(tmp)
         trees = {side: make_tree(rev, tmp / side) for side, rev in (("base", args.base),
                                                                      ("head", args.head))}
+        if args.record == "synth-9k":
+            return record_synth(args, trees, tmp)
         data = tmp / "data"
         data.mkdir()
         setup(trees["base"], data, args.size == "tiny")
@@ -230,6 +297,7 @@ def main(argv=None) -> int:
     ap.add_argument("--base", default="HEAD")
     ap.add_argument("--head", default=".")
     ap.add_argument("--size", choices=("full", "tiny"), default="full")
+    ap.add_argument("--record", choices=("train-step", "synth-9k"), default="train-step")
     ap.add_argument("--out", type=Path)
     ap.add_argument("--child", type=Path, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)

@@ -49,6 +49,36 @@ def test_faster_head_outside_base_quartiles_is_resolved():
     assert s["head_wins"] == 3 and not s["unresolved"]
 
 
+def test_a_win_needs_ten_pairs_nine_won_and_a_median_past_the_base_quartiles():
+    base = [{"m": v} for v in (9.0, 10.0, 11.0, 10.0, 9.5, 10.5, 10.0, 9.0, 11.0, 10.0)]
+    assert record.summarize(base, [{"m": 5.0}] * 10)["m"]["win"]
+    assert not record.summarize(base[:9], [{"m": 5.0}] * 9)["m"]["win"]
+    assert not record.summarize(base, [{"m": 5.0}] * 8 + [{"m": 12.0}] * 2)["m"]["win"]
+    assert not record.summarize(base, [{"m": v["m"] - 0.5} for v in base])["m"]["win"]
+
+
+@needs_git
+def test_synth_of_a_commit_against_itself_has_equal_outputs_and_no_win():
+    r = run_record("--record", "synth-9k", "--base", "HEAD", "--head", "HEAD")
+    assert r["base"] == r["head"] and len(r["base"]) == 40
+    assert r["outputs_equal"] == {"domain.jsonl": True, "domain.ktf": True, "stderr": True}
+    assert r["command"][:4] == ["reidapt", "--seed", "1", "synth"] and "60" in r["command"]
+    for m in ("wall_s", "peak_rss_mb"):
+        assert r["metrics"][m]["pairs"] == 2 and not r["metrics"][m]["win"]
+        assert min(r["metrics"][m]["base"]["passes"] + r["metrics"][m]["head"]["passes"]) > 0
+
+
+@needs_git
+def test_a_tree_whose_synth_output_differs_is_reported(tmp_path):
+    shutil.copytree(REPO / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    synth = tmp_path / "src" / "reidapt" / "synth.py"
+    text = synth.read_text(encoding="utf-8")
+    assert text.count("spec.noise_sigma") == 1
+    synth.write_text(text.replace("spec.noise_sigma", "2.0 * spec.noise_sigma"), encoding="utf-8")
+    r = run_record("--record", "synth-9k", "--base", ".", "--head", str(tmp_path))
+    assert r["outputs_equal"] == {"domain.jsonl": True, "domain.ktf": False, "stderr": True}
+
+
 @needs_git
 def test_working_tree_against_itself_trains_equal_parameters():
     r = run_record("--base", ".", "--head", ".")

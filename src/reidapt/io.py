@@ -71,7 +71,7 @@ def write_feature_sidecar(path, rows: np.ndarray) -> None:
         raise ValueError(f"sidecar rows must be 2-D, got shape {rows.shape}")
     with atomic_write(path, binary=True) as fh:
         fh.write(_SIDECAR_HEADER.pack(_SIDECAR_MAGIC, rows.shape[0], rows.shape[1]))
-        fh.write(rows.tobytes())
+        fh.write(rows.data)  # the rows' own buffer, not a bytes copy
 
 
 def read_feature_sidecar(path) -> np.ndarray:

@@ -53,9 +53,9 @@ class Tracklet:
         camera_id: id of the camera that recorded the track.
         frames: read-only (n_frames, dim) float64 matrix, one feature vector
             per frame; shape (0, 0) when there are none.  The constructor
-            copies what it is given.  read_manifest's tracklets instead hold
-            row views of their manifest's frame matrix (DomainManifest
-            .frame_layout).
+            copies what it is given.  The tracklets of read_manifest and of
+            generate_synthetic_domain instead hold row views of their
+            manifest's frame matrix (DomainManifest.frame_layout).
         identity: ground-truth person label, or None for unlabeled data.
             The clustering path never reads this field.
     """
@@ -131,7 +131,8 @@ class DomainManifest:
         as stack_frames(self.tracklets), which needs every tracklet with
         frames to share one dim.  read_manifest over a sidecar gives the
         sidecar's own matrix instead, whose spans may overlap, skip rows or
-        come out of order, and whose tracklets hold views of it.
+        come out of order, and whose tracklets hold views of it;
+        generate_synthetic_domain gives the matrix it drew its frames into.
         """
         return stack_frames(self.tracklets)
 

@@ -209,24 +209,72 @@ class SyntheticSpec:
 
 
 _PLACEMENT_TRIES = 500
+_PLACEMENT_BLOCK = 128  # candidates whose far pairs one GEMM clears
+
+
+def _clear(placed, cand, sep, diff, sq) -> bool:
+    """np.linalg.norm(placed - cand, axis=1).min() >= sep, bit for bit, in the buffers diff and sq."""
+    d = np.subtract(placed, cand, out=diff[: len(placed)])
+    np.multiply(d, d, out=d)
+    return np.sqrt(np.add.reduce(d, axis=1, out=sq[: len(placed)]).min()) >= sep
+
+
+def _first_rejected(C, sep, extent, diff, sq) -> int:
+    """The first i whose row the try loop would reject, had it accepted C[:i]; len(C) if none.
+
+    A pair a, b is far when est - (d + 8) 2^-48 (|a|^2 + |b|^2 + sep^2) >= fl(sep^2), where est
+    = |a|^2 + |b|^2 - 2 a.b from one GEMM per block.  With u = 2^-53, each computed square sum
+    and dot product is within gamma_d = du / (1 - du) of its value relative to |a|^2 + |b|^2, in
+    any summation order, and numpy's squared norm is at least |a - b|^2 (1 - gamma_(d+4))
+    (Higham 2002, section 3.1).  The bound covers both more than ten times over, so a far
+    pair's numpy norm is >= sep, as long as no square leaves the normal range by more than
+    that slack: sep^2 >= 2^-1000 and extent^2 <= 2^1000 ensure it, and other specs skip the
+    estimate.  Every other pair, a non-finite estimate included, is checked by _clear.
+    """
+    n, d = C.shape
+    sep2 = sep * sep
+    bulk = sep2 >= 2.0**-1000 and extent * extent <= 2.0**1000
+    norms = np.einsum("ij,ij->i", C, C) if bulk else None
+    for a in range(1, n, _PLACEMENT_BLOCK):
+        b = min(n, a + _PLACEMENT_BLOCK)
+        near = np.arange(b) < np.arange(a, b)[:, None]  # the pairs j < i
+        if bulk:
+            s = norms[a:b, None] + norms[:b]
+            near &= ~(s - 2.0 * (C[a:b] @ C[:b].T) - (d + 8) * 2.0**-48 * (s + sep2) >= sep2)
+        for r in np.flatnonzero(near.any(axis=1)).tolist():
+            if not _clear(C[: a + r][near[r, : a + r]], C[a + r], sep, diff, sq):
+                return a + r
+    return n
 
 
 def _place_centroids(rng: np.random.Generator, spec: SyntheticSpec) -> np.ndarray:
-    sep = spec.identity_separation
-    extent = sep * max(2.0, 2.0 * spec.identities ** (1.0 / spec.dim))
+    """Each identity's centroid: the first of up to _PLACEMENT_TRIES uniform draws at distance
+    >= identity_separation from every centroid placed before it.
+
+    Every identity's first try is drawn at once and checked in bulk; from the first try that
+    fails, the generator is rewound past the accepted ones and the tries go one by one.
+    """
+    sep, n, dim = spec.identity_separation, spec.identities, spec.dim
+    extent = sep * max(2.0, 2.0 * n ** (1.0 / dim))
     if not np.isfinite(extent):
         raise GenerationError(f"separation {sep} places centroids past the float64 range")
-    placed = np.empty((spec.identities, spec.dim), dtype=np.float64)
-    for i in range(spec.identities):
+    lo, hi = -extent / 2.0, extent / 2.0
+    state = rng.bit_generator.state
+    placed = rng.uniform(lo, hi, size=(n, dim))
+    diff, sq = np.empty((n, dim)), np.empty(n)
+    first = _first_rejected(placed, sep, extent, diff, sq)
+    if first < n:
+        rng.bit_generator.state = state
+        rng.uniform(lo, hi, size=(first, dim))
+    for i in range(first, n):
         for _ in range(_PLACEMENT_TRIES):
-            cand = rng.uniform(-extent / 2.0, extent / 2.0, size=spec.dim)
-            if i == 0 or np.linalg.norm(placed[:i] - cand, axis=1).min() >= sep:
+            cand = rng.uniform(lo, hi, size=dim)
+            if _clear(placed[:i], cand, sep, diff, sq):
                 placed[i] = cand
                 break
         else:
             raise GenerationError(
-                f"could not place {spec.identities} centroids with separation {sep} "
-                f"in {spec.dim}-d space"
+                f"could not place {n} centroids with separation {sep} in {dim}-d space"
             )
     return placed
 
@@ -238,7 +286,8 @@ def generate_synthetic_domain(spec: SyntheticSpec) -> DomainManifest:
     Gaussian noise, where A_c = I + camera_shift * G_c (G_c a fixed random
     matrix with ~unit gain) and b_c is a translation of length
     camera_shift * identity_separation.  The same seed always yields the
-    same manifest.
+    same manifest.  Its frames are one matrix, of which each tracklet's are
+    a row view (DomainManifest.frame_layout).
     """
     rng = np.random.default_rng(spec.seed)
     centroids = _place_centroids(rng, spec)
@@ -258,7 +307,7 @@ def generate_synthetic_domain(spec: SyntheticSpec) -> DomainManifest:
 
     tlo, thi = spec.tracklets_per_identity_per_camera
     flo, fhi = spec.frames_per_tracklet
-    tracklets: list[Tracklet] = []
+    labels, bases, noise = [], [], []
     for p in range(spec.identities):
         identity = f"p{p:03d}"
         for c in range(spec.cameras):
@@ -266,13 +315,17 @@ def generate_synthetic_domain(spec: SyntheticSpec) -> DomainManifest:
             n_tracks = int(rng.integers(tlo, thi + 1))
             for t in range(n_tracks):
                 n_frames = int(rng.integers(flo, fhi + 1))
-                noise = rng.standard_normal((n_frames, spec.dim)) * spec.noise_sigma
-                tracklets.append(
-                    Tracklet(
-                        tracklet_id=f"c{c:02d}_{identity}_t{t}",
-                        camera_id=f"cam{c:02d}",
-                        frames=base[None, :] + noise,
-                        identity=identity,
-                    )
-                )
-    return DomainManifest(name=f"synth-{spec.seed}", tracklets=tuple(tracklets))
+                noise.append(rng.standard_normal((n_frames, spec.dim)))
+                bases.append(base)
+                labels.append((f"c{c:02d}_{identity}_t{t}", f"cam{c:02d}", identity))
+    n = np.array([len(z) for z in noise], dtype=np.intp)
+    F = np.concatenate(noise) if noise else np.empty((0, 0))
+    del noise
+    start = np.cumsum(n) - n
+    F *= spec.noise_sigma  # then + base: the two roundings of base + noise * sigma
+    for s, k, base in zip(start.tolist(), n.tolist(), bases):
+        F[s : s + k] += base
+    F.setflags(write=False)
+    tracklets = [Tracklet._view(tid, cam, F[s : s + k], identity)
+                 for (tid, cam, identity), s, k in zip(labels, start.tolist(), n.tolist())]
+    return DomainManifest._over(f"synth-{spec.seed}", tracklets, (F, start, n))

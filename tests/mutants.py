@@ -286,6 +286,32 @@ MUTANTS = (
         ("tests/test_evaluate.py::TestRankingReference::"
          "test_exact_work_stays_bounded_on_ties[below_float32]",),
     ),
+    Mutant(
+        "placement-bound-dropped", "synth.py",
+        " - (d + 8) * 2.0**-48 * (s + sep2)",
+        "",
+        ("tests/test_synth.py::TestPlacementBound::"
+         "test_a_norm_of_exactly_sep_passes_and_one_ulp_more_fails",),
+    ),
+    Mutant(
+        "placement-nan-estimate-far", "synth.py",
+        "near &= ~(s - 2.0 * (C[a:b] @ C[:b].T) - (d + 8) * 2.0**-48 * (s + sep2) >= sep2)",
+        "near &= s - 2.0 * (C[a:b] @ C[:b].T) - (d + 8) * 2.0**-48 * (s + sep2) < sep2",
+        ("tests/test_synth.py::TestPlacementBound::test_a_non_finite_estimate_is_checked_exactly",),
+    ),
+    Mutant(
+        "placement-range-guard", "synth.py",
+        "bulk = sep2 >= 2.0**-1000 and extent * extent <= 2.0**1000",
+        "bulk = True",
+        ("tests/test_synth.py::TestGeneratorMatchesLoop::"
+         "test_overflowing_squares_warn_as_numpy_norm_does",),
+    ),
+    Mutant(
+        "placement-rewind", "synth.py",
+        "rng.bit_generator.state = state",
+        "pass",
+        ("tests/test_synth.py::TestGeneratorMatchesLoop::test_rejecting_specs",),
+    ),
 )
 
 

@@ -13,7 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from reidapt import BatchError, DomainManifest, EvaluationError, Tracklet, manifest_embeddings
+from reidapt import (
+    BatchError,
+    DomainManifest,
+    EvaluationError,
+    GenerationError,
+    SyntheticSpec,
+    Tracklet,
+    manifest_embeddings,
+)
 
 
 def mean_vector(tracklet: Tracklet) -> list[float]:
@@ -459,3 +467,69 @@ def loop_violations(m: DomainManifest) -> tuple[tuple[str, str], ...]:
             out.append(("dim-mismatch",
                         f"tracklet {t.tracklet_id!r} has dim {t.dim}, manifest dim {ref_dim}"))
     return tuple(out)
+
+
+# The synthetic generator as the library wrote it before centroids were
+# placed in bulk and the frames were drawn into one matrix.  Kept verbatim
+# (only renamed) so the fast forms can be held to their bytes.
+
+LOOP_PLACEMENT_TRIES = 500
+
+
+def loop_place_centroids(rng: np.random.Generator, spec: SyntheticSpec) -> np.ndarray:
+    sep = spec.identity_separation
+    extent = sep * max(2.0, 2.0 * spec.identities ** (1.0 / spec.dim))
+    if not np.isfinite(extent):
+        raise GenerationError(f"separation {sep} places centroids past the float64 range")
+    placed = np.empty((spec.identities, spec.dim), dtype=np.float64)
+    for i in range(spec.identities):
+        for _ in range(LOOP_PLACEMENT_TRIES):
+            cand = rng.uniform(-extent / 2.0, extent / 2.0, size=spec.dim)
+            if i == 0 or np.linalg.norm(placed[:i] - cand, axis=1).min() >= sep:
+                placed[i] = cand
+                break
+        else:
+            raise GenerationError(
+                f"could not place {spec.identities} centroids with separation {sep} "
+                f"in {spec.dim}-d space"
+            )
+    return placed
+
+
+def loop_generate_synthetic_domain(spec: SyntheticSpec) -> DomainManifest:
+    rng = np.random.default_rng(spec.seed)
+    centroids = loop_place_centroids(rng, spec)
+
+    cam_linear = []
+    cam_offset = []
+    for _c in range(spec.cameras):
+        G = rng.standard_normal((spec.dim, spec.dim)) / np.sqrt(spec.dim)
+        direction = rng.standard_normal(spec.dim)
+        norm = np.linalg.norm(direction)
+        if norm == 0.0:
+            direction = np.zeros(spec.dim)
+        else:
+            direction = direction / norm
+        cam_linear.append(np.eye(spec.dim) + spec.camera_shift * G)
+        cam_offset.append(spec.camera_shift * spec.identity_separation * direction)
+
+    tlo, thi = spec.tracklets_per_identity_per_camera
+    flo, fhi = spec.frames_per_tracklet
+    tracklets: list[Tracklet] = []
+    for p in range(spec.identities):
+        identity = f"p{p:03d}"
+        for c in range(spec.cameras):
+            base = cam_linear[c] @ centroids[p] + cam_offset[c]
+            n_tracks = int(rng.integers(tlo, thi + 1))
+            for t in range(n_tracks):
+                n_frames = int(rng.integers(flo, fhi + 1))
+                noise = rng.standard_normal((n_frames, spec.dim)) * spec.noise_sigma
+                tracklets.append(
+                    Tracklet(
+                        tracklet_id=f"c{c:02d}_{identity}_t{t}",
+                        camera_id=f"cam{c:02d}",
+                        frames=base[None, :] + noise,
+                        identity=identity,
+                    )
+                )
+    return DomainManifest(name=f"synth-{spec.seed}", tracklets=tuple(tracklets))

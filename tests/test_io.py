@@ -102,6 +102,20 @@ class TestManifestRoundTrip:
         assert blob[:4] == b"KTF1"
         assert np.array_equal(read_feature_sidecar(path), rows)
 
+    @pytest.mark.parametrize("rows", [
+        np.arange(12, dtype=np.float64).reshape(4, 3) / 7,
+        np.asfortranarray(np.arange(12, dtype=np.float64).reshape(4, 3) / 7),
+        (np.arange(24, dtype=np.float64).reshape(8, 3) / 7)[::2],
+        np.arange(12, dtype=">f4").reshape(4, 3),
+        np.empty((0, 3)),
+    ], ids=["float64", "fortran", "strided", "big_endian", "no_rows"])
+    def test_sidecar_bytes_are_the_header_and_float32_rows(self, tmp_path, rows):
+        path = tmp_path / "x.ktf"
+        write_feature_sidecar(path, rows)
+        want = np.ascontiguousarray(rows, dtype="<f4")
+        assert path.read_bytes() == (b"KTF1" + np.array(rows.shape, "<u4").tobytes()
+                                     + want.tobytes())
+
     def test_frames_ref_without_sidecar_rejected(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text(

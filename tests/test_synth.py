@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 import reidapt.synth as synth_mod
 from reidapt import (
     AdaptConfig,
@@ -18,7 +19,10 @@ from reidapt import (
     generate_synthetic_domain,
     merge_domains,
     validate_manifest,
+    write_manifest,
 )
+
+from oracles import loop_generate_synthetic_domain, loop_place_centroids
 
 
 def labeled(tid, cam, ident, x=0.0):
@@ -348,3 +352,166 @@ class TestSyntheticGenerator:
             self.spec(frames_per_tracklet=(0, 3))
         with pytest.raises(ValueError):
             self.spec(noise_sigma=-1.0)
+
+
+# perfbench's set-up specs (seed 1; adapt-300 draws its two domains at seeds 2 and 3).
+CLUSTER_9K = dict(identities=1500, cameras=4, dim=64, seed=1)
+EVAL_3K = dict(identities=500, cameras=4, dim=64, seed=1)
+ADAPT_300 = dict(identities=50, cameras=4, dim=16, identity_separation=3.5, camera_shift=0.1,
+                 noise_sigma=0.65)
+# Low-d specs whose first tries are not all accepted, so placement goes on one try at a time,
+# except 2d-overflow, where every norm is inf.  The squares of the last two underflow and
+# overflow, so they skip the bulk estimate.
+REJECTING = {
+    "1d": dict(identities=60, cameras=2, dim=1, seed=3),
+    "2d": dict(identities=200, cameras=2, dim=2, seed=3),
+    "2d-underflow": dict(identities=200, cameras=2, dim=2, seed=3, identity_separation=1e-160),
+    "2d-overflow": dict(identities=200, cameras=2, dim=2, seed=3, identity_separation=1e160),
+}
+
+
+class Rows:
+    """A generator stand-in: uniform() hands out these rows in order, whatever its bounds."""
+
+    def __init__(self, rows):
+        self.rows, self.state, self.bit_generator = np.array(rows, dtype=np.float64), 0, self
+
+    def uniform(self, low, high, size):
+        k = int(np.prod(size)) // self.rows.shape[1]
+        self.state += k
+        return self.rows[self.state - k : self.state].reshape(size).copy()
+
+
+def both_placements(spec, rng=np.random.default_rng):
+    """[(centroids, generator state after placement)] of the library, then of the oracle."""
+    out = []
+    for place in (synth_mod._place_centroids, loop_place_centroids):
+        r = rng(spec.seed)
+        out.append((place(r, spec), r.bit_generator.state))
+    return out
+
+
+def assert_same_placement(spec):
+    (got, got_state), (want, want_state) = both_placements(spec)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert got_state == want_state
+
+
+def assert_same_domain(spec):
+    got, want = generate_synthetic_domain(spec), loop_generate_synthetic_domain(spec)
+    assert got.name == want.name
+    labels = [[(t.tracklet_id, t.camera_id, t.identity) for t in m.tracklets] for m in (got, want)]
+    assert labels[0] == labels[1]
+    assert [t.frames.shape for t in got.tracklets] == [t.frames.shape for t in want.tracklets]
+    assert all(a.frames.tobytes() == b.frames.tobytes()
+               for a, b in zip(got.tracklets, want.tracklets))
+    # One read-only frame matrix, of which every tracklet's frames are a row view.
+    F, start, n = got.frame_layout
+    assert F.tobytes() == want.frame_layout[0].tobytes() and not F.flags.writeable
+    assert np.array_equal(start, want.frame_layout[1]) and np.array_equal(n, want.frame_layout[2])
+    assert all(t.frames.base is F and not t.frames.flags.writeable for t in got.tracklets)
+
+
+class TestGeneratorMatchesLoop:
+    """The bulk placement and the one frame matrix keep the per-try loop's bytes and draws."""
+
+    def test_cluster_9k_placement(self):
+        assert_same_placement(SyntheticSpec(**CLUSTER_9K))
+
+    def test_eval_3k_domain(self):
+        assert_same_domain(SyntheticSpec(**EVAL_3K))
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_adapt_300_domains(self, seed):
+        assert_same_domain(SyntheticSpec(**ADAPT_300, seed=seed))
+
+    @pytest.mark.parametrize("name", sorted(REJECTING))
+    def test_rejecting_specs(self, name):
+        spec = SyntheticSpec(**REJECTING[name])
+        with np.errstate(over="ignore"):
+            assert_same_placement(spec)
+            assert_same_domain(spec)
+            after = both_placements(spec)[1][1]
+        first_tries = np.random.default_rng(spec.seed)
+        first_tries.uniform(size=(spec.identities, spec.dim))
+        rejected = after != first_tries.bit_generator.state
+        assert rejected or name == "2d-overflow"  # there every norm is inf, so no try fails
+
+    def test_overflowing_squares_warn_as_numpy_norm_does(self):
+        spec = SyntheticSpec(**REJECTING["2d-overflow"])
+        for place in (synth_mod._place_centroids, loop_place_centroids):
+            with pytest.raises(RuntimeWarning, match="^overflow encountered in multiply$"):
+                place(np.random.default_rng(spec.seed), spec)
+
+    @pytest.mark.parametrize("identities, hi, seed, empty", [
+        (6, 3, 0, False), (1, 1, 13, True), (1, 1, 17, True),
+    ], ids=["some_zero", "empty_13", "empty_17"])
+    def test_tracklet_counts_from_zero(self, identities, hi, seed, empty, tmp_path):
+        spec = SyntheticSpec(identities=identities, cameras=2, dim=3,
+                             tracklets_per_identity_per_camera=(0, hi), seed=seed)
+        assert_same_domain(spec)
+        assert (len(generate_synthetic_domain(spec)) == 0) == empty
+        if empty:
+            errors = []
+            for m in (generate_synthetic_domain(spec), loop_generate_synthetic_domain(spec)):
+                with pytest.raises(ManifestError) as exc:
+                    write_manifest(m, tmp_path / "m.jsonl", sidecar=tmp_path / "m.ktf")
+                errors.append(str(exc.value))
+            assert errors[0] == errors[1] and "manifest has no tracklets" in errors[0]
+            assert not (tmp_path / "m.jsonl").exists() and not (tmp_path / "m.ktf").exists()
+
+    def test_exhausted_tries_fail_alike(self, monkeypatch):
+        monkeypatch.setattr(synth_mod, "_PLACEMENT_TRIES", 2)
+        monkeypatch.setattr(oracles, "LOOP_PLACEMENT_TRIES", 2)
+        spec = SyntheticSpec(identities=60, cameras=2, dim=1, identity_separation=50.0)
+        outcomes = []
+        for place in (synth_mod._place_centroids, loop_place_centroids):
+            rng = np.random.default_rng(spec.seed)
+            with pytest.raises(GenerationError) as exc:
+                place(rng, spec)
+            outcomes.append((str(exc.value), rng.bit_generator.state))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == "could not place 60 centroids with separation 50.0 in 1-d space"
+
+    def test_written_files_match_the_loop(self, tmp_path):
+        spec = SyntheticSpec(**ADAPT_300, seed=2)
+        want = loop_generate_synthetic_domain(spec)
+        for name, m in (("got", generate_synthetic_domain(spec)), ("want", want)):
+            write_manifest(m, tmp_path / f"{name}.jsonl", sidecar=tmp_path / f"{name}.ktf")
+        assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+        rows = np.concatenate([t.frames for t in want.tracklets]).astype("<f4")
+        assert (tmp_path / "got.ktf").read_bytes() == (
+            b"KTF1" + np.array(rows.shape, "<u4").tobytes() + rows.tobytes())
+
+    def test_far_specs_never_reach_the_exact_check(self, monkeypatch):
+        # eval-3k's 500 64-d first tries are all far apart: the bulk estimate clears every pair.
+        calls = []
+        clear = synth_mod._clear
+        monkeypatch.setattr(synth_mod, "_clear", lambda *a: calls.append(1) or clear(*a))
+        synth_mod._place_centroids(np.random.default_rng(1), SyntheticSpec(**EVAL_3K))
+        assert calls == []
+
+
+class TestPlacementBound:
+    """The bulk estimate clears only pairs whose numpy norm is >= sep; the rest get numpy's norm."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_a_norm_of_exactly_sep_passes_and_one_ulp_more_fails(self, seed):
+        r = np.random.default_rng(seed)
+        a = 1e4 + r.uniform(size=3)  # a large common offset: the estimate cancels badly
+        b = a + r.uniform(-1.0, 1.0, size=3)
+        far = a + 100.0
+        norm = np.linalg.norm(a[None, :] - b, axis=1)[0]
+        for sep, want, draws in ((norm, [a, b], 2), (np.nextafter(norm, np.inf), [a, far], 3)):
+            spec = SyntheticSpec(identities=2, cameras=2, dim=3, identity_separation=float(sep))
+            (got, got_state), (loop, loop_state) = both_placements(spec, lambda _: Rows([a, b, far]))
+            assert got.tobytes() == loop.tobytes() == np.array(want).tobytes()
+            assert got_state == loop_state == draws
+
+    def test_a_non_finite_estimate_is_checked_exactly(self):
+        # |a|^2 and a.b overflow, so the estimate is inf - inf; the pair's own norm is 1 < sep.
+        rows = [[1e200, 0.0], [1e200, 1.0], [0.0, 0.0]]
+        spec = SyntheticSpec(identities=2, cameras=2, dim=2, identity_separation=2.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            (got, _), (loop, _) = both_placements(spec, lambda _: Rows(rows))
+        assert got.tobytes() == loop.tobytes() == np.array([rows[0], rows[2]]).tobytes()
