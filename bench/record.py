@@ -2,6 +2,7 @@
 
     python bench/record.py --base HEAD~1 --head . --out BENCH_train_step.json
     python bench/record.py --record synth-9k --base HEAD~1 --head . --out BENCH_synth_9k.json
+    python bench/record.py --record adapt-300 --base HEAD~1 --head . --out BENCH_adapt_300.json
 
 Each side is a directory holding src/ ("." from the repository root is the
 working tree), or else a git revision; either is copied into a temporary
@@ -14,8 +15,7 @@ Each side runs 11 passes (2 at --size tiny), each in a fresh process; the
 base side runs first in odd passes and second in even ones.  A pass clusters
 the target with the source checkpoint as round 0 of `adapt` does, then
 times, by the wall clock (time.perf_counter, so a training step's time
-includes the batch sampler process that train_embedder may fork and any
-wait for its rows, which process time would leave out):
+includes any wait on other processes, which process time would leave out):
 
 - train_embedder for 1000 steps (60 at --size tiny) with adapt-300's
   round-0 settings (--lr 0.1, --batch-p 16, CLI seed 0), after a short
@@ -46,6 +46,15 @@ child's ru_maxrss starts from its parent's size at exec, so a parent that
 had imported numpy would raise it).  Both sides write to the same paths, and
 the record compares the manifest, the sidecar and the stderr of each side's
 last run.
+
+--record adapt-300 times the adapt-300 workload's timed commands, `adapt`
+then `eval`, with their argv from perfbench/run.py at seed 1, on inputs made
+as for train-step.  Each side runs both 11 times (2 at --size tiny) in
+alternating pairs, each command in a fresh process from the thin launcher.
+A pass records wall_s, the two commands' sum as perfbench counts it, each
+command's own wall time, and peak_rss_mb, the larger of their peaks.  The
+record compares adapted.kte, report.json and the eval summary.json of each
+side's last run.
 """
 
 from __future__ import annotations
@@ -261,6 +270,44 @@ def record_synth(args, trees: dict, tmp: Path) -> dict:
     }
 
 
+def record_adapt(args, trees: dict, tmp: Path) -> dict:
+    """The adapt-300 record: wall time and peak of its adapt and eval commands, and their outputs."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from run import Adapt300
+
+    data, run_dir = tmp / "data", tmp / "run"
+    data.mkdir()
+    setup(trees["base"], data, args.size == "tiny")
+    commands = Adapt300(args.size == "tiny").steps_for(data, run_dir)
+    outputs = {"adapted.kte": run_dir / "adapted.kte", "report.json": run_dir / "report.json",
+               "summary.json": run_dir / "eval" / "summary.json"}
+    passes = {"base": [], "head": []}
+    for i in range(SIZES[args.size][1]):
+        for side in ("base", "head") if i % 2 == 0 else ("head", "base"):
+            shutil.rmtree(run_dir, ignore_errors=True)
+            run_dir.mkdir()
+            runs = {c.name: run_command(trees[side], c.argv, tmp / "stderr") for c in commands}
+            passes[side].append({"wall_s": sum(r["wall_s"] for r in runs.values()),
+                                 "peak_rss_mb": max(r["peak_rss_mb"] for r in runs.values()),
+                                 **{f"{name}_s": r["wall_s"] for name, r in runs.items()}})
+            (tmp / f"{side}-out").mkdir(exist_ok=True)
+            for name, path in outputs.items():
+                path.replace(tmp / f"{side}-out" / name)
+    return {
+        "what": "wall clock and os.wait4 ru_maxrss of the workload's timed CLI commands, each run "
+                "in a fresh process from a thin launcher",
+        "workload": f"adapt-300 at --seed {SEED}, --size {args.size}",
+        "commands": [["reidapt", *(a.replace(str(run_dir), "<out>").replace(str(data), "<data>")
+                                   for a in c.argv)] for c in commands],
+        "base": rev_name(args.base),
+        "head": rev_name(args.head),
+        "metrics": summarize(passes["base"], passes["head"]),
+        "outputs_equal": {n: (tmp / "base-out" / n).read_bytes() == (tmp / "head-out" / n).read_bytes()
+                          for n in outputs},
+        "environment": environment(trees["head"]),
+    }
+
+
 def record(args) -> dict:
     with tempfile.TemporaryDirectory(prefix="reidapt-bench-") as tmp:
         tmp = Path(tmp)
@@ -268,6 +315,8 @@ def record(args) -> dict:
                                                                      ("head", args.head))}
         if args.record == "synth-9k":
             return record_synth(args, trees, tmp)
+        if args.record == "adapt-300":
+            return record_adapt(args, trees, tmp)
         data = tmp / "data"
         data.mkdir()
         setup(trees["base"], data, args.size == "tiny")
@@ -297,7 +346,7 @@ def main(argv=None) -> int:
     ap.add_argument("--base", default="HEAD")
     ap.add_argument("--head", default=".")
     ap.add_argument("--size", choices=("full", "tiny"), default="full")
-    ap.add_argument("--record", choices=("train-step", "synth-9k"), default="train-step")
+    ap.add_argument("--record", choices=("train-step", "synth-9k", "adapt-300"), default="train-step")
     ap.add_argument("--out", type=Path)
     ap.add_argument("--child", type=Path, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)

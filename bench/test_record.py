@@ -110,3 +110,27 @@ def test_a_tree_that_trains_differently_is_reported(tmp_path):
     r = run_record("--base", ".", "--head", str(tmp_path))
     assert not r["trained_params_equal"]
     assert r["head"] == str(tmp_path.resolve())
+
+
+@needs_git
+def test_adapt_of_a_commit_against_itself_has_equal_outputs_and_no_win():
+    r = run_record("--record", "adapt-300", "--base", "HEAD", "--head", "HEAD")
+    assert r["base"] == r["head"] and len(r["base"]) == 40
+    assert r["outputs_equal"] == {"adapted.kte": True, "report.json": True, "summary.json": True}
+    assert [c[:2] for c in r["commands"]] == [["reidapt", "--seed"], ["reidapt", "eval"]]
+    assert "adapt" in r["commands"][0] and "<out>/adapted.kte" in r["commands"][1]
+    for m in ("wall_s", "peak_rss_mb", "adapt_s", "eval_s"):
+        assert r["metrics"][m]["pairs"] == 2 and not r["metrics"][m]["win"]
+        assert min(r["metrics"][m]["base"]["passes"] + r["metrics"][m]["head"]["passes"]) > 0
+
+
+@needs_git
+def test_a_tree_whose_adapt_output_differs_is_reported(tmp_path):
+    shutil.copytree(REPO / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    adapt = tmp_path / "src" / "reidapt" / "adapt.py"
+    text = adapt.read_text(encoding="utf-8")
+    assert text.count("lr = cfg.learning_rate * ") == 1
+    adapt.write_text(text.replace("lr = cfg.learning_rate * ", "lr = 0.5 * cfg.learning_rate * "),
+                     encoding="utf-8")
+    r = run_record("--record", "adapt-300", "--base", ".", "--head", str(tmp_path))
+    assert r["outputs_equal"]["adapted.kte"] is False and r["outputs_equal"]["report.json"] is False

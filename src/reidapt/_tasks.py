@@ -5,9 +5,8 @@ rows, so the outputs do not depend on how many threads run them.  numpy
 releases the GIL inside its large loops and BLAS calls, so threads overlap
 there.  A BLAS pool that is not pinned spins on every core between calls, so
 the thread count is derived from the pinning and is 1 without it; there is
-no option and no pool that outlives a call.  The same idle core serves
-training: with W >= 2, adapt._batch_chunks forks one short-lived process
-that draws a round's batches beside its steps.
+no option and no pool that outlives a call.  Training runs on the calling
+thread alone.
 """
 
 from __future__ import annotations

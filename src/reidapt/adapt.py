@@ -16,15 +16,12 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import os
+import math
 import struct
-import threading
-from contextlib import closing
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _tasks
 from .errors import AdaptationError, BatchError, ManifestError
 from .graph import ClusterSet, cluster
 from .io import atomic_write
@@ -52,11 +49,10 @@ def _layout(input_dim: int, hidden_dim: int, output_dim: int) -> list[tuple]:
 
 
 def _split(params: np.ndarray, layout) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Fresh (W, b) of each layer, cut from a flat vector by its layout."""
-    return [
-        (params[start:w_stop].reshape(shape).copy(), params[w_stop:stop].copy())
-        for start, w_stop, stop, shape in layout
-    ]
+    """(W, b) of each layer, views of one fresh copy of a flat vector, cut by its layout."""
+    params = params.copy()
+    return [(params[start:w_stop].reshape(shape), params[w_stop:stop])
+            for start, w_stop, stop, shape in layout]
 
 
 def _check_dims(*dims: int) -> None:
@@ -124,13 +120,14 @@ class Embedder:
         arr, _ = self._batch(x)
         g = np.asarray(grad_out, dtype=np.float64)
         hs = self._layer_inputs(arr)
-        grads: list[np.ndarray] = []
+        grad = np.empty(self._layout[-1][2])
         for i in reversed(range(len(self._layers))):
-            h = hs[i]
-            grads[:0] = [(h.T @ g).ravel(), g.sum(axis=0)]
+            h, (start, w_stop, stop, shape) = hs[i], self._layout[i]
+            np.matmul(h.T, g, out=grad[start:w_stop].reshape(shape))
+            np.add.reduce(g, axis=0, out=grad[w_stop:stop])  # g.sum(axis=0) without its Python layer
             if i:
                 g = (g @ self._layers[i][0].T) * (1.0 - h * h)
-        return np.concatenate(grads)
+        return grad
 
     def clone(self) -> "Embedder":
         return copy.deepcopy(self)
@@ -180,10 +177,10 @@ class MlpEmbedder(Embedder):
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    pos = x >= 0  # NaN takes the second form
-    e = np.exp(np.where(pos, -x, x))  # at most 1, so neither form overflows
-    d = 1.0 + e
-    return np.where(pos, 1.0 / d, e / d)
+    # e = exp(-|x|) is at most 1, so neither form overflows.  np.minimum returns
+    # its first NaN, so a NaN x keeps its own bits, and NaN takes the second form.
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)  # 1 / (1 + e) or e / (1 + e)
 
 
 # (key, state) of the last label vector.  It is replaced whole, so a reader
@@ -191,15 +188,21 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 _LABEL_MEMO: tuple = (None, None)
 
 
-def _label_state(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(same, pos, at) of labels y after both label checks, memoized by value.
+def _label_state(y: np.ndarray) -> tuple:
+    """(same, pos, at, div, pk) of labels y after both label checks, memoized by value.
 
     same[a, b] says a and b share a label, pos is same without its diagonal,
-    and at holds the flat offset a * B of each row of a (B, B) array, twice.
-    The memo holds one label vector, keyed by its dtype and bytes.  An object
-    array's bytes are pointers, and a vector of more than 1024 labels would
-    keep megabytes of masks alive, so neither is memoized.  A refused vector
-    is never stored, so every call raises.
+    at holds the flat offset a * B of each row of a (B, B) array, twice, and
+    div is [[-B], [B]], so w / div is -w / B over w / B.  pk is None unless
+    every label has the same count k, as in a PK batch; then it is
+    (pos_flat, pos_col, first, same_flat): the flat offsets in (B, B) of
+    each row's k - 1 positives in column order, shaped (B, k - 1), their
+    columns, the flat offset of each row's first positive in those arrays,
+    and the flat offsets of every same-label pair.  The memo holds one label
+    vector, keyed by its dtype and bytes.  An object array's bytes are
+    pointers, and a vector of more than 1024 labels would keep megabytes of
+    masks alive, so neither is memoized.  A refused vector is never stored,
+    so every call raises.
     """
     global _LABEL_MEMO
     key = None if y.dtype.hasobject or y.size > 1024 else (y.dtype.str, y.tobytes())
@@ -213,9 +216,14 @@ def _label_state(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if counts.min() < 2:
         lonely = np.sort(y[counts < 2])[:1].item()  # sort: min() has no loop for str labels
         raise BatchError(f"label {lonely!r} has a single sample; need >= 2 per label")
-    pos = same & ~np.eye(y.size, dtype=bool)
-    state = (same, pos, np.tile(np.arange(0, y.size**2, y.size), 2))
-    for a in state:
+    B, k = y.size, int(counts[0])
+    pos = same & ~np.eye(B, dtype=bool)
+    pk = None
+    if (counts == k).all():
+        pos_flat = np.flatnonzero(pos).reshape(B, k - 1)
+        pk = (pos_flat, pos_flat % B, np.arange(0, B * (k - 1), k - 1), np.flatnonzero(same))
+    state = (same, pos, np.tile(np.arange(0, B * B, B), 2), np.array([[-B], [B]], dtype=np.float64), pk)
+    for a in (*state[:4], *(pk or ())):
         a.setflags(write=False)
     if key is not None:
         _LABEL_MEMO = (key, state)
@@ -233,7 +241,8 @@ def batch_hard_triplet_loss(
     Euclidean distance to a same-label sample and the hardest negative d-
     the minimum distance to an other-label sample.  Per-anchor terms are
     max(0, margin + d+ - d-) for a float margin, softplus(d+ - d-) for
-    margin="soft"; the loss is their mean over the batch.
+    margin="soft"; the loss is their mean over the batch.  This is the
+    batch-hard loss of Hermans, Beyer & Leibe 2017 (arXiv:1703.07737).
 
     Args:
         embeddings: (B, d) float batch.
@@ -252,38 +261,63 @@ def batch_hard_triplet_loss(
     B, d = X.shape
     if y.shape != (B,):
         raise BatchError(f"labels shape {y.shape} does not match batch size {B}")
-    same, pos, at = _label_state(y)
+    same, pos, at, div, pk = _label_state(y)
     check_margin(margin, BatchError)
 
-    D = np.sqrt(exact_sq_dists(X, X))
-
-    # One masked copy of D per side.  d+ and d- are read from these copies,
-    # not from D: a row whose negatives all overflowed to +inf has its
-    # argmin on a masked entry, where D holds a same-label distance.
-    far = np.where(pos, D, -np.inf)
-    near = np.where(same, np.inf, D)
-    # idx[i] is anchor i's hardest positive and idx[B + i] its hardest negative.
-    idx = np.concatenate((far.argmax(axis=1), near.argmin(axis=1)))
+    D = exact_sq_dists(X, X)
+    np.sqrt(D, out=D)
+    # idx[i] is anchor i's hardest positive and idx[B + i] its hardest negative;
+    # flat holds their offsets in D.  The first argmax and argmin win, so ties go
+    # to the lower column.  Every row has a positive, so d+ is read from D; d- is
+    # read from near: a row whose negatives all overflowed to +inf has its argmin
+    # on a masked entry, where D holds a same-label distance.
+    if pk is None:  # one masked copy of D per side
+        near = np.where(same, np.inf, D)
+        idx = np.concatenate((np.where(pos, D, -np.inf).argmax(axis=1), near.argmin(axis=1)))
+    else:
+        # The same choices from the k - 1 positives of each row, and from a
+        # copy of D with +inf put on its same-label entries.
+        pos_flat, pos_col, first, same_flat = pk
+        near = D.copy()
+        near.put(same_flat, np.inf)
+        idx = np.concatenate((pos_col.take(first + D.take(pos_flat).argmax(axis=1)), near.argmin(axis=1)))
     flat = at + idx
-    raw = far.take(flat[:B]) - near.take(flat[B:])
+    norm = D.take(flat)  # d+, then the unmasked distance to each hardest negative
+    raw = norm[:B] - near.take(flat[B:])
     if margin == "soft":
         losses = np.logaddexp(0.0, raw)
         w = _sigmoid(raw)
     else:
         losses = np.maximum(0.0, float(margin) + raw)
         w = (losses > 0.0).astype(np.float64)
-    loss = float(losses.mean())
+    loss = float(np.add.reduce(losses) / B)  # losses.mean(), without its Python layer
 
     # d(||a-b||)/da is the unit vector (a-b)/||a-b||; define it as 0 for
-    # coincident points (the loss is locally flat there).  Rows of u follow idx.
-    vec = (X - X[idx].reshape(2, B, d)).reshape(2 * B, d)
-    norm = D.take(flat)[:, None]
-    u = np.divide(vec, norm, out=np.zeros_like(vec), where=norm > 0.0)
+    # coincident points (the loss is locally flat there).  Rows of u follow
+    # idx, and the norms come from D without masks.
+    vec = (X - X.take(idx, axis=0).reshape(2, B, d)).reshape(2 * B, d)
+    norm = norm[:, None]
+    if np.minimum.reduce(norm, axis=None) > 0.0:  # no zero and no NaN: nothing to mask
+        u = vec / norm
+    else:
+        u = np.divide(vec, norm, out=np.zeros((2 * B, d)), where=norm > 0.0)
+    # The gradient in few calls first: scale is -w / B, then w / B, and the
+    # flat scatter takes numpy's fast path, adding the positive terms, then
+    # the negative ones, element by element.  It stands when it is finite:
+    # then no NaN arose, and each element took the operations of the exact
+    # form below, so its bits.
+    scale = (w / div).reshape(2 * B, 1)
+    grad = scale[B:] * (u[:B] - u[B:])
+    at_d = np.arange(B * d).reshape(B, d).take(idx, axis=0)  # flat offsets of the rows of idx
+    np.add.at(grad.reshape(-1), at_d.reshape(-1), (scale * u).reshape(-1))
+    if math.isfinite(np.add.reduce(grad, axis=None)):  # a NaN or an infinity makes the sum one
+        return loss, grad
+    # The exact form.  The two products stay apart, as their signs are part of
+    # the bytes, and so do the two halves: NaN bits follow each product's own
+    # shape, and the 2-D scatter adds each element to its term.
     u_pos, u_neg = u[:B], u[B:]
     scale = (w / B)[:, None]
     grad = scale * (u_pos - u_neg)
-    # One ordered scatter: the positive terms, then the negative ones.  The
-    # two products stay apart, as their signs are part of the bytes.
     np.add.at(grad, idx, np.concatenate((-scale * u_pos, scale * u_neg)))
     return loss, grad
 
@@ -334,12 +368,39 @@ def _frame_pools(clusters: ClusterSet, m: DomainManifest):
     return frames, offsets[first], np.add.reduceat(sizes, first)
 
 
+class _Words:
+    """The 32-bit words of np.random.default_rng(seed)'s PCG64, in numpy's order.
+
+    numpy reads each word as the low half of the generator's next 64-bit
+    output, then the high half.  take(n) hands out the next n words as one
+    uint32 array, give_back(n) returns the last n taken to be read again, and
+    word() reads one.  The buffer holds every word drawn and not yet taken.
+    """
+
+    def __init__(self, seed: int):
+        self._bits = np.random.default_rng(seed).bit_generator
+        self._buf, self._at = np.empty(0, dtype="<u4"), 0
+
+    def take(self, n: int) -> np.ndarray:
+        short = n - (len(self._buf) - self._at)
+        if short > 0:
+            fresh = self._bits.random_raw((short + 1) // 2).astype("<u8", copy=False).view("<u4")
+            self._buf, self._at = np.concatenate((self._buf[self._at :], fresh)), 0
+        self._at += n
+        return self._buf[self._at - n : self._at]
+
+    def give_back(self, n: int) -> None:
+        self._at -= n
+
+    def word(self) -> int:
+        return int(self.take(1)[0])
+
+
 class _Draws:
     """What rng.choice(n, k, replace=False) and rng.integers(0, n, k) draw, from raw words.
 
-    rng is a fresh np.random.default_rng(seed).  Its PCG64 serves each 32-bit
-    word as the low half of its next 64-bit output, then the high half; here
-    the words come from random_raw in blocks.  numpy draws in [0, h], for
+    rng is a fresh np.random.default_rng(seed), whose words _Words serves;
+    given a seed, the words are read in blocks.  numpy draws in [0, h], for
     h < 2**32 - 1, by Lemire's method (ACM TOMACS 29(1), 2019) from those
     words, and choice without replacement by Floyd's algorithm (CACM 30(9),
     1987) and a shuffle, or by a partial shuffle of arange(n) when n > 10000
@@ -348,13 +409,13 @@ class _Draws:
 
     _BLOCK = 1024  # 64-bit outputs per refill, so 2048 buffered words
 
-    def __init__(self, seed: int):
-        self._bits = np.random.default_rng(seed).bit_generator
-        self._word = self._words().__next__
+    def __init__(self, seed: int | _Words):
+        """A _Words is read one word at a time, so its take() goes on after the last word drawn."""
+        self._word = seed.word if isinstance(seed, _Words) else self._words(_Words(seed)).__next__
 
-    def _words(self):
+    def _words(self, words: _Words):
         while True:
-            yield from self._bits.random_raw(self._BLOCK).astype("<u8").view("<u4").tolist()
+            yield from words.take(2 * self._BLOCK).tolist()
 
     def below(self, highs) -> list[int]:
         """One draw in [0, h] for each h of highs, in order; h == 0 takes no word."""
@@ -393,77 +454,127 @@ class _Draws:
 
 
 _CHUNK = 32  # training steps per chunk of batch rows
+# Training steps per whole-array pass of the draws, a multiple of _CHUNK.  A
+# 512-step pass held 2.4-3 MB of temporaries against 1.2 MB, and ran no faster.
+_SPAN = 256
 
 
-def _batch_rows(draws: _Draws, pools, P: int, K: int, steps: int):
-    """Each chunk's batches: an int64 (n, P * K) array of frame rows for n <= _CHUNK steps."""
+def _batch_rows(seed: int, starts: np.ndarray, sizes: np.ndarray, P: int, K: int, steps: int):
+    """Each chunk's batches: an int64 (n, P * K) array of frame rows for n <= _CHUNK steps.
+
+    Cluster i's frames are rows starts[i] .. starts[i] + sizes[i].  When every
+    cluster holds more than K frames and neither the cluster count nor a size
+    exceeds 10000, _span_rows draws _SPAN steps at a time; else _Draws draws
+    step by step.  Both make the same draws from the same words.
+    """
+    if sizes.min() > K and max(len(sizes), sizes.max()) <= 10000:
+        words = _Words(seed)
+        for first in range(0, steps, _SPAN):
+            rows = _span_rows(words, starts, sizes, P, K, min(_SPAN, steps - first))
+            for a in range(0, len(rows), _CHUNK):
+                yield rows[a : a + _CHUNK]
+        return
+    draws, pools = _Draws(seed), list(zip(starts.tolist(), sizes.tolist()))
     for first in range(0, steps, _CHUNK):
         rows = []
         for _ in range(min(_CHUNK, steps - first)):
-            for c in draws.choice(len(pools), P):
-                start, size = pools[c]
-                sel = draws.choice(size, K) if size >= K else draws.integers(size, K)
-                rows += [start + s for s in sel]
+            rows += _step_rows(draws, pools, P, K)
         yield np.array(rows, dtype=np.int64).reshape(-1, P * K)
 
 
-def _sampler(rows, r: int, w: int) -> int:
-    """The forked process's work: every chunk of rows written to the pipe; its exit status."""
-    try:
-        os.close(r)
-        with open(w, "wb") as fh:
-            fh.writelines(rows)
-        return 0
-    except Exception as exc:  # a BrokenPipeError means the parent stopped reading
-        if not isinstance(exc, BrokenPipeError):  # fd 2 itself: not the parent's stderr buffer
-            import traceback  # here, not at the top: ~0.9 ms that only a failed sampler needs
-
-            os.write(2, traceback.format_exc().encode())
-        return 1
+def _step_rows(draws: _Draws, pools, P: int, K: int) -> list[int]:
+    """One batch's frame rows, P clusters of pools [(start, size), ...] and K frames each."""
+    rows = []
+    for c in draws.choice(len(pools), P):
+        start, size = pools[c]
+        sel = draws.choice(size, K) if size >= K else draws.integers(size, K)
+        rows += [start + s for s in sel]
+    return rows
 
 
-def _batch_chunks(seed: int, pools, P: int, K: int, steps: int):
-    """The chunks of _batch_rows, drawn by a forked process when a core is free.
+def _span_rows(words: _Words, starts, sizes, P: int, K: int, steps: int) -> np.ndarray:
+    """The next steps batches' frame rows, (steps, P * K), when every size exceeds K.
 
-    That is when W >= 2, os.fork exists and no other thread runs (a fork
-    copies none, nor their locks).  The process writes the chunks to a pipe,
-    never calls BLAS and leaves only by os._exit (0 once all are written),
-    so nothing of the parent's runs twice.  Else, or if the fork fails, the
-    draws run inline.  Closing this generator, or its end, reaps the process.
+    Then every step reads the same words: choice(n, P) draws in [0, h] for
+    h = n - P .. n - 1 (h = 0 takes none) and P - 1 more for its shuffle, and
+    each chosen cluster's choice(size, K) draws K and K - 1.  So each draw is
+    a row of a (words, steps) array, one column per step: Lemire's products
+    are one uint64 product, and Floyd's rule and the shuffles are passes over
+    rows.  A draw that Lemire's method rejects ends the pass at its step;
+    _Draws makes that step from the words one at a time, and a new pass goes on.
     """
-    # _Draws is made here, so numpy.random's import (about 10 ms) happens once per
-    # process, not in every round's sampler process while the steps wait.
-    rows, pid = _batch_rows(_Draws(seed), pools, P, K, steps), None
-    if _tasks.workers() >= 2 and hasattr(os, "fork") and threading.active_count() == 1:
-        parent, code, (r, w) = os.getpid(), 1, os.pipe()
-        try:
-            pid = os.fork()
-            if pid == 0:
-                code = _sampler(rows, r, w)
-        except OSError:  # no process to spare: the draws run inline
-            pass
-        finally:  # the child never leaves; a parent holding a pid calls nothing here
-            if not pid and os.getpid() != parent:
-                os._exit(code)
-            if pid is None:
-                os.close(r)
-                os.close(w)
-    if pid is None:
-        yield from rows
-        return
-    try:
-        with open(r, "rb") as fh:
-            os.close(w)
-            for first in range(0, steps, _CHUNK):
-                buf = fh.read(size := 8 * P * K * min(_CHUNK, steps - first))
-                if len(buf) != size:
-                    break
-                yield np.frombuffer(buf, dtype=np.int64).reshape(-1, P * K)
-            else:
-                return
-    finally:
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    raise AdaptationError(f"batch sampler process ended early (exit status {code})")
+    n = len(sizes)
+    top = np.arange(n - P, n)
+    pick = np.concatenate((top[top > 0], np.arange(P - 1, 0, -1))).astype(np.uint64)[:, None] + 1
+    shuffle = np.arange(K, 1, -1, dtype=np.uint64)[:, None]  # the ranges of the members' shuffle draws
+    w = len(pick) + P * (2 * K - 1)
+    out = np.empty((steps, P * K), dtype=np.int64)
+    done = 0
+    while done < steps:
+        m = steps - done
+        drawn = words.take(m * w).reshape(m, w).T.copy()
+        x, bad = _lemire(drawn[: len(pick)], pick)
+        C = np.zeros((P, m), dtype=np.int64)  # where h = 0, numpy's draw is 0
+        C[n == P :] = x[: P - (n == P)]
+        _floyd(C, n - 1)
+        _shuffle(C, x[P - (n == P) :])
+        member = drawn[len(pick) :].reshape(P, 2 * K - 1, m)
+        high = sizes[C] - 1
+        ranges = (high[:, None] - np.arange(K - 1, -1, -1)[:, None] + 1).astype(np.uint64)
+        Y, y_bad = _lemire(member[:, :K], ranges)
+        z, z_bad = _lemire(member[:, K:], shuffle)
+        _floyd(Y, high)
+        _shuffle(Y, z)
+        bad = bad.any(axis=0) | y_bad.any(axis=(0, 1)) | z_bad.any(axis=(0, 1))
+        ok = int(bad.argmax()) if bad.any() else m
+        out[done : done + ok] = (starts[C][:, None] + Y).reshape(P * K, m).T[:ok]
+        done += ok
+        if done < steps:  # step `done` holds a rejection
+            words.give_back((m - ok) * w)
+            out[done] = _step_rows(_Draws(words), list(zip(starts.tolist(), sizes.tolist())), P, K)
+            done += 1
+    return out
+
+
+def _lemire(words: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's draws in [0, r) from 32-bit words, as int64, and which words it rejects.
+
+    A draw is the high half of word * r; it is rejected when the low half is
+    below 2**32 mod r, which is below r, so only those under r are checked.
+    """
+    m = words * r
+    low = m & 0xFFFFFFFF
+    bad = low < r
+    if bad.any():
+        rb = np.broadcast_to(r, m.shape)[bad]
+        bad[bad] = low[bad] < (2**32 - rb) % rb
+    return (m >> 32).view(np.int64), bad
+
+
+def _floyd(V: np.ndarray, high) -> None:
+    """Floyd's rule down axis -2 of V, in place, row by row.
+
+    Row i of V drew in [0, high - (k - 1 - i)]; a draw already taken by an
+    earlier row becomes that range's top.
+    """
+    k = V.shape[-2]
+    for i in range(1, k):
+        row = V[..., i, :]
+        np.copyto(row, high - (k - 1 - i), where=(V[..., :i, :] == row[..., None, :]).any(axis=-2))
+
+
+def _shuffle(V: np.ndarray, J: np.ndarray) -> None:
+    """numpy's shuffle down axis -2 of V, in place.
+
+    For i = k - 1 down to 1, row i swaps with row J[..., k - 1 - i, :].
+    """
+    k, m = V.shape[-2:]
+    base = np.arange(0, V.size, k * m).reshape(V.shape[:-2] + (1,)) + np.arange(m)  # flat offsets of row 0
+    for c, i in enumerate(range(k - 1, 0, -1)):
+        at = base + J[..., c, :] * m
+        row = V[..., i, :].copy()
+        V[..., i, :] = V.take(at)
+        V.put(at, row)
 
 
 def train_embedder(
@@ -490,8 +601,9 @@ def train_embedder(
     than batch_k frames.  _Draws makes these draws from raw PCG64 words, and
     tests pin them to numpy's own calls.  Results for a seed, criterion 6's
     among them, depend on this stream.  The draws never read the parameters,
-    so they run ahead of the steps: in a forked process beside them when a
-    core is free (_batch_chunks), else inline, with the same stream and result.
+    so when every cluster holds more than batch_k frames they are made for
+    _SPAN steps at once, in whole-array passes (_span_rows), with the same
+    stream and result.
 
     progress, if given, is called as progress(step, loss) after each step.
     Parameters that turn non-finite (the rate diverged) are an AdaptationError,
@@ -504,25 +616,24 @@ def train_embedder(
     out = embedder.clone()
     params = out.param_vector()
 
-    pools = list(zip(starts.tolist(), sizes.tolist()))
-    P, K = min(cfg.batch_p, len(pools)), cfg.batch_k
+    P, K = min(cfg.batch_p, len(sizes)), cfg.batch_k
     # A batch's P clusters are distinct, so these labels give the same masks
     # as the cluster ids themselves.
     labels = np.repeat(np.arange(P), K)
-    with closing(_batch_chunks(cfg.seed, pools, P, K, cfg.iterations)) as chunks:
-        for rows, first in zip(chunks, range(0, cfg.iterations, _CHUNK)):
-            for step, x in enumerate(frames[rows], first):
-                yhat = out.embed(x)
-                loss, gy = batch_hard_triplet_loss(yhat, labels, cfg.margin)
-                grad = out.param_grad(x, gy)
-                lr = cfg.learning_rate * cfg.lr_decay**step
-                params = params - lr * grad
-                out.set_param_vector(params)
-                if progress is not None:
-                    progress(step, loss)
-            if not np.isfinite(params).all():  # once a chunk, so a diverged run stops early
-                raise AdaptationError(f"training diverged: parameters are not finite after "
-                                      f"{step + 1} steps at learning rate {cfg.learning_rate:g}")
+    chunks = _batch_rows(cfg.seed, starts, sizes, P, K, cfg.iterations)
+    for rows, first in zip(chunks, range(0, cfg.iterations, _CHUNK)):
+        for step, x in enumerate(frames[rows], first):
+            yhat = out.embed(x)
+            loss, gy = batch_hard_triplet_loss(yhat, labels, cfg.margin)
+            grad = out.param_grad(x, gy)
+            lr = cfg.learning_rate * cfg.lr_decay**step
+            params = params - lr * grad
+            out.set_param_vector(params)
+            if progress is not None:
+                progress(step, loss)
+        if not np.isfinite(params).all():  # once a chunk, so a diverged run stops early
+            raise AdaptationError(f"training diverged: parameters are not finite after "
+                                  f"{step + 1} steps at learning rate {cfg.learning_rate:g}")
     return out
 
 
@@ -544,7 +655,8 @@ class AdaptationReport:
     checkpoint_id: str
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """asdict(self), without its deep copy of every loss."""
+        return dict(vars(self), rounds=tuple(dict(vars(r)) for r in self.rounds))
 
 
 def checkpoint_id(embedder: Embedder) -> str:

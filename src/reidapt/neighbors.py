@@ -90,11 +90,44 @@ def exact_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     distance keeps its bits.  The repeat lets NumPy run one long inner loop
     over c·d elements instead of one d-element loop per pair, and the
     in-place subtraction saves a second tensor.
+
+    The column form serves finite float64 inputs with a 2-D B and 1 <= d <= 7.
+    There the einsum adds a pair's d squares in two lanes: the even-indexed
+    ones in order, then the odd-indexed ones, then the two sums.  The column
+    form makes that sum from a (d, n, c) tensor of column differences, one
+    (n, c) block per coordinate, at about half the cost.  Block k is the
+    product [A[:, k], 1] @ [1, -B[:, k]] of K = 2: both terms are exact
+    products, so in any order and with or without FMA the one rounding left
+    is that of A[i, k] - B[j, k].  Only a zero's sign can differ, and the
+    square drops it; non-finite inputs, whose NaN bits BLAS need not keep,
+    take the einsum.  From d = 8 on the einsum unrolls differently and runs
+    itself.  tests/test_neighbors.py pins the two forms to each other.
     """
     c, d = B.shape[-2], A.shape[1]
     A = A.astype(np.result_type(A, B), copy=False)
-    out = np.empty((len(A), c), dtype=np.float64)
     step = max(1, _DIFF_ELEMENTS // max(1, c * d))
+    # A NaN or an infinity makes a sum one; an overflowing sum sends finite input to the einsum.
+    if (B.ndim == 2 and 1 <= d <= 7 and A.dtype == np.float64 and math.isfinite(np.add.reduce(A, axis=None))
+            and (B is A or math.isfinite(np.add.reduce(B, axis=None)))):
+        right = np.empty((d, 2, c))
+        right[:, 0] = 1.0
+        np.negative(B.T, out=right[:, 1])
+        out = None if 0 < len(A) <= step else np.empty((len(A), c))
+        for a in range(0, len(A), step):
+            left = np.empty((d, len(A[a : a + step]), 2))
+            left[:, :, 0] = A[a : a + step].T
+            left[:, :, 1] = 1.0
+            sq = left @ right
+            sq *= sq
+            for k in range(2, d):  # each lane in order
+                np.add(sq[k % 2], sq[k], out=sq[k % 2])
+            if d > 1:
+                np.add(sq[0], sq[1], out=sq[0])
+            if out is None:  # one block: its lane sum is the result
+                return sq[0]
+            out[a : a + step] = sq[0]
+        return out
+    out = np.empty((len(A), c), dtype=np.float64)
     for a in range(0, len(A), step):
         rows = A[a : a + step]
         diff = np.repeat(rows, c, axis=0).reshape(len(rows), c, d)  # -1 fails when c == 0

@@ -140,32 +140,32 @@ MUTANTS = (
         "sampler-chunk-remainder", "adapt.py",
         "for _ in range(min(_CHUNK, steps - first)):",
         "for _ in range(_CHUNK):",
-        ("tests/test_adapt.py::TestBatchSampler::test_forked_draws_train_the_inline_bytes[linear]",),
+        ("tests/test_adapt.py::TestLoopReference::test_training_matches_loop_form[3-4-soft-linear]",),
     ),
     Mutant(
-        "sampler-reap", "adapt.py",
-        "code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])",
-        "code = 0",
-        ("tests/test_adapt.py::TestBatchSampler::test_reaped_when_progress_raises",
-         "tests/test_adapt.py::TestBatchSampler::test_reaped_when_the_loss_raises"),
+        "span-rejection-accepted", "adapt.py",
+        "bad[bad] = low[bad] < (2**32 - rb) % rb",
+        "bad[bad] = False",
+        ("tests/test_adapt.py::TestSpanDraws::test_a_rejected_word_hands_its_step_to_the_loop[middle]",
+         "tests/test_adapt.py::TestSpanDraws::test_the_word_offset_follows_a_rejection"),
     ),
     Mutant(
-        "sampler-draws-in-child", "adapt.py",
-        "rows, pid = _batch_rows(_Draws(seed), pools, P, K, steps), None",
-        "rows, pid = (x for s in [seed] for x in _batch_rows(_Draws(s), pools, P, K, steps)), None",
-        ("tests/test_adapt.py::TestBatchSampler::test_the_draws_are_made_before_the_fork",),
-    ),
-    Mutant(
-        "sampler-child-exit", "adapt.py",
-        "if not pid and os.getpid() != parent:",
-        "if pid == 0:",
-        ("tests/test_adapt.py::TestBatchSampler::test_an_exception_at_the_fork_stays_in_the_child",),
-    ),
-    Mutant(
-        "sampler-traceback", "adapt.py",
-        "os.write(2, traceback.format_exc().encode())",
+        "span-floyd-collision", "adapt.py",
+        "np.copyto(row, high - (k - 1 - i), where=(V[..., :i, :] == row[..., None, :]).any(axis=-2))",
         "pass",
-        ("tests/test_adapt.py::TestBatchSampler::test_a_failing_sampler_exits_1_with_its_traceback",),
+        ("tests/test_adapt.py::TestSpanDraws::test_rows_match_the_loop",),
+    ),
+    Mutant(
+        "span-shuffle-order", "adapt.py",
+        "for c, i in enumerate(range(k - 1, 0, -1)):",
+        "for c, i in enumerate(range(1, k)):",
+        ("tests/test_adapt.py::TestSpanDraws::test_rows_match_the_loop",),
+    ),
+    Mutant(
+        "loss-negative-norm-unmasked", "adapt.py",
+        "norm = D.take(flat)  #",
+        "norm = np.concatenate((D.take(flat[:B]), near.take(flat[B:])))  #",
+        ("tests/test_adapt.py::TestLoopReference::test_loss_matches_loop_form[soft]",),
     ),
     Mutant(
         "divergence-chunk-check", "adapt.py",
@@ -250,6 +250,16 @@ MUTANTS = (
         "step = max(1, size // w)",
         "step = max(1, size)",
         ("tests/test_neighbors.py::TestWorkerThreads::test_blocks_cover_every_row_once_in_order[2]",),
+    ),
+    Mutant(
+        "column-form-sequential-sum", "neighbors.py",
+        "            for k in range(2, d):  # each lane in order\n"
+        "                np.add(sq[k % 2], sq[k], out=sq[k % 2])\n"
+        "            if d > 1:\n"
+        "                np.add(sq[0], sq[1], out=sq[0])\n",
+        "            for k in range(1, d):\n"
+        "                np.add(sq[0], sq[k], out=sq[0])\n",
+        ("tests/test_neighbors.py::TestColumnForm::test_matches_the_einsum[3]",),
     ),
     Mutant(
         "eval-order-key", "neighbors.py",

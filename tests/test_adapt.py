@@ -1,9 +1,6 @@
 import importlib
-import itertools
 import math
-import os
 import struct
-import threading
 from dataclasses import replace
 
 import numpy as np
@@ -32,12 +29,11 @@ from reidapt import (
     save_checkpoint,
     train_embedder,
 )
-from reidapt import _tasks
-from reidapt.adapt import _CHUNK, _Draws
+from reidapt.adapt import _CHUNK, _SPAN, _Draws, _Words, _batch_rows, _span_rows, _step_rows
 from reidapt.graph import ClusterSet
 from reidapt.model import ClusterAssignment
 
-from oracles import fd_gradient, loop_batch_hard_triplet_loss, loop_train_embedder, rel_error
+from oracles import _loop_sigmoid, fd_gradient, loop_batch_hard_triplet_loss, loop_train_embedder, rel_error
 
 
 @pytest.mark.parametrize("make,error,message", [
@@ -201,6 +197,47 @@ class TestLoopReference:
             if np.isfinite(X).all():
                 assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
                 assert grad.tobytes() == want_grad.tobytes()
+
+    def test_sigmoid_matches_loop_form_bits(self):
+        # NaN inputs of either sign and any payload keep their bits, as in the
+        # loop form; so do the zeros, infinities and subnormals.
+        module = importlib.import_module("reidapt.adapt")
+        rng = np.random.default_rng(3)
+        payloads = rng.integers(1, 2**52, size=300, dtype=np.int64) | np.int64(0x7FF0000000000000)
+        nans = payloads.view(np.float64)
+        special = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 745.2, -745.2, 1e308, -1e308]
+        x = np.concatenate((rng.normal(size=300) * 40.0, nans, -nans, special))
+        x = x[rng.permutation(len(x))]
+        for n in (1, 7, 64, len(x)):
+            with np.errstate(all="ignore"):
+                assert module._sigmoid(x[:n]).tobytes() == _loop_sigmoid(x[:n]).tobytes()
+
+    @pytest.mark.parametrize("margin", ["soft", 0.0, 0.5])
+    def test_pk_form_matches_the_masked_form_bytes(self, margin, monkeypatch):
+        # Every batch here has one count per label, so the loss takes its PK
+        # form.  With the PK state hidden it takes the masked-copy form, which
+        # any label vector takes; both give the same bytes, NaN bits included.
+        module = importlib.import_module("reidapt.adapt")
+        real = module._label_state
+        for X, y in loss_batches(320, seed=7):
+            assert real(y)[-1] is not None
+            with np.errstate(all="ignore"):
+                loss, grad = batch_hard_triplet_loss(X, y, margin)
+                monkeypatch.setattr(module, "_label_state", lambda labels: real(labels)[:-1] + (None,))
+                want_loss, want_grad = batch_hard_triplet_loss(X, y, margin)
+                monkeypatch.setattr(module, "_label_state", real)
+            assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+            assert grad.tobytes() == want_grad.tobytes()
+
+    def test_uneven_label_counts_take_the_masked_form(self):
+        module = importlib.import_module("reidapt.adapt")
+        X = np.random.default_rng(9).normal(size=(7, 3))
+        y = np.array([0, 0, 0, 1, 1, 2, 2])
+        assert module._label_state(y)[-1] is None
+        loss, grad = batch_hard_triplet_loss(X, y)
+        want_loss, want_grad = loop_batch_hard_triplet_loss(X, y)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
 
     @pytest.mark.parametrize("arch", ["linear", "mlp"])
     @pytest.mark.parametrize("margin", ["soft", 0.3])
@@ -392,181 +429,133 @@ def pool_manifest():
     return DomainManifest("pools", tuple(tracklets))
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def pools_of(sizes):
+    """(starts, sizes) of clusters with these frame counts, stored one after another."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    return np.concatenate(([0], np.cumsum(sizes)[:-1])), sizes
+
+
+def loop_rows(words, starts, sizes, P, K, steps):
+    """The rows of `steps` batches drawn step by step by _Draws."""
+    draws, pools = _Draws(words), list(zip(starts.tolist(), sizes.tolist()))
+    return np.array([_step_rows(draws, pools, P, K) for _ in range(steps)], dtype=np.int64)
+
+
+def chunked_rows(seed, starts, sizes, P, K, steps):
+    chunks = list(_batch_rows(seed, starts, sizes, P, K, steps))
+    assert all(len(c) == _CHUNK for c in chunks[:-1]) and len(chunks) == -(-steps // _CHUNK)
+    return np.concatenate(chunks)
+
+
+class StandInWords(_Words):
+    """A fixed stream of 32-bit words, read as _Words reads a generator's."""
+
+    def __init__(self, words):
+        self._buf, self._at = np.asarray(words, dtype="<u4"), 0
+
+    def take(self, n):
+        self._at += n
+        assert self._at <= len(self._buf), "the stand-in stream ran out"
+        return self._buf[self._at - n : self._at]
+
+
+class TestSpanDraws:
+    """Batches drawn in whole-array passes are those _Draws draws step by step."""
+
+    @pytest.mark.parametrize("case", range(30))
+    def test_rows_match_the_loop(self, case):
+        # Pool sets of every shape: all above K (the whole-array passes), and
+        # with pools of exactly K, below K, 1 frame and past 10000 frames (the
+        # loop).  Some batches take every cluster (P = n), and some runs cross
+        # span and chunk boundaries.
+        rng = np.random.default_rng(case)
+        K = int(rng.integers(1, 6))
+        n = int(rng.integers(2, 40))
+        P = n if case % 5 == 0 else int(rng.integers(1, n + 1))
+        sizes = rng.integers(K + 1, K + 40, size=n)
+        kind = case % 6
+        if kind == 1:
+            sizes[rng.integers(n)] = K
+        elif kind == 2:
+            sizes[rng.integers(n, size=2)] = (max(1, K - 1), 1)
+        elif kind == 3:
+            sizes[rng.integers(n)] = int(rng.integers(10001, 12000))
+        elif kind == 4:
+            sizes[:] = 10000
+        starts, sizes = pools_of(sizes)
+        steps = int(rng.integers(1, 1100)) if case % 3 else _SPAN
+        seed = int(rng.integers(2**32))
+        want = loop_rows(seed, starts, sizes, P, K, steps)
+        assert np.array_equal(chunked_rows(seed, starts, sizes, P, K, steps), want)
+        if sizes.min() > K and sizes.max() <= 10000:
+            assert np.array_equal(_span_rows(_Words(seed), starts, sizes, P, K, steps), want)
+
+    @pytest.mark.parametrize("at", [0, _SPAN // 2, _SPAN - 1], ids=["first", "middle", "last"])
+    def test_a_rejected_word_hands_its_step_to_the_loop(self, at, monkeypatch):
+        # choice(8, 3) draws its first value in [0, 5]: r = 6, and the word 0
+        # has a low half of 0 < 2**32 mod 6, which Lemire's method rejects.
+        # Zeroing that word in step `at` of each span forces a rejection there,
+        # and each rejection moves the later words on by one.
+        starts, sizes = pools_of([9, 12, 10, 15, 11, 9, 13, 20])
+        P, K, steps = 3, 4, 2 * _SPAN + 7
+        per_step = 2 * P - 1 + P * (2 * K - 1)
+        words = np.random.default_rng(6).integers(0, 2**32, size=(steps + 8) * per_step, dtype=np.uint32)
+        spans = [s for s in range(0, steps, _SPAN) if s + at < steps]
+        for i, span in enumerate(spans):
+            words[(span + at) * per_step + i] = 0
+        want = loop_rows(StandInWords(words), starts, sizes, P, K, steps)
+
+        class Stream(StandInWords):
+            def __init__(self, seed):
+                super().__init__(words)
+
+        module = importlib.import_module("reidapt.adapt")
+        monkeypatch.setattr(module, "_Words", Stream)
+        fallbacks = []
+        monkeypatch.setattr(module, "_step_rows", lambda *a: fallbacks.append(1) or _step_rows(*a))
+        assert np.array_equal(chunked_rows(0, starts, sizes, P, K, steps), want)
+        assert len(fallbacks) == len(spans)
+
+    def test_the_word_offset_follows_a_rejection(self):
+        # Rejections shift every later step by a word; each span takes up
+        # where _Draws stopped.
+        starts, sizes = pools_of([9, 12, 10, 15, 11, 9, 13, 20])
+        P, K, steps = 3, 4, 3 * _SPAN
+        words = np.random.default_rng(7).integers(0, 2**32, size=150 * steps, dtype=np.uint32)
+        words[::97] = 0
+        got = _span_rows(StandInWords(words), starts, sizes, P, K, steps)
+        assert np.array_equal(got, loop_rows(StandInWords(words), starts, sizes, P, K, steps))
+
+
 class TestBatchSampler:
-    """Draws made in a forked sampler process train to the inline bytes, and it is always reaped."""
+    """Every training step draws its batch from the stream, whatever path draws it."""
 
     STEPS = 3 * _CHUNK + 5  # whole chunks and a part chunk
 
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """W = 2, and the pid of each process os.fork starts."""
-        monkeypatch.setattr(_tasks, "workers", lambda: 2)
-        pids, real = [], os.fork
-
-        def fork():
-            pid = real()
-            if pid:
-                pids.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", fork)
-        return pids
-
-    def train(self, arch="linear", steps=STEPS, progress=None):
-        m = pool_manifest()
-        rng = np.random.default_rng(5)
-        emb = LinearEmbedder.random(4, 3, rng) if arch == "linear" else MlpEmbedder.random(4, 6, 3, rng)
-        cfg = TrainConfig(iterations=steps, batch_p=3, batch_k=4, learning_rate=0.05, seed=4)
-        return emb, identity_clusters(m), m, cfg, progress
-
-    @staticmethod
-    def assert_reaped(pids):
-        assert len(pids) == 1
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pids[0], os.WNOHANG)
-
     @pytest.mark.parametrize("arch", ["linear", "mlp"])
-    def test_forked_draws_train_the_inline_bytes(self, forks, monkeypatch, arch):
-        args = self.train(arch)
-        forked = train_embedder(*args).param_vector()
-        self.assert_reaped(forks)
-        monkeypatch.setattr(_tasks, "workers", lambda: 1)
-        inline = train_embedder(*args).param_vector()
-        assert len(forks) == 1  # none at W = 1
-        assert forked.tobytes() == inline.tobytes()
-        assert forked.tobytes() == loop_train_embedder(*args[:4]).param_vector().tobytes()
+    def test_span_draws_train_the_loop_bytes(self, arch):
+        # Every cluster holds more than batch_k frames, so the draws run in
+        # whole-array passes, across a span boundary.
+        rng = np.random.default_rng(12)
+        tracklets = []
+        for c, n_frames in enumerate([5, 6, 9, 7, 12]):
+            for cam in ("A", "B"):
+                tracklets.append(Tracklet(f"{cam}{c}", cam, rng.normal(3.0 * c, 1.0, size=(n_frames, 4)),
+                                          identity=f"p{c}"))
+        m = DomainManifest("wide", tuple(tracklets))
+        emb = LinearEmbedder.random(4, 3, rng) if arch == "linear" else MlpEmbedder.random(4, 6, 3, rng)
+        cfg = TrainConfig(iterations=_SPAN + 40, batch_p=3, batch_k=4, learning_rate=0.05, seed=4)
+        got = train_embedder(emb, identity_clusters(m), m, cfg).param_vector()
+        want = loop_train_embedder(emb, identity_clusters(m), m, cfg).param_vector()
+        assert got.tobytes() == want.tobytes()
 
-    def test_the_draws_are_made_before_the_fork(self, forks, monkeypatch):
-        """The sampler process inherits numpy.random and its _Draws instead of importing it anew."""
-        module = importlib.import_module("reidapt.adapt")
-        made = []
-
-        class Draws(_Draws):
-            def __init__(self, seed):
-                made.append(os.getpid())
-                super().__init__(seed)
-
-        monkeypatch.setattr(module, "_Draws", Draws)
-        args = self.train()
-        assert train_embedder(*args).param_vector().tobytes() == \
-            loop_train_embedder(*args[:4]).param_vector().tobytes()
-        assert made == [os.getpid()] and len(forks) == 1
-
-    def test_every_step_reports_progress(self, forks):
+    def test_every_step_reports_progress(self):
+        m = pool_manifest()
+        cfg = TrainConfig(iterations=self.STEPS, batch_p=3, batch_k=4, learning_rate=0.05, seed=4)
         steps = []
-        train_embedder(*self.train(progress=lambda step, loss: steps.append(step)))
-        assert steps == list(range(self.STEPS)) and len(forks) == 1
-
-    def test_reaped_when_progress_raises(self, forks):
-        def progress(step, loss):
-            if step == _CHUNK + 3:
-                raise KeyboardInterrupt
-
-        with pytest.raises(KeyboardInterrupt):
-            train_embedder(*self.train(progress=progress))
-        self.assert_reaped(forks)
-
-    def test_reaped_when_the_loss_raises(self, forks, monkeypatch):
-        module = importlib.import_module("reidapt.adapt")
-        calls = itertools.count()
-
-        def failing(*args, **kwargs):
-            if next(calls) == 2 * _CHUNK:
-                raise BatchError("refused")
-            return batch_hard_triplet_loss(*args, **kwargs)
-
-        monkeypatch.setattr(module, "batch_hard_triplet_loss", failing)
-        with pytest.raises(BatchError, match="refused"):
-            train_embedder(*self.train())
-        self.assert_reaped(forks)
-
-    def test_a_sampler_that_ends_early_is_an_error(self, forks, monkeypatch):
-        module = importlib.import_module("reidapt.adapt")
-        real = module._batch_rows
-        monkeypatch.setattr(module, "_batch_rows", lambda *a: itertools.islice(real(*a), 2))
-        with pytest.raises(AdaptationError, match=r"^batch sampler process ended early \(exit status 0\)$"):
-            train_embedder(*self.train())
-        self.assert_reaped(forks)
-
-    def test_a_failing_sampler_exits_1_with_its_traceback(self, forks, monkeypatch, capfd):
-        module = importlib.import_module("reidapt.adapt")
-        real = module._batch_rows
-
-        def failing(*args):
-            yield next(real(*args))
-            raise RuntimeError("no more rows")
-
-        monkeypatch.setattr(module, "_batch_rows", failing)
-        with pytest.raises(AdaptationError, match=r"^batch sampler process ended early \(exit status 1\)$"):
-            train_embedder(*self.train())
-        self.assert_reaped(forks)
-        err = capfd.readouterr().err
-        assert "Traceback" in err and "RuntimeError: no more rows" in err
-
-    def test_an_exception_at_the_fork_stays_in_the_child(self, forks, monkeypatch, capfd):
-        """A signal's exception raised as os.fork returns in the child ends the child there."""
-        real = os.fork  # the fixture's, which records the pid
-
-        def fork():
-            pid = real()
-            if pid == 0:
-                raise KeyboardInterrupt
-            return pid
-
-        monkeypatch.setattr(os, "fork", fork)
-        with pytest.raises(AdaptationError, match=r"^batch sampler process ended early \(exit status 1\)$"):
-            train_embedder(*self.train())
-        self.assert_reaped(forks)
-        assert capfd.readouterr() == ("", "")
-
-    def test_a_parent_interrupted_at_the_fork_closes_the_pipe(self, forks, monkeypatch):
-        pipes, real_pipe, real_fork = [], os.pipe, os.fork
-        monkeypatch.setattr(os, "pipe", lambda: pipes.append(real_pipe()) or pipes[-1])
-
-        def fork():
-            pid = real_fork()
-            if pid:
-                raise KeyboardInterrupt
-            return pid
-
-        monkeypatch.setattr(os, "fork", fork)
-        with pytest.raises(KeyboardInterrupt):
-            train_embedder(*self.train())
-        for fd in pipes[0]:  # both ends closed: the child's writes fail once the pipe is full
-            with pytest.raises(OSError):
-                os.fstat(fd)
-        os.waitpid(forks[0], 0)  # the caller's pid was lost; the test's own record reaps it
-
-    def test_no_fork_while_another_thread_runs(self, forks):
-        args = self.train()
-        stop = threading.Event()
-        t = threading.Thread(target=stop.wait)
-        t.start()
-        try:
-            got = train_embedder(*args).param_vector()
-        finally:
-            stop.set()
-            t.join(timeout=10)
-        assert not t.is_alive() and forks == []
-        assert got.tobytes() == loop_train_embedder(*args[:4]).param_vector().tobytes()
-
-    def test_a_failing_fork_draws_inline(self, forks, monkeypatch):
-        args = self.train()
-        want = train_embedder(*args).param_vector()
-        assert len(forks) == 1
-
-        def refuse():
-            raise OSError(11, "Resource temporarily unavailable")
-
-        pipes, real_pipe = [], os.pipe
-        monkeypatch.setattr(os, "pipe", lambda: pipes.append(real_pipe()) or pipes[-1])
-        monkeypatch.setattr(os, "fork", refuse)
-        assert train_embedder(*args).param_vector().tobytes() == want.tobytes()
-        assert len(pipes) == 1
-        for fd in pipes[0]:  # both ends closed
-            with pytest.raises(OSError):
-                os.fstat(fd)
+        train_embedder(LinearEmbedder.random(4, 3, np.random.default_rng(5)), identity_clusters(m), m, cfg,
+                       progress=lambda step, loss: steps.append(step))
+        assert steps == list(range(self.STEPS))
 
 
 class TestEmbedders:

@@ -640,3 +640,56 @@ class TestExactKernel:
     def test_empty_inputs(self):
         for A, B in [(np.empty((0, 3)), np.ones((4, 3))), (np.ones((2, 3)), np.empty((0, 3)))]:
             assert exact_sq_dists(A, B).shape == loop_exact_sq_dists(A, B).shape
+
+
+class TestColumnForm:
+    """exact_sq_dists' column path (finite float64, 2-D B, d <= 7) against the einsum, bit for bit.
+
+    The column path adds each pair's squares in the einsum's two lanes, from
+    differences made by K = 2 products.  If a numpy release changes how the
+    einsum unrolls, these fail: then follow the einsum.
+    """
+
+    @staticmethod
+    def inputs(d):
+        rng = np.random.default_rng(d)
+        A, B = rng.normal(size=(64, d)), rng.normal(size=(50, d))
+        yield A, B
+        for scale in (1e-310, 1e-150, 1e150, 1e160):  # subnormal, tiny and overflowing squares
+            yield A * scale, B * scale
+            yield A * scale, B
+        yield np.full((4, d), 1e308), np.full((3, d), -1e308)  # overflowing differences
+        yield A, A  # coincident rows: zero distances
+        yield A, np.concatenate((A[:10], A[:10]))
+        zeros = np.where(rng.random((64, d)) < 0.5, 0.0, -0.0)
+        yield zeros, -zeros[:50]
+        special = A.copy()
+        cells = rng.integers(64, size=12), rng.integers(d, size=12)
+        special[cells] = rng.choice([np.inf, -np.inf, np.nan, np.copysign(np.nan, -1.0)], size=12)
+        yield special, special[::-1][:50]
+        yield special, B
+        # More rows than one difference block holds.
+        yield rng.normal(size=(3 * (_DIFF_ELEMENTS // (300 * d)) + 5, d)), rng.normal(size=(300, d))
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_matches_the_einsum(self, d):
+        for A, B in self.inputs(d):
+            with np.errstate(all="ignore"):
+                got, want = exact_sq_dists(A, B), loop_exact_sq_dists(A, B)
+            assert got.shape == want.shape and got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d,value,einsum_calls", [
+        pytest.param(7, 1.0, 0, id="d7"),
+        pytest.param(8, 1.0, 1, id="d8"),
+        pytest.param(3, np.nan, 1, id="nan"),
+        pytest.param(3, -np.inf, 1, id="inf"),
+    ])
+    def test_the_einsum_runs_from_d_8_and_for_non_finite_input(self, d, value, einsum_calls, monkeypatch):
+        calls, real = [], np.einsum
+        monkeypatch.setattr(np, "einsum", lambda *a, **k: calls.append(a[0]) or real(*a, **k))
+        A, B = np.random.default_rng(d).normal(size=(2, 5, d))
+        B[2, 1] *= value
+        with np.errstate(invalid="ignore"):
+            assert exact_sq_dists(A, B).tobytes() == loop_exact_sq_dists(A, B).tobytes()
+        assert len(calls) == einsum_calls + 1  # the loop form calls it once
