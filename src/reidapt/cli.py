@@ -313,14 +313,13 @@ def _cmd_eval(args) -> int:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         io_mod.write_json(summary, out / "summary.json")
-        # No gallery holds len(idx) items, so the curve reads 1 from there on.
+        # No gallery holds len(idx) items, so the curve reads 1 from there on
+        # and ends there.
         curve = cmc(ranking, range(1, min(max(ranks), len(idx)) + 1))
         with io_mod.atomic_write(out / "cmc_curve.csv") as fh:
             fh.write("rank,cmc\n")
             for k, v in enumerate(curve, 1):
                 fh.write(f"{k},{v:.6f}\n")
-            for k in range(len(curve) + 1, max(ranks) + 1):
-                fh.write(f"{k},1.000000\n")
         with io_mod.atomic_write(out / "cluster_distances.csv") as fh:
             fh.write("kind,distance\n")
             for kind, values in (("intra", intra), ("inter", inter)):

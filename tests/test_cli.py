@@ -493,7 +493,7 @@ class TestEvalCommand:
         assert summary["map"] == pytest.approx((1.0 + 1.0 + 1 / 3 + 1 / 6) / 4.0)
         curve = (out_dir / "cmc_curve.csv").read_text().splitlines()
         assert curve[0] == "rank,cmc"
-        assert len(curve) == 21
+        assert len(curve) == 16  # ranks 1-15: the fixture holds 15 tracklets
 
     @pytest.mark.parametrize("content,message", [
         pytest.param(b"q1\nq\xff2\n", "2: not UTF-8: ", id="not_utf8"),
@@ -587,7 +587,27 @@ class TestEvalCommand:
         assert json.loads((out_dir / "summary.json").read_text())["cmc"] == {"1": 0.5, "40": 1.0}
         assert (out_dir / "cmc_curve.csv").read_text().splitlines() == [
             "rank,cmc", "1,0.500000", "2,0.500000", "3,0.750000", "4,0.750000", "5,0.750000",
-            *(f"{k},1.000000" for k in range(6, 41))]
+            *(f"{k},1.000000" for k in range(6, 16))]
+
+    def test_huge_rank_ends_the_curve_at_the_manifest(self, tmp_path):
+        # The command runs with a 1 MB file-size limit, so a curve that ran
+        # to the rank asked for would end it with SIGXFSZ, not fill the disk.
+        import resource
+
+        manifest, queries = write_eval_fixture(tmp_path)
+        out_dir = tmp_path / "report"
+        src = str(Path(reidapt.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "reidapt.cli", "eval", "--manifest", str(manifest), "--queries",
+             str(queries), "--ranks", "1,99999999999999999999", "--out-dir", str(out_dir)],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 20, 1 << 20)))
+        assert proc.returncode == 0, proc.stderr
+        curve = (out_dir / "cmc_curve.csv").read_text().splitlines()
+        assert len(curve) == 16 and curve[-1] == "15,1.000000"
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "cluster_distances.csv", "cmc_curve.csv", "summary.json"]
 
     def test_eval_with_checkpoint(self, tmp_path, capsys):
         src = tmp_path / "d.jsonl"
